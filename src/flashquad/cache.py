@@ -8,7 +8,9 @@ class PageCache:
     """LRU cache of page images keyed by page address.
 
     The replay harness models a RAM-constrained reader, so the default
-    capacity is a deliberately small 15 pages.
+    capacity is a deliberately small 15 pages.  ``hits`` and ``misses``
+    only grow: a store reports each query's cache hits and device reads
+    as their change over the query.
     """
 
     def __init__(self, capacity: int = 15):
@@ -42,7 +44,3 @@ class PageCache:
 
     def clear(self) -> None:
         self._pages.clear()
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0

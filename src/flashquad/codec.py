@@ -20,6 +20,7 @@ without touching anything else.
 from __future__ import annotations
 
 import binascii
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -150,6 +151,11 @@ _VALID_NODES: OrderedDict[bytes, None] = OrderedDict()
 _LEAF_LISTS: OrderedDict[tuple[bytes, int | None], tuple[tuple["LeafRecord", ...], int]] = OrderedDict()
 
 
+def _at(addr: int | None) -> str:
+    """Where a decode failed, for its message."""
+    return "" if addr is None else f" at page {addr}"
+
+
 def _remember(memo: OrderedDict, key, value) -> None:
     if len(memo) >= MEMO_ENTRIES:
         memo.popitem(last=False)  # drop the oldest entry
@@ -162,14 +168,13 @@ def validate_node(page: bytes, addr: int | None = None) -> None:
         page = bytes(page)
     if page in _VALID_NODES:
         return
-    where = "" if addr is None else f" at page {addr}"
     if page[0] != NODE_MAGIC:
-        raise FormatError(f"bad node magic 0x{page[0]:02x}{where}")
+        raise FormatError(f"bad node magic 0x{page[0]:02x}{_at(addr)}")
     if page[1] > MAX_NODE_LEVEL:
-        raise FormatError(f"node level {page[1]} out of range{where}")
+        raise FormatError(f"node level {page[1]} out of range{_at(addr)}")
     stored = int.from_bytes(page[NODE_CRC_OFF : NODE_CRC_OFF + 2], "big")
     if stored != crc16(page[NODE_ENTRIES_OFF:]):
-        raise FormatError(f"node entry-area CRC mismatch{where}")
+        raise FormatError(f"node entry-area CRC mismatch{_at(addr)}")
     _remember(_VALID_NODES, page, None)
 
 
@@ -241,10 +246,9 @@ def _tail_crc(buf: bytearray) -> None:
 
 
 def _check_tail_crc(page: bytes, what: str, addr: int | None) -> None:
-    where = "" if addr is None else f" at page {addr}"
     stored = int.from_bytes(page[LEAF_CRC_OFF : LEAF_CRC_OFF + 2], "big")
     if stored != crc16(page[:LEAF_CRC_OFF]):
-        raise FormatError(f"{what} CRC mismatch{where}")
+        raise FormatError(f"{what} CRC mismatch{_at(addr)}")
 
 
 def encode_leaf_list(page: LeafListPage) -> bytes:
@@ -298,7 +302,7 @@ def _parse_leaf_list(
 ) -> tuple[tuple[LeafRecord, ...], int]:
     if len(page) != PAGE_SIZE:
         raise FormatError(f"leaf list page must be {PAGE_SIZE} bytes")
-    where = "" if addr is None else f" at page {addr}"
+    where = _at(addr)
     if page[0] != LEAF_MAGIC:
         raise FormatError(f"bad leaf list magic 0x{page[0]:02x}{where}")
     _check_tail_crc(page, "leaf list", addr)
@@ -405,32 +409,24 @@ def encode_zone(z: ZoneObject, page_addrs: list[int]) -> list[bytes]:
     return pages
 
 
-def _i32(b: bytes) -> int:
-    v = int.from_bytes(b, "big")
-    return v - (1 << 32) if v >= 1 << 31 else v
-
-
 def decode_object_page(page: bytes, addr: int | None = None) -> dict:
     """Decode one object page into a dict with a ``kind`` discriminator."""
     if len(page) != PAGE_SIZE:
         raise FormatError(f"object page must be {PAGE_SIZE} bytes")
-    where = "" if addr is None else f" at page {addr}"
     if page[0] != OBJ_MAGIC:
-        raise FormatError(f"bad object magic 0x{page[0]:02x}{where}")
+        raise FormatError(f"bad object magic 0x{page[0]:02x}{_at(addr)}")
     _check_tail_crc(page, "object record", addr)
     kind = page[1]
     object_id = int.from_bytes(page[2:6], "big")
     if kind == OBJ_GANTRY:
-        return {"kind": "gantry", "object_id": object_id, "x": _i32(page[6:10]), "y": _i32(page[10:14])}
+        x, y = struct.unpack_from(">ii", page, 6)
+        return {"kind": "gantry", "object_id": object_id, "x": x, "y": y}
     if kind in (OBJ_ZONE, OBJ_ZONE_CONT):
         count = page[8]
         if count > ZONE_VERTS_PER_PAGE:
-            raise FormatError(f"zone page vertex count {count} exceeds capacity{where}")
-        verts = []
-        pos = ZONE_VERTS_OFF
-        for _ in range(count):
-            verts.append((_i32(page[pos : pos + 4]), _i32(page[pos + 4 : pos + 8])))
-            pos += 8
+            raise FormatError(f"zone page vertex count {count} exceeds capacity{_at(addr)}")
+        coords = struct.unpack_from(f">{2 * count}i", page, ZONE_VERTS_OFF)
+        verts = list(zip(coords[::2], coords[1::2]))
         out = {
             "kind": "zone" if kind == OBJ_ZONE else "zone_cont",
             "object_id": object_id,
@@ -440,7 +436,7 @@ def decode_object_page(page: bytes, addr: int | None = None) -> dict:
         if kind == OBJ_ZONE:
             out["vertex_count"] = int.from_bytes(page[6:8], "big")
         return out
-    raise FormatError(f"unknown object kind {kind}{where}")
+    raise FormatError(f"unknown object kind {kind}{_at(addr)}")
 
 
 # -- version records ----------------------------------------------------------

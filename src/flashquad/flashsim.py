@@ -81,9 +81,8 @@ class DeviceStats:
 class FlashDevice:
     """In-memory NOR flash with honest cost accounting and failure injection.
 
-    ``on_read`` / ``on_program`` / ``on_erase`` are optional observer
-    callables used by tests and IO-accounting tools to interpose on
-    device traffic.
+    ``on_read(addr)`` and ``on_program(addr, data)`` are optional observer
+    callables that tests use to watch device traffic.
     """
 
     def __init__(
@@ -104,7 +103,6 @@ class FlashDevice:
         self._power_loss: tuple[int, int] | None = None  # (ops from now, prefix)
         self.on_read = None
         self.on_program = None
-        self.on_erase = None
 
     # -- addressing -------------------------------------------------
 
@@ -214,8 +212,6 @@ class FlashDevice:
         self._mem[first * PAGE_SIZE : (first + count) * PAGE_SIZE] = b"\xff" * (count * PAGE_SIZE)
         for ss in touched:
             self._erase_counts[ss] += 1
-        if self.on_erase is not None:
-            self.on_erase(first, count)
 
     def erase_page(self, addr: int) -> None:
         self.erase("page", addr)
@@ -243,7 +239,11 @@ class FlashDevice:
     # -- image persistence ----------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize array content and wear history (counters are not kept)."""
+        """Serialize the array content and the per-subsector erase (wear) counts.
+
+        The operation counters (reads, programs, erases, simulated clock)
+        are not kept: a loaded image starts them at zero.
+        """
         parts = [IMAGE_MAGIC, struct.pack("<I", self.geometry.sector_count), bytes(self._mem)]
         parts.append(struct.pack(f"<{len(self._erase_counts)}I", *self._erase_counts))
         return b"".join(parts)

@@ -160,7 +160,6 @@ class Store:
         self.params = params or BuildParams()
         self.max_versions = max_versions
         self.cache = PageCache(cache_pages)
-        self.device_reads = 0
         self._session: Optional[Session] = None
         self._known_erased: set[int] = set()
         self._reach: dict[int, frozenset[int]] = {}
@@ -253,14 +252,14 @@ class Store:
 
     def read_page(self, addr: int) -> bytes:
         page = self.cache.get(addr)
-        if page is None:
+        if page is None:  # every miss is exactly one device read
             page = self.device.read_page(addr)
-            self.device_reads += 1
             self.cache.put(addr, page)
         return page
 
     def read_counters(self) -> tuple[int, int]:
-        return self.device_reads, self.cache.hits
+        """(device reads, cache hits) so far, from the current cache's counters."""
+        return self.cache.misses, self.cache.hits
 
     def swap_cache(self, cache: PageCache) -> PageCache:
         old, self.cache = self.cache, cache
@@ -281,9 +280,7 @@ class Store:
                 raise IntegrityError("; ".join(rep.problems[:8]))
             rs = rep.reachable
             self._reach[root] = rs
-            if self.params.dedup:
-                for addr in rep.leaf_pages:
-                    self._dedup[self.read_page(addr)] = addr
+            self._learn_leaves(rep)
         return rs
 
     def _rebuild_live(self) -> None:
@@ -302,12 +299,16 @@ class Store:
                 self._damage[vno] = rep.problems[0]
                 continue
             self._reach[rec.root_page] = rep.reachable
-            if self.params.dedup:
-                for addr in rep.leaf_pages:
-                    self._dedup[self.read_page(addr)] = addr
+            self._learn_leaves(rep)
         self._live_pages = frozenset(union)
         roots = {rec.root_page for rec in self._versions.values()}
         self._reach = {r: s for r, s in self._reach.items() if r in roots}
+
+    def _learn_leaves(self, rep: tree.WalkReport) -> None:
+        """Add a walked tree's leaf pages to the dedup map, from the bytes the walk read."""
+        if self.params.dedup:
+            for addr, page in rep.leaf_pages.items():
+                self._dedup[page] = addr
 
     def _refuse_damaged(self) -> None:
         if self._damage:
@@ -482,9 +483,7 @@ class Store:
         rep = tree.walk_version(self.read_page, root, self.total_pages)
         if rep.problems:
             raise IntegrityError("staged tree is damaged: " + "; ".join(rep.problems[:8]))
-        if self.params.dedup:
-            for addr in rep.leaf_pages:
-                self._dedup[self.read_page(addr)] = addr
+        self._learn_leaves(rep)
         self._session = Session(self, base_version, root, pending)
         return self._session
 

@@ -31,9 +31,8 @@ and writes through a small page-IO object (the store) that provides
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import codec
 from .codec import (
@@ -49,7 +48,6 @@ from .codec import (
     LeafRecord,
     NodePage,
     ZoneObject,
-    decode_leaf_list,
     decode_node,
     decode_object_page,
     encode_gantry,
@@ -129,11 +127,8 @@ class QueryHit:
 @dataclass(frozen=True)
 class QueryResult:
     hits: tuple[QueryHit, ...]
-    pages_read: int  # actual device reads (cache misses)
+    pages_read: int  # device reads: the query's cache misses
     cache_hits: int
-    node_reads: int  # page requests by kind, hits included
-    list_reads: int
-    object_reads: int
 
     @property
     def ids(self) -> frozenset[int]:
@@ -198,6 +193,84 @@ class StatsReport:
 
 
 # ---------------------------------------------------------------------------
+# page reader
+
+
+_OBJECT_TYPES = {"gantry": GantryObject, "zone": ZoneObject}
+
+
+class PageReader:
+    """The one way to read tree pages: nodes, leaf chains and objects.
+
+    Every page comes from ``read(addr)``, so a store's cache counts each
+    request.  Node checks and leaf-list decodes are memoized by content in
+    the codec; objects are memoized here by address for the reader's life,
+    so an operation reads each object once.  Damage raises ``FormatError``
+    or ``IntegrityError`` naming the page.
+    """
+
+    def __init__(self, read: Callable[[int], bytes], total_pages: Optional[int] = None):
+        self._read = read
+        self._total_pages = total_pages
+        self._objects: dict[int, GantryObject | ZoneObject] = {}
+
+    def node(self, addr: int) -> bytes:
+        """The validated node page at ``addr``."""
+        page = self._read(addr)
+        validate_node(page, addr)
+        return page
+
+    def chain(self, head: int) -> Iterator[tuple[tuple[LeafRecord, ...], int]]:
+        """(records, next) of each page of the leaf chain at ``head``, read one at a time."""
+        seen: set[int] = set()
+        addr = head
+        while addr != NO_PAGE:
+            view = leaf_list_view(self._read(addr), self._total_pages, addr=addr)
+            yield view
+            seen.add(addr)
+            addr = view[1]
+            if addr in seen:
+                raise IntegrityError(f"leaf chain loops at page {addr}")
+
+    def object(self, addr: int, kind: str) -> GantryObject | ZoneObject:
+        """The ``kind`` ("gantry" or "zone") object at ``addr``, a zone's pages joined."""
+        obj = self._objects.get(addr)
+        if obj is None:
+            page = decode_object_page(self._read(addr), addr=addr)
+            oid = page["object_id"]
+            if page["kind"] == "gantry":
+                obj = GantryObject(oid, page["x"], page["y"])
+            elif page["kind"] == "zone":
+                verts = list(page["vertices"])
+                seen = {addr}
+                at, nxt = addr, page["next"]
+                while nxt != NO_PAGE:
+                    if nxt in seen:
+                        raise IntegrityError(f"zone {oid} page chain loops at page {nxt}")
+                    if self._total_pages is not None and nxt >= self._total_pages:
+                        raise FormatError(f"zone {oid} next pointer past end of device at page {at}")
+                    seen.add(nxt)
+                    cont = decode_object_page(self._read(nxt), addr=nxt)
+                    if cont["kind"] != "zone_cont" or cont["object_id"] != oid:
+                        raise IntegrityError(f"zone {oid} has a bad continuation at page {nxt}")
+                    verts += cont["vertices"]
+                    at, nxt = nxt, cont["next"]
+                if len(verts) != page["vertex_count"]:
+                    raise IntegrityError(
+                        f"zone {oid} at page {addr} stores {len(verts)} vertices, "
+                        f"header says {page['vertex_count']}"
+                    )
+                obj = ZoneObject(oid, tuple(verts))
+            else:
+                raise IntegrityError(f"object page {addr} is a {page['kind']}, expected {kind}")
+            self._objects[addr] = obj
+        if type(obj) is not _OBJECT_TYPES[kind]:
+            found = "gantry" if type(obj) is GantryObject else "zone"
+            raise IntegrityError(f"object page {addr} is a {found}, expected {kind}")
+        return obj
+
+
+# ---------------------------------------------------------------------------
 # reachability walk
 
 
@@ -206,16 +279,14 @@ class WalkReport:
     """Everything one full traversal of a version can tell us."""
 
     root: int
+    pages: dict[int, bytes] = field(default_factory=dict)  # every page read, by address
     nodes: dict[int, int] = field(default_factory=dict)  # addr -> level
-    leaf_pages: dict[int, LeafListPage] = field(default_factory=dict)
+    leaf_pages: dict[int, bytes] = field(default_factory=dict)  # addr -> page bytes
     leaf_visits: int = 0
-    distinct_leaf_hashes: set[bytes] = field(default_factory=set)
     leaf_refs: int = 0
-    point_refs: int = 0
     zone_inside: int = 0
     zone_edge: int = 0
     objects: dict[int, tuple[str, int]] = field(default_factory=dict)  # head -> (kind, id)
-    object_pages: set[int] = field(default_factory=set)
     empty_entries: int = 0
     used_entries: int = 0
     max_attach_level: int = 0
@@ -223,105 +294,86 @@ class WalkReport:
 
     @property
     def reachable(self) -> frozenset[int]:
-        return frozenset(self.nodes) | frozenset(self.leaf_pages) | frozenset(self.object_pages)
+        """Every page the walk read (on a damaged version, undecodable ones too)."""
+        return frozenset(self.pages)
+
+    @property
+    def object_pages(self) -> set[int]:
+        """Pages read that are neither nodes nor leaf lists: objects and zone continuations."""
+        return set(self.pages).difference(self.nodes, self.leaf_pages)
 
 
 def walk_version(
     read: Callable[[int], bytes], root_page: int, total_pages: Optional[int] = None
 ) -> WalkReport:
-    """Traverse every page reachable from ``root_page``.
+    """Traverse every page reachable from ``root_page``, reading each once.
 
     Collects structure counts and integrity problems instead of raising,
     so verification can report everything it finds; descent is pruned at
     the first undecodable page on a branch.
     """
     rep = WalkReport(root=root_page)
-    leaf_hash: dict[int, bytes] = {}
-    obj_expect: dict[int, str] = {}
+    pages = rep.pages
 
-    def load_object(head: int, expect: str) -> None:
-        prior = obj_expect.get(head)
-        if prior is not None:
-            if prior != expect:
-                rep.problems.append(f"object page {head} referenced as both {prior} and {expect}")
+    def read_once(addr: int) -> bytes:
+        raw = pages.get(addr)
+        if raw is None:
+            raw = pages[addr] = read(addr)
+        return raw
+
+    reader = PageReader(read_once, total_pages)
+    bad_objects: set[int] = set()
+
+    def load_object(head: int, kind: str) -> None:
+        known = rep.objects.get(head)
+        if (known is not None and known[0] == kind) or head in bad_objects:
             return
-        obj_expect[head] = expect
         try:
-            obj = decode_object_page(read(head), addr=head)
+            rep.objects[head] = (kind, reader.object(head, kind).object_id)
         except (FormatError, IntegrityError) as e:
+            bad_objects.add(head)
             rep.problems.append(str(e))
-            return
-        if obj["kind"] != expect:
-            rep.problems.append(f"object page {head} is a {obj['kind']}, expected {expect}")
-            return
-        rep.object_pages.add(head)
-        rep.objects[head] = (obj["kind"], obj["object_id"])
-        if obj["kind"] == "zone":
-            total = obj["vertex_count"]
-            got = len(obj["vertices"])
-            nxt = obj["next"]
-            seen = {head}
-            while nxt != NO_PAGE:
-                if nxt in seen:
-                    rep.problems.append(f"zone {obj['object_id']} page chain loops at {nxt}")
-                    return
-                seen.add(nxt)
-                try:
-                    cont = decode_object_page(read(nxt), addr=nxt)
-                except (FormatError, IntegrityError) as e:
-                    rep.problems.append(str(e))
-                    return
-                if cont["kind"] != "zone_cont" or cont["object_id"] != obj["object_id"]:
-                    rep.problems.append(f"zone {obj['object_id']} has a bad continuation at {nxt}")
-                    return
-                rep.object_pages.add(nxt)
-                got += len(cont["vertices"])
-                nxt = cont["next"]
-            if got != total:
-                rep.problems.append(
-                    f"zone {obj['object_id']} stores {got} vertices, header says {total}"
-                )
+
+    chain_sums: dict[int, tuple[int, int, int, int]] = {}  # head -> pages, records, inside, edge
 
     def visit_chain(head: int, attach_level: int) -> None:
+        """Count one reference to a leaf chain; a shared chain is read on its first only."""
         rep.max_attach_level = max(rep.max_attach_level, attach_level)
-        addr = head
-        seen: set[int] = set()
-        while addr != NO_PAGE:
-            if addr in seen:
-                rep.problems.append(f"leaf chain loops at page {addr}")
-                return
-            seen.add(addr)
-            page = rep.leaf_pages.get(addr)
-            if page is None:
-                raw = read(addr)
-                try:
-                    page = decode_leaf_list(raw, total_pages, addr=addr)
-                except (FormatError, IntegrityError) as e:
-                    rep.problems.append(str(e))
-                    return
-                rep.leaf_pages[addr] = page
-                leaf_hash[addr] = hashlib.sha256(raw).digest()
-            rep.leaf_visits += 1
-            rep.distinct_leaf_hashes.add(leaf_hash[addr])
-            for rec in page.records:
-                rep.leaf_refs += 1
-                if rec.kind == KIND_POINT:
-                    rep.point_refs += 1
-                    load_object(rec.object_page, "gantry")
-                else:
-                    if rec.kind == KIND_ZONE_INSIDE:
-                        rep.zone_inside += 1
-                    else:
-                        rep.zone_edge += 1
-                    load_object(rec.object_page, "zone")
-            addr = page.next
+        sums = chain_sums.get(head)
+        if sums is None:
+            n_pages = n_refs = n_inside = n_edge = 0
+            addr = head
+            try:
+                for records, nxt in reader.chain(head):
+                    rep.leaf_pages[addr] = pages[addr]
+                    n_pages += 1
+                    n_refs += len(records)
+                    for rec in records:
+                        if rec.kind == KIND_POINT:
+                            load_object(rec.object_page, "gantry")
+                            continue
+                        if rec.kind == KIND_ZONE_INSIDE:
+                            n_inside += 1
+                        else:
+                            n_edge += 1
+                        load_object(rec.object_page, "zone")
+                    addr = nxt
+            except (FormatError, IntegrityError) as e:
+                rep.problems.append(str(e))
+            else:
+                chain_sums[head] = (n_pages, n_refs, n_inside, n_edge)
+            sums = (n_pages, n_refs, n_inside, n_edge)
+        rep.leaf_visits += sums[0]
+        rep.leaf_refs += sums[1]
+        rep.zone_inside += sums[2]
+        rep.zone_edge += sums[3]
 
     def visit_node(addr: int, level: int) -> None:
         if addr in rep.nodes:
             rep.problems.append(f"node page {addr} reachable twice")
             return
         try:
-            node = decode_node(read(addr), total_pages, addr=addr)
+            node = decode_node(reader.node(addr), total_pages, addr=addr)
         except (FormatError, IntegrityError) as e:
             rep.problems.append(str(e))
             return
@@ -352,7 +404,7 @@ def stats_from_walk(rep: WalkReport) -> StatsReport:
         raise IntegrityError("; ".join(rep.problems[:8]))
     node_count = len(rep.nodes)
     m = rep.leaf_visits
-    l = len(rep.distinct_leaf_hashes)
+    l = len(set(rep.leaf_pages.values()))
     n = m - l
     obj_pages = len(rep.object_pages)
     a = len(rep.objects)
@@ -387,9 +439,9 @@ def stats_from_walk(rep: WalkReport) -> StatsReport:
 class Handle:
     """Read-only view of one version's tree.
 
-    All page access goes through the store's cache; per-query read counts
-    come from the store's counters, so a warm cache shows up as cache
-    hits, not reads.
+    All page access goes through the store's cache; a query's device reads
+    and cache hits are the change in the cache's own miss and hit counters,
+    so a warm cache shows up as cache hits, not reads.
     """
 
     def __init__(self, io, root_page: int, version_no: int):
@@ -400,61 +452,36 @@ class Handle:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Handle(version={self.version_no}, root={self.root_page})"
 
-    # -- object loading (shared by both queries) --
-
-    def _load_object(self, addr: int, memo: dict, tally: list[int]) -> dict:
-        obj = memo.get(addr)
-        if obj is not None:
-            return obj
-        tally[2] += 1
-        obj = decode_object_page(self._io.read_page(addr), addr=addr)
-        if obj["kind"] == "zone":
-            verts = list(obj["vertices"])
-            nxt = obj["next"]
-            while nxt != NO_PAGE:
-                tally[2] += 1
-                cont = decode_object_page(self._io.read_page(nxt), addr=nxt)
-                verts.extend(cont["vertices"])
-                nxt = cont["next"]
-            obj = {**obj, "vertices": tuple(verts)}
-        memo[addr] = obj
-        return obj
-
-    def _chain(self, head: int, tally: list[int]) -> Iterable[tuple[LeafRecord, ...]]:
-        """Records of each page in the leaf chain at ``head``, page by page."""
-        addr = head
-        while addr != NO_PAGE:
-            tally[1] += 1
-            records, addr = leaf_list_view(self._io.read_page(addr), addr=addr)
-            yield records
+    def _result(self, found: dict[int, QueryHit], before: tuple[int, int]) -> QueryResult:
+        reads, hits = self._io.read_counters()
+        return QueryResult(
+            tuple(sorted(found.values(), key=lambda h: h.object_id)), reads - before[0], hits - before[1]
+        )
 
     def query_zones_at(self, x: int, y: int) -> QueryResult:
         """Zones containing the point, from the single descent path for it."""
         if not in_world(x, y):
             raise DomainError(f"point ({x}, {y}) outside the world square")
-        reads0, hits0 = self._io.read_counters()
-        tally = [0, 0, 0]  # node, list, object requests
-        memo: dict[int, dict] = {}
+        before = self._io.read_counters()
+        reader = PageReader(self._io.read_page, self._io.total_pages)
         found: dict[int, QueryHit] = {}
 
         def collect(head: int) -> None:
-            for records in self._chain(head, tally):
+            for records, _ in reader.chain(head):
                 for rec in records:
                     if rec.kind == KIND_POINT:
                         continue
-                    obj = self._load_object(rec.object_page, memo, tally)
-                    zid = obj["object_id"]
+                    zone = reader.object(rec.object_page, "zone")
+                    zid = zone.object_id
                     if rec.kind == KIND_ZONE_INSIDE:
                         found[zid] = QueryHit(zid, "zone", "inside-entry")
-                    elif zid not in found and point_in_polygon(x, y, obj["vertices"]):
+                    elif zid not in found and point_in_polygon(x, y, zone.vertices):
                         found[zid] = QueryHit(zid, "zone", "edge-test")
 
         cell = TOP_CELL
         addr = self.root_page
         while True:
-            tally[0] += 1
-            page = self._io.read_page(addr)
-            validate_node(page, addr)
+            page = reader.node(addr)
             self_list = int.from_bytes(page[codec.NODE_SELF_LIST_OFF : codec.NODE_SELF_LIST_OFF + 3], "big")
             if self_list != ENTRY_EMPTY:
                 collect(entry_addr(self_list))
@@ -467,27 +494,21 @@ class Handle:
                 break
             cell = subcell(cell, idx)
             addr = entry_addr(word)
-
-        reads1, hits1 = self._io.read_counters()
-        hits = tuple(sorted(found.values(), key=lambda h: h.object_id))
-        return QueryResult(hits, reads1 - reads0, hits1 - hits0, tally[0], tally[1], tally[2])
+        return self._result(found, before)
 
     def query_gantries_within(self, x: int, y: int, radius: int) -> QueryResult:
         """Gantries within ``radius`` metres of (x, y), exact integer test."""
         if radius < 0:
             raise DomainError("radius must be non-negative")
-        reads0, hits0 = self._io.read_counters()
-        tally = [0, 0, 0]
-        memo: dict[int, dict] = {}
+        before = self._io.read_counters()
+        reader = PageReader(self._io.read_page, self._io.total_pages)
         found: dict[int, QueryHit] = {}
         r2 = radius * radius
 
         stack: list[tuple[Cell, int]] = [(TOP_CELL, self.root_page)]
         while stack:
             cell, addr = stack.pop()
-            tally[0] += 1
-            page = self._io.read_page(addr)
-            validate_node(page, addr)
+            page = reader.node(addr)
             mask = disc_mask(cell, x, y, radius)
             while mask:  # subcells meeting the disc, in index order
                 low = mask & -mask
@@ -500,18 +521,14 @@ class Handle:
                 if entry_is_child(word):
                     stack.append((subcell(cell, idx), entry_addr(word)))
                     continue
-                for records in self._chain(entry_addr(word), tally):
+                for records, _ in reader.chain(entry_addr(word)):
                     for rec in records:
                         if rec.kind != KIND_POINT:
                             continue
-                        obj = self._load_object(rec.object_page, memo, tally)
-                        if dist2(obj["x"], obj["y"], x, y) <= r2:
-                            gid = obj["object_id"]
-                            found[gid] = QueryHit(gid, "gantry", "distance", (obj["x"], obj["y"]))
-
-        reads1, hits1 = self._io.read_counters()
-        hits = tuple(sorted(found.values(), key=lambda h: h.object_id))
-        return QueryResult(hits, reads1 - reads0, hits1 - hits0, tally[0], tally[1], tally[2])
+                        g = reader.object(rec.object_page, "gantry")
+                        if dist2(g.x, g.y, x, y) <= r2:
+                            found[g.object_id] = QueryHit(g.object_id, "gantry", "distance", (g.x, g.y))
+        return self._result(found, before)
 
     def walk(self) -> WalkReport:
         return walk_version(self._io.read_page, self.root_page, self._io.total_pages)
@@ -530,11 +547,6 @@ class Handle:
 # copy-on-write editor
 
 
-def write_empty_root(io) -> int:
-    """Program a fresh all-empty level-0 node; returns its page address."""
-    return io.write_page(encode_node(NodePage(0)))
-
-
 class TreeEditor:
     """Mutations for one in-progress version.
 
@@ -546,39 +558,13 @@ class TreeEditor:
     def __init__(self, io, params: BuildParams):
         self._io = io
         self.params = params
-        self._objs: dict[int, dict] = {}
+        self._reader = self._new_reader()
 
     # -- shared small helpers --
 
-    def _read_node(self, addr: int) -> bytes:
-        page = self._io.read_page(addr)
-        validate_node(page, addr)
-        return page
-
-    def _load(self, addr: int) -> dict:
-        obj = self._objs.get(addr)
-        if obj is not None:
-            return obj
-        obj = decode_object_page(self._io.read_page(addr), addr=addr)
-        if obj["kind"] == "zone":
-            verts = list(obj["vertices"])
-            nxt = obj["next"]
-            while nxt != NO_PAGE:
-                cont = decode_object_page(self._io.read_page(nxt), addr=nxt)
-                verts.extend(cont["vertices"])
-                nxt = cont["next"]
-            obj = {**obj, "vertices": tuple(verts)}
-        self._objs[addr] = obj
-        return obj
-
-    def _chain_records(self, head: int) -> list[LeafRecord]:
-        records: list[LeafRecord] = []
-        addr = head
-        while addr != NO_PAGE:
-            page = decode_leaf_list(self._io.read_page(addr), addr=addr)
-            records.extend(page.records)
-            addr = page.next
-        return records
+    def _new_reader(self) -> PageReader:
+        """A reader for one public edit: each object is read once per edit."""
+        return PageReader(self._io.read_page, self._io.total_pages)
 
     def _write_chain(self, records: Sequence[LeafRecord]) -> int:
         """Lay records out over fresh chained pages, tail first."""
@@ -592,9 +578,9 @@ class TreeEditor:
 
     def _append(self, head: int, rec: LeafRecord) -> int:
         """One-page append: extend the head page or chain a new one onto it."""
-        page = decode_leaf_list(self._io.read_page(head), addr=head)
-        if len(page.records) < LEAF_CAPACITY:
-            data = encode_leaf_list(LeafListPage(page.records + [rec], page.next))
+        records, nxt = next(self._reader.chain(head))  # the head page alone
+        if len(records) < LEAF_CAPACITY:
+            data = encode_leaf_list(LeafListPage([*records, rec], nxt))
         else:
             data = encode_leaf_list(LeafListPage([rec], head))
         return self._io.write_page(data, dedupable=True)
@@ -605,22 +591,21 @@ class TreeEditor:
         Returns (new head or NO_PAGE, records removed).  The longest
         untouched tail run keeps its existing pages.
         """
-        pages: list[tuple[int, LeafListPage]] = []
+        pages: list[tuple[int, tuple[LeafRecord, ...]]] = []
         addr = head
-        while addr != NO_PAGE:
-            page = decode_leaf_list(self._io.read_page(addr), addr=addr)
-            pages.append((addr, page))
-            addr = page.next
+        for records, nxt in self._reader.chain(head):
+            pages.append((addr, records))
+            addr = nxt
         removed = 0
         new_next = NO_PAGE
         share_tail = True
-        for addr, page in reversed(pages):
-            kept = [r for r in page.records if r.object_page not in drop]
-            if share_tail and len(kept) == len(page.records):
+        for addr, records in reversed(pages):
+            kept = [r for r in records if r.object_page not in drop]
+            if share_tail and len(kept) == len(records):
                 new_next = addr
                 continue
             share_tail = False
-            removed += len(page.records) - len(kept)
+            removed += len(records) - len(kept)
             if kept:
                 new_next = self._io.write_page(
                     encode_leaf_list(LeafListPage(kept, new_next)), dedupable=True
@@ -634,12 +619,12 @@ class TreeEditor:
             raise DomainError(f"gantry position ({x}, {y}) outside the world square")
         if not 0 <= gid < 1 << 32:
             raise DomainError(f"object id {gid} out of u32 range")
-        self._objs = {}
+        self._reader = self._new_reader()
         self._check_duplicate(root, gid, x, y)
         obj_addr = self._io.write_page(encode_gantry(GantryObject(gid, x, y)))
         rec = LeafRecord(KIND_POINT, obj_addr)
 
-        page = self._read_node(root)
+        page = self._reader.node(root)
         idx = cell_index(TOP_CELL, x, y)
         word = node_entry_word(page, idx // 9, idx % 9)
         new_word = self._point_entry(word, subcell(TOP_CELL, idx), rec, x, y)
@@ -650,14 +635,15 @@ class TreeEditor:
         cell = TOP_CELL
         addr = root
         while True:
-            page = self._read_node(addr)
+            page = self._reader.node(addr)
             idx = cell_index(cell, x, y)
             word = node_entry_word(page, idx // 9, idx % 9)
             if entry_is_empty(word):
                 return
             if entry_is_leaf(word):
-                for rec in self._chain_records(entry_addr(word)):
-                    if rec.kind == KIND_POINT and self._load(rec.object_page)["object_id"] == gid:
+                records = [r for recs, _ in self._reader.chain(entry_addr(word)) for r in recs]
+                for rec in records:  # the whole chain is read before its objects
+                    if rec.kind == KIND_POINT and self._reader.object(rec.object_page, "gantry").object_id == gid:
                         raise ConflictError(f"gantry id {gid} already present at this location")
                 return
             cell = subcell(cell, idx)
@@ -665,7 +651,7 @@ class TreeEditor:
 
     def _point_entry(self, word: int, cell: Cell, rec: LeafRecord, x: int, y: int) -> int:
         if entry_is_child(word):
-            page = self._read_node(entry_addr(word))
+            page = self._reader.node(entry_addr(word))
             idx = cell_index(cell, x, y)
             sub_word = node_entry_word(page, idx // 9, idx % 9)
             new_word = self._point_entry(sub_word, subcell(cell, idx), rec, x, y)
@@ -675,7 +661,7 @@ class TreeEditor:
         if entry_is_empty(word):
             existing: list[LeafRecord] = []
         else:
-            existing = self._chain_records(entry_addr(word))
+            existing = [r for recs, _ in self._reader.chain(entry_addr(word)) for r in recs]
         n_points = 1 + sum(1 for r in existing if r.kind == KIND_POINT)
         if n_points > self.params.leaf_split_threshold and cell.level < self.params.max_depth:
             pts, zitems = self._partition(existing)
@@ -690,13 +676,15 @@ class TreeEditor:
         pts: list[tuple[LeafRecord, int, int]] = []
         zitems: list[tuple[int, int, Optional[tuple]]] = []
         for rec in records:
-            obj = self._load(rec.object_page)
             if rec.kind == KIND_POINT:
-                pts.append((rec, obj["x"], obj["y"]))
-            elif rec.kind == KIND_ZONE_INSIDE:
+                g = self._reader.object(rec.object_page, "gantry")
+                pts.append((rec, g.x, g.y))
+                continue
+            zone = self._reader.object(rec.object_page, "zone")
+            if rec.kind == KIND_ZONE_INSIDE:
                 zitems.append((_INSIDE, rec.object_page, None))
             else:
-                zitems.append((_EDGE, rec.object_page, tuple(obj["vertices"])))
+                zitems.append((_EDGE, rec.object_page, zone.vertices))
         return pts, zitems
 
     def _child_modes81(self, mode: int, cell: Cell, verts: Optional[tuple]) -> list:
@@ -760,7 +748,7 @@ class TreeEditor:
         top = classify_cell(TOP_CELL, verts)
         if top == CellClass.OUTSIDE:
             raise DomainError("zone polygon does not intersect the world square")
-        self._objs = {}
+        self._reader = self._new_reader()
 
         n_pages = zone_page_count(len(verts))
         addrs = [self._io.alloc_page() for _ in range(n_pages)]
@@ -769,8 +757,7 @@ class TreeEditor:
         self._zone_addr = addrs[0]
         self._zone_verts = verts
 
-        page = self._read_node(root)
-        node = decode_node(page)
+        node = decode_node(self._reader.node(root))
         if top == CellClass.INSIDE or self.params.zone_max_depth == 0:
             # records for the top cell itself live in the root's self_list
             kind = KIND_ZONE_INSIDE if top == CellClass.INSIDE else KIND_ZONE_EDGE
@@ -796,10 +783,11 @@ class TreeEditor:
             if entry_is_empty(word):
                 return self._build_cell(cell, [], [(_DESCEND, self._zone_addr, self._zone_verts)])
             if entry_is_leaf(word):
-                pts, zitems = self._partition(self._chain_records(entry_addr(word)))
+                records = [r for recs, _ in self._reader.chain(entry_addr(word)) for r in recs]
+                pts, zitems = self._partition(records)
                 zitems.append((_DESCEND, self._zone_addr, self._zone_verts))
                 return self._build_cell(cell, pts, zitems)
-            node = decode_node(self._read_node(entry_addr(word)))
+            node = decode_node(self._reader.node(entry_addr(word)))
             node.entries = self._zone_entries(node.entries, cell, _DESCEND)
             return make_child(self._io.write_page(encode_node(node)))
         # attach an inside/edge record at this cell
@@ -809,7 +797,7 @@ class TreeEditor:
         if entry_is_leaf(word):
             return make_leaf(self._append(entry_addr(word), rec))
         # the cell is split: push the record into the children it maps onto
-        node = decode_node(self._read_node(entry_addr(word)))
+        node = decode_node(self._reader.node(entry_addr(word)))
         node.entries = self._zone_entries(node.entries, cell, mode)
         return make_child(self._io.write_page(encode_node(node)))
 
@@ -821,7 +809,7 @@ class TreeEditor:
         ``kind`` ("gantry" or "zone") disambiguates when both an id's
         gantry and zone exist; without it such a delete is rejected.
         """
-        self._objs = {}
+        self._reader = self._new_reader()
         rep = walk_version(self._io.read_page, root, self._io.total_pages)
         if rep.problems:
             raise IntegrityError("; ".join(rep.problems[:8]))
@@ -834,8 +822,7 @@ class TreeEditor:
             raise ConflictError(f"id {oid} names both a gantry and a zone; pass the kind")
         targets = set(matches)
 
-        page = self._read_node(root)
-        node = decode_node(page)
+        node = decode_node(self._reader.node(root))
         if node.self_list != ENTRY_EMPTY:
             new_head, _ = self._filter_chain(entry_addr(node.self_list), targets)
             node.self_list = ENTRY_EMPTY if new_head == NO_PAGE else make_leaf(new_head)
@@ -850,7 +837,7 @@ class TreeEditor:
             if not removed:
                 return word
             return ENTRY_EMPTY if new_head == NO_PAGE else make_leaf(new_head)
-        node = decode_node(self._read_node(entry_addr(word)))
+        node = decode_node(self._reader.node(entry_addr(word)))
         new_entries = [self._delete_entry(w, targets) for w in node.entries]
         new_self = node.self_list
         if new_self != ENTRY_EMPTY:

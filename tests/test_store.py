@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flashquad.codec import PAGE_SIZE
+from flashquad.dataset import build_database, generate_dataset
 from flashquad.errors import (
     DomainError,
     FlashFullError,
@@ -61,6 +62,18 @@ def test_mount_round_trip():
     assert back.current_version == v2
     assert back.handle().stats().objects == 25
     assert version_digest(back, v2) == version_digest(store, v2)
+
+
+def test_mount_reads_each_page_once():
+    store = fresh()
+    gantries, zones = generate_dataset(seed=4, n_gantries=120, n_zones=6)
+    build_database(store, gantries, zones)
+    dev = FlashDevice.from_bytes(store.device.to_bytes())
+    reads = []
+    dev.on_read = reads.append
+    back = Store(dev)
+    assert back.current_version == 2
+    assert reads and len(reads) == len(set(reads))
 
 
 def test_mount_rejects_unformatted_device():

@@ -1,11 +1,25 @@
 """Tree structure: splits, zone placement, deletion, stats accounting."""
 
+import math
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
-from flashquad.codec import LEAF_MAGIC, NODE_MAGIC
-from flashquad.errors import ConflictError, DomainError, IntegrityError, NotFoundError
+from flashquad.codec import (
+    KIND_POINT,
+    KIND_ZONE_EDGE,
+    LEAF_CRC_OFF,
+    LEAF_MAGIC,
+    NODE_MAGIC,
+    PAGE_SIZE,
+    LeafRecord,
+    crc16,
+    decode_leaf_list,
+    encode_leaf_list,
+)
+from flashquad.errors import ConflictError, DomainError, FormatError, IntegrityError, NotFoundError
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.geometry import WORLD_SIZE as W
 from flashquad.store import Store
@@ -167,6 +181,10 @@ def test_walk_rejects_child_entry_in_level_five_node():
 
 
 SQUARE = ((300_000, 300_000), (900_000, 300_000), (900_000, 900_000), (300_000, 900_000))
+CIRCLE_40 = tuple(  # 40 vertices: a zone object over two pages
+    (int(1_000_000 + 400_000 * math.cos(math.pi * k / 20)), int(1_000_000 + 400_000 * math.sin(math.pi * k / 20)))
+    for k in range(40)
+)
 
 
 def test_zone_queries_and_bases():
@@ -356,6 +374,117 @@ def test_walk_flags_damage():
     assert rep.problems
     with pytest.raises(IntegrityError):
         store.handle().reachable_pages()
+
+
+def remount_with_page(store, addr, page):
+    """Mount a copy of the store's image in which page ``addr`` holds ``page``."""
+    blob = bytearray(store.device.to_bytes())
+    blob[8 + addr * PAGE_SIZE : 8 + (addr + 1) * PAGE_SIZE] = page
+    return Store(FlashDevice.from_bytes(bytes(blob)))
+
+
+def rewrite_leaf(store, addr, records=None, next_page=None):
+    """Mount a copy whose leaf page ``addr`` holds other records or another next link."""
+    page = decode_leaf_list(store.read_page(addr))
+    if records is not None:
+        page.records = records
+    if next_page is not None:
+        page.next = next_page
+    return remount_with_page(store, addr, encode_leaf_list(page))
+
+
+def relink_zone_page(store, addr, next_page):
+    """Mount a copy whose zone object page ``addr`` links to ``next_page``."""
+    page = bytearray(store.read_page(addr))
+    page[9:12] = next_page.to_bytes(3, "big")
+    page[LEAF_CRC_OFF:] = crc16(bytes(page[:LEAF_CRC_OFF])).to_bytes(2, "big")
+    return remount_with_page(store, addr, bytes(page))
+
+
+def leaf_holding(store, kind):
+    """(address, records) of the one leaf page of the current version holding a ``kind`` record."""
+    leaves = {
+        a: decode_leaf_list(store.read_page(a)).records
+        for a in store.handle().reachable_pages()
+        if store.read_page(a)[0] == LEAF_MAGIC
+    }
+    (addr,) = [a for a, records in leaves.items() if any(r.kind == kind for r in records)]
+    return addr, leaves[addr]
+
+
+@contextmanager
+def deadline(seconds=20):
+    """Fail instead of hanging (the suite has no per-test timeout)."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_looping_leaf_chain_is_reported_not_followed():
+    store = fresh()
+    committed(store, lambda s: s.insert_gantry(1, 1000, 1000))
+    leaf, _ = leaf_holding(store, KIND_POINT)
+    with deadline():
+        damaged = rewrite_leaf(store, leaf, next_page=leaf)  # the page names itself as next
+        assert damaged.verify()["problems"] == [f"version 2: leaf chain loops at page {leaf}"]
+        h = damaged.handle()
+        with pytest.raises(IntegrityError, match=f"leaf chain loops at page {leaf}"):
+            h.query_gantries_within(1000, 1000, 10)
+        with pytest.raises(IntegrityError, match=f"leaf chain loops at page {leaf}"):
+            h.query_zones_at(1000, 1000)
+
+
+def test_looping_zone_page_chain_is_reported_not_followed():
+    store = fresh()
+    committed(store, lambda s: s.insert_zone(77, CIRCLE_40))  # two object pages
+    rep = store.handle().walk()
+    (head,) = rep.objects
+    (cont,) = rep.object_pages - {head}
+    with deadline():
+        damaged = relink_zone_page(store, cont, head)  # the continuation links back to the head
+        assert damaged.verify()["problems"] == [f"version 2: zone 77 page chain loops at page {head}"]
+        with pytest.raises(IntegrityError, match=f"zone 77 page chain loops at page {head}"):
+            damaged.handle().query_zones_at(1_000_000, 1_000_000)
+
+
+def test_zone_page_link_past_the_device_end_is_reported():
+    store = fresh()
+    committed(store, lambda s: s.insert_zone(77, CIRCLE_40))  # two object pages
+    (head,) = store.handle().walk().objects
+    damaged = relink_zone_page(store, head, store.total_pages + 5)  # mounts, read-only
+    problem = f"zone 77 next pointer past end of device at page {head}"
+    assert damaged.verify()["problems"] == [f"version 2: {problem}"]
+    with pytest.raises(FormatError, match=problem):
+        damaged.handle().query_zones_at(1_000_000, 1_000_000)
+
+
+def test_zone_record_naming_a_gantry_page_is_refused():
+    store = fresh()
+    committed(store, lambda s: s.insert_gantry(1, 1000, 1000))
+    leaf, records = leaf_holding(store, KIND_POINT)
+    gantry = records[0].object_page
+    damaged = rewrite_leaf(store, leaf, records=[LeafRecord(KIND_ZONE_EDGE, gantry)])
+    with pytest.raises(IntegrityError, match=f"object page {gantry} is a gantry, expected zone"):
+        damaged.handle().query_zones_at(1000, 1000)
+
+
+def test_point_record_naming_a_zone_page_is_refused():
+    store = fresh()
+    committed(store, lambda s: [s.insert_gantry(1, 1000, 1000), s.insert_zone(2, SQUARE)])
+    leaf, records = leaf_holding(store, KIND_POINT)
+    (zone,) = [head for head, (kind, _) in store.handle().walk().objects.items() if kind == "zone"]
+    damaged = rewrite_leaf(store, leaf, records=[LeafRecord(KIND_POINT, zone)])
+    with pytest.raises(IntegrityError, match=f"object page {zone} is a zone, expected gantry"):
+        damaged.handle().query_gantries_within(1000, 1000, 10)
 
 
 def test_random_mixed_workload_stays_consistent():
