@@ -107,12 +107,39 @@ def _params_from(args) -> BuildParams:
     )
 
 
+def _has_sidecar(image: str) -> bool:
+    return os.path.exists(_sidecar_path(image))
+
+
 def _read_sidecar(image: str) -> Optional[dict]:
+    """The staged session's state, or None when nothing is staged.
+
+    Raises SessionError naming the file unless it holds the JSON object
+    that ``_write_sidecar`` writes.
+    """
+    path = _sidecar_path(image)
     try:
-        with open(_sidecar_path(image)) as fh:
-            return json.load(fh)
+        with open(path) as fh:
+            state = json.load(fh)
     except FileNotFoundError:
         return None
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise SessionError(f"staged session file {path} is not valid JSON: {e}") from None
+    if not (
+        isinstance(state, dict)
+        and isinstance(state.get("pending"), list)
+        and isinstance(state.get("image_sha256"), str)
+        # ``type(v) is int`` also refuses true and false
+        and all(
+            type(v) is int
+            for v in (state.get("base_version"), state.get("root"), *state["pending"])
+        )
+    ):
+        raise SessionError(
+            f"staged session file {path} is damaged: want an object with int base_version, "
+            "int root, a list of int pending and str image_sha256"
+        )
+    return state
 
 
 def _write_sidecar(image: str, session) -> None:
@@ -145,7 +172,7 @@ def _resume_staged(store: Store, image: str, sidecar: dict):
 
 
 def _refuse_if_staged(image: str) -> None:
-    if _read_sidecar(image) is not None:
+    if _has_sidecar(image):
         raise SessionError(
             "a staged session exists for this image; run commit or rollback --staged first"
         )
@@ -165,13 +192,13 @@ def _parse_at(text: str) -> tuple[int, int]:
 def _run_edit(args, edit) -> int:
     """Open the image, apply ``edit(session)``, then commit or stage."""
     with _image_lock(args.image):
-        sidecar = _read_sidecar(args.image)
+        sidecar = _read_sidecar(args.image) if args.stage else None
+        if sidecar is None and _has_sidecar(args.image):
+            raise SessionError(
+                "a staged session exists; use --stage to extend it, or commit it first"
+            )
         store = _load_store(args, params=_params_from(args))
         if sidecar is not None:
-            if not args.stage:
-                raise SessionError(
-                    "a staged session exists; use --stage to extend it, or commit it first"
-                )
             session = _resume_staged(store, args.image, sidecar)
         else:
             session = store.begin()
@@ -282,7 +309,7 @@ def cmd_commit(args) -> int:
 def cmd_rollback(args) -> int:
     with _image_lock(args.image):
         if args.staged:
-            if _read_sidecar(args.image) is None:
+            if not _has_sidecar(args.image):
                 raise SessionError("nothing staged for this image")
             _drop_sidecar(args.image)
             print("staged session discarded")

@@ -260,7 +260,10 @@ class FlashDevice:
         if len(blob) < 8:
             raise FormatError("truncated device image header")
         (sector_count,) = struct.unpack_from("<I", blob, 4)
-        geometry = FlashGeometry(sector_count=sector_count)
+        try:
+            geometry = FlashGeometry(sector_count=sector_count)
+        except ValueError as e:
+            raise FormatError(f"device image header: {e}") from None
         expect = 8 + geometry.total_bytes + 4 * geometry.subsector_count
         if len(blob) != expect:
             raise FormatError(f"device image is {len(blob)} bytes, expected {expect}")

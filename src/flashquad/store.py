@@ -300,9 +300,12 @@ class Store:
                 continue
             self._reach[rec.root_page] = rep.reachable
             self._learn_leaves(rep)
-        self._live_pages = frozenset(union)
+        self._live_pages = live = frozenset(union)
         roots = {rec.root_page for rec in self._versions.values()}
         self._reach = {r: s for r, s in self._reach.items() if r in roots}
+        # _dedup_lookup refuses dead pages, and no session holds any here
+        for data in [data for data, addr in self._dedup.items() if addr not in live]:
+            del self._dedup[data]
 
     def _learn_leaves(self, rep: tree.WalkReport) -> None:
         """Add a walked tree's leaf pages to the dedup map, from the bytes the walk read."""
@@ -638,6 +641,7 @@ class Store:
         self._versions[new_v] = rec
         self.current_version = new_v
         self._reach[new_root] = rep.reachable
+        self._learn_leaves(rep)
         while len(self._versions) > self.max_versions:
             self._revoke(min(self._versions))
         self._rebuild_live()

@@ -158,6 +158,54 @@ def test_staged_sidecar_detects_image_swap(ws, capsys):
     assert code == 1 and "does not match" in err
 
 
+def _with(**fields):
+    return lambda good: json.dumps({**good, **fields})
+
+
+# each turns the valid sidecar state into text that must be refused
+DAMAGED_SIDECARS = [
+    pytest.param(lambda good: json.dumps(good)[:-7], id="truncated"),
+    pytest.param(lambda good: "[]", id="list"),
+    pytest.param(lambda good: json.dumps({"image_sha256": good["image_sha256"]}), id="hash-only"),
+    pytest.param(_with(root="32"), id="string-root"),
+    pytest.param(_with(base_version=True), id="bool-base"),
+    pytest.param(_with(pending=5), id="pending-not-a-list"),
+    pytest.param(_with(pending=["1"]), id="pending-of-strings"),
+    pytest.param(_with(image_sha256=7), id="hash-not-a-string"),
+    pytest.param(lambda good: "\udcff", id="not-utf-8"),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ("commit", "db.img"),
+    ("insert", "db.img", "--stage", "--gantry", 2, 6_000, 6_000),
+], ids=["commit", "insert-stage"])
+@pytest.mark.parametrize("damage", DAMAGED_SIDECARS)
+def test_damaged_sidecar_is_an_error_naming_it(ws, capsys, argv, damage):
+    run(capsys, "format", "db.img", "--sectors", "4")
+    run(capsys, "insert", "db.img", "--stage", "--gantry", 1, 5_000, 5_000)
+    sidecar = ws / "db.img.staged.json"
+    text = damage(json.loads(sidecar.read_text()))
+    sidecar.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and "db.img.staged.json" in err
+    assert "Traceback" not in err
+
+
+def test_damaged_sidecar_still_blocks_and_can_be_discarded(ws, capsys):
+    run(capsys, "format", "db.img", "--sectors", "4")
+    run(capsys, "insert", "db.img", "--stage", "--gantry", 1, 5_000, 5_000)
+    (ws / "db.img.staged.json").write_text("{")
+    code, _, err = run(capsys, "gc", "db.img")
+    assert code == 1 and "staged" in err
+    code, _, err = run(capsys, "insert", "db.img", "--gantry", 2, 6_000, 6_000)
+    assert code == 1 and "staged" in err
+    code, out, _ = run(capsys, "rollback", "db.img", "--staged")
+    assert code == 0 and "discarded" in out
+    assert not (ws / "db.img.staged.json").exists()
+
+
 def test_verify_reports_ok_and_damage(ws, capsys):
     run(capsys, "format", "db.img", "--sectors", "4")
     run(capsys, "insert", "db.img", "--gantry", 1, 5_000, 5_000)

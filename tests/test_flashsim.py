@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashquad.errors import BitViolationError, PowerLossError, RangeError, WearOutError
+from flashquad.errors import (
+    BitViolationError,
+    FormatError,
+    PowerLossError,
+    RangeError,
+    WearOutError,
+)
 from flashquad.flashsim import (
     PAGE_SIZE,
     PAGES_PER_SECTOR,
@@ -174,6 +180,13 @@ def test_image_round_trip(tmp_path):
     dev.save(path)
     again = FlashDevice.load(path)
     assert again.to_bytes() == blob
+
+
+def test_image_with_impossible_sector_count_is_a_format_error():
+    blob = bytearray(FlashDevice(FlashGeometry(sector_count=2)).to_bytes())
+    blob[4] = 0  # sector count 0
+    with pytest.raises(FormatError, match="sector_count"):
+        FlashDevice.from_bytes(bytes(blob))
 
 
 @given(

@@ -1,8 +1,7 @@
 """Exact-integer grid predicates, checked against independent oracles.
 
 The numpy point-in-polygon oracle in helpers.py shares no code with the
-package kernels; classification is additionally checked by sampling, and
-the compiled and pure kernels are cross-checked on random inputs.
+package's geometry; classification is additionally checked by sampling.
 """
 
 import random
@@ -31,16 +30,9 @@ from flashquad.geometry import (
     subcell,
     validate_polygon,
 )
-from flashquad.geometry import _pure
+from flashquad import geometry
 
 from helpers import pip_oracle, random_simple_polygon
-
-try:
-    from flashquad.geometry import _kernel
-except ImportError:
-    _kernel = None
-
-needs_kernel = pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
 
 W = WORLD_SIZE
 
@@ -220,8 +212,8 @@ def test_segment_box_matches_side_crossings():
         bx1, by1 = bx0 + rng.randint(0, span), by0 + rng.randint(0, span)
         inside = any(bx0 <= x <= bx1 and by0 <= y <= by1 for x, y in ((x1, y1), (x2, y2)))
         sides = ((bx0, by0, bx1, by0), (bx1, by0, bx1, by1), (bx1, by1, bx0, by1), (bx0, by1, bx0, by0))
-        want = inside or any(_pure.segments_intersect(x1, y1, x2, y2, *side) for side in sides)
-        assert _pure._seg_intersects_box(x1, y1, x2, y2, bx0, by0, bx1, by1) == want
+        want = inside or any(geometry.segments_intersect(x1, y1, x2, y2, *side) for side in sides)
+        assert geometry._seg_intersects_box(x1, y1, x2, y2, bx0, by0, bx1, by1) == want
 
 
 def test_batches_match_per_cell_down_to_level_six():
@@ -313,47 +305,3 @@ def test_validate_polygon_rejects_junk():
         validate_polygon(((0, 0), (10, 10), (10, 0), (0, 10)))  # bowtie
     with pytest.raises(DomainError):
         validate_polygon(((0, 0), (1 << 31, 0), (0, 10)))  # out of i32
-
-
-# -- compiled vs pure ---------------------------------------------------------------
-
-
-@needs_kernel
-def test_kernels_agree():
-    rng = random.Random(555)
-    for _ in range(300):
-        verts = random_simple_polygon(rng)
-        x = rng.randint(-W, 2 * W)
-        y = rng.randint(-W, 2 * W)
-        assert bool(_kernel.point_in_polygon(x, y, verts)) == bool(
-            _pure.point_in_polygon(x, y, verts)
-        )
-        lvl = rng.randint(0, 4)
-        cell = TOP_CELL
-        for _ in range(lvl):
-            cell = subcell(cell, rng.randrange(81))
-        args = (cell.level, cell.sx, cell.sy)
-        assert _kernel.classify_cell(*args, verts) == _pure.classify_cell(*args, verts)
-        r = rng.randint(0, W)
-        assert _kernel.cell_intersects_disc(*args, x, y, r) == _pure.cell_intersects_disc(
-            *args, x, y, r
-        )
-        if cell.level < MAX_LEVEL:
-            assert bytes(_kernel.classify_children(*args, verts)) == bytes(
-                _pure.classify_children(*args, verts)
-            )
-            assert int(_kernel.disc_mask(*args, x, y, r)) == int(_pure.disc_mask(*args, x, y, r))
-
-
-@needs_kernel
-def test_kernels_agree_on_locate():
-    rng = random.Random(556)
-    for _ in range(500):
-        lvl = rng.randint(0, MAX_LEVEL - 1)
-        cell = TOP_CELL
-        for _ in range(lvl):
-            cell = subcell(cell, rng.randrange(81))
-        x = rng.randint(-10, W + 10)
-        y = rng.randint(-10, W + 10)
-        args = (x, y, cell.level, cell.sx, cell.sy)
-        assert _kernel.cell_locate(*args) == _pure.cell_locate(*args)

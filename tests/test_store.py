@@ -300,6 +300,38 @@ def test_dedup_off_writes_every_page():
     assert on.handle().query_zones_at(5, 5).ids == off.handle().query_zones_at(5, 5).ids
 
 
+def test_dedup_map_holds_exactly_the_leaf_pages_of_live_versions():
+    gantries, zones = generate_dataset(9, 300, 20)
+    source = fresh(16, max_versions=2)
+    build_database(source, gantries, zones[:12])
+    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
+    edits = [("zone", z) for z in zones[12:16]] + [("delete", g) for g in gantries[:3]]
+    for kind, obj in edits:  # seven commits, well past the two-version window
+        base = source.current_version
+        s = source.begin()
+        if kind == "zone":
+            s.insert_zone(obj.zone_id, obj.vertices)
+        else:
+            s.delete(obj.gantry_id, "gantry")
+        s.commit()
+        replica.apply_update(source.make_update(base, source.current_version))
+    remount = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
+    for store in (source, replica):
+        assert set(store._dedup.values()) <= store._live_pages
+        again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=2)
+        assert store._dedup.keys() == again._dedup.keys()
+    # what the map holds changes no device cost: the same edit programs alike
+    programs = []
+    for store in (source, replica, remount):
+        before = store.device.stats().programs
+        s = store.begin()
+        for z in zones[16:]:
+            s.insert_zone(z.zone_id, z.vertices)
+        s.commit()
+        programs.append(store.device.stats().programs - before)
+    assert programs[0] == programs[1] == programs[2]
+
+
 # -- update packages ------------------------------------------------------------------
 
 
