@@ -178,15 +178,20 @@ def validate_node(page: bytes, addr: int | None = None) -> None:
     _remember(_VALID_NODES, page, None)
 
 
+# the entry area as 81 (high byte, low 16 bits) pairs: one C call instead of 81 slices
+_NODE_ENTRY_HALVES = struct.Struct(">" + "BH" * NODE_FANOUT)
+
+
 def decode_node(page: bytes, total_pages: int | None = None, addr: int | None = None) -> NodePage:
     if len(page) != PAGE_SIZE:
         raise FormatError(f"node page must be {PAGE_SIZE} bytes")
     validate_node(page, addr)
-    entries = []
-    pos = NODE_ENTRIES_OFF
-    for _ in range(NODE_FANOUT):
-        entries.append(check_entry(int.from_bytes(page[pos : pos + 3], "big"), total_pages))
-        pos += 3
+    halves = _NODE_ENTRY_HALVES.unpack_from(page, NODE_ENTRIES_OFF)
+    entries = [hi << 16 | lo for hi, lo in zip(halves[::2], halves[1::2])]
+    limit = ADDR_MASK + 1 if total_pages is None else total_pages
+    for word in entries:
+        if word != ENTRY_EMPTY and (word >> ADDR_BITS > TAG_LEAF or word & ADDR_MASK >= limit):
+            check_entry(word, total_pages)  # raises, naming the fault
     self_list = int.from_bytes(page[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3], "big")
     if self_list != ENTRY_EMPTY:
         check_entry(self_list, total_pages)

@@ -23,6 +23,11 @@ Identical leaf pages are shared: the store keeps a content -> address map
 for leaf-list pages and returns the existing address when a session
 writes bytes it already has, provided that page is still live or pending
 (a dead page could be erased underneath the reference).
+
+The store keeps reference counts for the current version
+(``tree.RefCounts``), so a commit or an applied update diffs the base root
+against the new one and reads only the pages that changed; mount builds
+the counts from the bytes its walk reads.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .codec import (
     revoke_version_slot,
 )
 from .errors import (
+    ConflictError,
     DomainError,
     FlashFullError,
     FormatError,
@@ -69,7 +75,14 @@ _BLANK = b"\xff" * PAGE_SIZE
 class Session:
     """Single in-progress version.  Also the page-IO object for TreeEditor."""
 
-    def __init__(self, store: "Store", base_version: int, root: int, pending: Iterable[int] = ()):
+    def __init__(
+        self,
+        store: "Store",
+        base_version: int,
+        root: int,
+        pending: Iterable[int] = (),
+        objects: Optional[dict[int, dict[int, str]]] = None,
+    ):
         self._store = store
         self.base_version = base_version
         self.root = root
@@ -79,6 +92,10 @@ class Session:
         self.edit_pages: set[int] = set()
         self.closed = False
         self._editor = TreeEditor(self, store.params)
+        # object id -> {head page: kind} of the session's tree: ``objects``
+        # (the base version's map by default) under the ids this session edited
+        self._objects = store._refs.objects if objects is None else objects
+        self._edited: dict[int, dict[int, str]] = {}
 
     # -- page IO for the editor --
 
@@ -120,20 +137,38 @@ class Session:
         if self.closed:
             raise SessionError("session already committed or rolled back")
 
+    def _heads(self, oid: int) -> dict[int, str]:
+        heads = self._edited.get(oid)
+        return self._objects.get(oid, {}) if heads is None else heads
+
     def insert_gantry(self, gid: int, x: int, y: int) -> None:
         self._assert_open()
         self.edit_pages.clear()
-        self.root = self._editor.insert_gantry(self.root, gid, x, y)
+        self.root, head = self._editor.insert_gantry(self.root, gid, x, y)
+        self._edited[gid] = {**self._heads(gid), head: "gantry"}
 
     def insert_zone(self, zid: int, vertices: Sequence[tuple[int, int]]) -> None:
         self._assert_open()
         self.edit_pages.clear()
-        self.root = self._editor.insert_zone(self.root, zid, vertices)
+        self.root, head = self._editor.insert_zone(self.root, zid, vertices)
+        self._edited[zid] = {**self._heads(zid), head: "zone"}
 
     def delete(self, oid: int, kind: Optional[str] = None) -> None:
+        """Remove every record of the object with id ``oid``.
+
+        ``kind`` ("gantry" or "zone") disambiguates when both an id's
+        gantry and zone exist; without it such a delete is rejected.
+        """
         self._assert_open()
         self.edit_pages.clear()
-        self.root = self._editor.delete_object(self.root, oid, kind)
+        heads = self._heads(oid)
+        targets = {head: k for head, k in heads.items() if kind is None or k == kind}
+        if not targets:
+            raise NotFoundError(f"no {kind or 'object'} with id {oid}")
+        if len(set(targets.values())) > 1:
+            raise ConflictError(f"id {oid} names both a gantry and a zone; pass the kind")
+        self.root = self._editor.delete_object(self.root, targets)
+        self._edited[oid] = {head: k for head, k in heads.items() if head not in targets}
 
     def commit(self) -> int:
         self._assert_open()
@@ -142,6 +177,7 @@ class Session:
     def rollback(self) -> None:
         self._assert_open()
         self._store._drop_session(self)
+        self._store._rebuild_live()  # forgets the dedup entries of the dropped pages
 
 
 class Store:
@@ -191,7 +227,11 @@ class Store:
         slot0 = bytearray(_BLANK)
         slot0[:VERSION_RECORD_SIZE] = encode_version_record(rec)
         device.program_page(0, bytes(slot0))
-        return cls(device, params=params, cache_pages=cache_pages, max_versions=max_versions)
+        store = cls(device, params=params, cache_pages=cache_pages, max_versions=max_versions)
+        # every data page past the empty root was found blank or erased above,
+        # so the allocator takes them without a probe read
+        store._known_erased.update(range(DATA_START + 1, device.total_pages))
+        return store
 
     # -- mount --
 
@@ -280,18 +320,24 @@ class Store:
                 raise IntegrityError("; ".join(rep.problems[:8]))
             rs = rep.reachable
             self._reach[root] = rs
-            self._learn_leaves(rep)
+            self._learn_leaves(rep.leaf_pages)
         return rs
 
     def _rebuild_live(self) -> None:
+        """Recompute the live set; walk each version whose reachable set is not cached.
+
+        When the current version is walked, its reference counts are built
+        from that walk (mount and ``rollback_to``); otherwise they are kept.
+        """
         union: set[int] = set()
         self._damage: dict[int, str] = {}
+        walked: dict[int, tree.WalkReport] = {}
         for vno, rec in sorted(self._versions.items()):
             cached = self._reach.get(rec.root_page)
             if cached is not None:
                 union |= cached
                 continue
-            rep = tree.walk_version(self.read_page, rec.root_page, self.total_pages)
+            rep = walked[rec.root_page] = tree.walk_version(self.read_page, rec.root_page, self.total_pages)
             union |= rep.reachable
             if rep.problems:
                 # keep the partial reachable set so the allocator stays away
@@ -299,7 +345,10 @@ class Store:
                 self._damage[vno] = rep.problems[0]
                 continue
             self._reach[rec.root_page] = rep.reachable
-            self._learn_leaves(rep)
+            self._learn_leaves(rep.leaf_pages)
+        current = walked.get(self._versions[self.current_version].root_page)
+        if current is not None:
+            self._refs = tree.RefCounts.from_walk(current)
         self._live_pages = live = frozenset(union)
         roots = {rec.root_page for rec in self._versions.values()}
         self._reach = {r: s for r, s in self._reach.items() if r in roots}
@@ -307,10 +356,10 @@ class Store:
         for data in [data for data, addr in self._dedup.items() if addr not in live]:
             del self._dedup[data]
 
-    def _learn_leaves(self, rep: tree.WalkReport) -> None:
-        """Add a walked tree's leaf pages to the dedup map, from the bytes the walk read."""
+    def _learn_leaves(self, leaf_pages: dict[int, bytes]) -> None:
+        """Add leaf pages (address -> bytes already read) to the dedup map."""
         if self.params.dedup:
-            for addr, page in rep.leaf_pages.items():
+            for addr, page in leaf_pages.items():
                 self._dedup[page] = addr
 
     def _refuse_damaged(self) -> None:
@@ -486,8 +535,8 @@ class Store:
         rep = tree.walk_version(self.read_page, root, self.total_pages)
         if rep.problems:
             raise IntegrityError("staged tree is damaged: " + "; ".join(rep.problems[:8]))
-        self._learn_leaves(rep)
-        self._session = Session(self, base_version, root, pending)
+        self._learn_leaves(rep.leaf_pages)
+        self._session = Session(self, base_version, root, pending, rep.object_heads())
         return self._session
 
     def _drop_session(self, session: Session) -> None:
@@ -495,21 +544,32 @@ class Store:
         if self._session is session:
             self._session = None
 
-    def _commit(self, session: Session) -> int:
-        rep = tree.walk_version(self.read_page, session.root, self.total_pages)
-        if rep.problems:
-            raise IntegrityError("refusing to commit a damaged tree: " + rep.problems[0])
-        new_vno = self.current_version + 1
-        rec = VersionRecord(new_vno, session.root, self._cursor)
-        self._append_record(rec)
-        self._versions[new_vno] = rec
-        self.current_version = new_vno
-        self._reach[session.root] = rep.reachable
+    def _diff(self, new_root: int, refusal: str) -> tree.CountDelta:
+        """The current version's counts diffed to ``new_root``; damage raises ``IntegrityError``."""
+        base_root = self._versions[self.current_version].root_page
+        try:
+            return self._refs.diff(self.read_page, base_root, new_root, self.total_pages)
+        except (FormatError, IntegrityError) as e:
+            raise IntegrityError(f"{refusal}: {e}") from e
+
+    def _install(self, rec: VersionRecord, delta: tree.CountDelta) -> None:
+        """Make ``rec`` current once its record is programmed: counts, reachable set, retention."""
+        self._versions[rec.version_no] = rec
+        self.current_version = rec.version_no
+        self._refs.install(delta)
+        self._reach[rec.root_page] = frozenset(self._refs.counts)
+        self._learn_leaves(delta.leaf_pages)
         while len(self._versions) > self.max_versions:
             self._revoke(min(self._versions))
         self._rebuild_live()
+
+    def _commit(self, session: Session) -> int:
+        delta = self._diff(session.root, "refusing to commit a damaged tree")
+        rec = VersionRecord(self.current_version + 1, session.root, self._cursor)
+        self._append_record(rec)
+        self._install(rec, delta)
         self._drop_session(session)
-        return new_vno
+        return rec.version_no
 
     def rollback_to(self, vno: int) -> None:
         """Make ``vno`` current again by revoking every newer version."""
@@ -521,6 +581,7 @@ class Store:
             self._revoke(v)
         self.current_version = vno
         self._cursor = self._versions[vno].alloc_cursor
+        self._reach.pop(self._versions[vno].root_page, None)  # walk it again for its counts
         self._rebuild_live()
 
     # -- read access --
@@ -633,18 +694,10 @@ class Store:
         for addr, data in pages:
             if self.device.read_page(addr) != data:
                 self._program(addr, data)
-        rep = tree.walk_version(self.read_page, new_root, self.total_pages)
-        if rep.problems:
-            raise IntegrityError("package left a damaged tree: " + rep.problems[0])
+        delta = self._diff(new_root, "package left a damaged tree")
         rec = VersionRecord(new_v, new_root, self._cursor)
         self._append_record(rec)
-        self._versions[new_v] = rec
-        self.current_version = new_v
-        self._reach[new_root] = rep.reachable
-        self._learn_leaves(rep)
-        while len(self._versions) > self.max_versions:
-            self._revoke(min(self._versions))
-        self._rebuild_live()
+        self._install(rec, delta)
         return new_v
 
 

@@ -31,11 +31,13 @@ and writes through a small page-IO object (the store) that provides
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import codec
 from .codec import (
+    ADDR_MASK,
     ENTRY_EMPTY,
     KIND_POINT,
     KIND_ZONE_EDGE,
@@ -71,7 +73,6 @@ from .errors import (
     DomainError,
     FormatError,
     IntegrityError,
-    NotFoundError,
 )
 from .geometry import (
     MAX_LEVEL,
@@ -96,6 +97,9 @@ _MIB = 1024 * 1024
 _INSIDE = 1  # attach an inside record at this cell
 _EDGE = 2  # attach an edge record at this cell
 _DESCEND = 3  # boundary cell above zone_max_depth: place records deeper
+# where a deleted object's records can be, below a cell: the subcells holding
+# a point (_POINT), every subcell (_INSIDE), or those not OUTSIDE a zone (_EDGE)
+_POINT = 4
 
 
 @dataclass(frozen=True)
@@ -287,6 +291,7 @@ class WalkReport:
     zone_inside: int = 0
     zone_edge: int = 0
     objects: dict[int, tuple[str, int]] = field(default_factory=dict)  # head -> (kind, id)
+    refs: Counter = field(default_factory=Counter)  # addr -> referencing pages (see RefCounts)
     empty_entries: int = 0
     used_entries: int = 0
     max_attach_level: int = 0
@@ -302,6 +307,13 @@ class WalkReport:
         """Pages read that are neither nodes nor leaf lists: objects and zone continuations."""
         return set(self.pages).difference(self.nodes, self.leaf_pages)
 
+    def object_heads(self) -> dict[int, dict[int, str]]:
+        """Object id -> {head page: kind} of every object the walk loaded."""
+        out: dict[int, dict[int, str]] = {}
+        for head, (kind, oid) in self.objects.items():
+            out.setdefault(oid, {})[head] = kind
+        return out
+
 
 def walk_version(
     read: Callable[[int], bytes], root_page: int, total_pages: Optional[int] = None
@@ -314,6 +326,10 @@ def walk_version(
     """
     rep = WalkReport(root=root_page)
     pages = rep.pages
+    # the distinct pages each visited page names, one item per reference;
+    # nodes add their entry words, so leaf-list entries carry their tag bits
+    # until the count at the end folds them onto their addresses
+    named: list[int] = []
 
     def read_once(addr: int) -> bytes:
         raw = pages.get(addr)
@@ -329,15 +345,22 @@ def walk_version(
         if (known is not None and known[0] == kind) or head in bad_objects:
             return
         try:
-            rep.objects[head] = (kind, reader.object(head, kind).object_id)
+            obj = reader.object(head, kind)
         except (FormatError, IntegrityError) as e:
             bad_objects.add(head)
             rep.problems.append(str(e))
+            return
+        rep.objects[head] = (kind, obj.object_id)
+        if kind == "zone":  # the reader has read and checked every page of the zone
+            nxt = decode_object_page(pages[head])["next"]
+            while nxt != NO_PAGE:
+                named.append(nxt)
+                nxt = decode_object_page(pages[nxt])["next"]
 
     chain_sums: dict[int, tuple[int, int, int, int]] = {}  # head -> pages, records, inside, edge
 
-    def visit_chain(head: int, attach_level: int) -> None:
-        """Count one reference to a leaf chain; a shared chain is read on its first only."""
+    def visit_chain(head: int, attach_level: int, times: int = 1) -> None:
+        """Count ``times`` references to a leaf chain; a shared chain is read on its first only."""
         rep.max_attach_level = max(rep.max_attach_level, attach_level)
         sums = chain_sums.get(head)
         if sums is None:
@@ -345,7 +368,12 @@ def walk_version(
             addr = head
             try:
                 for records, nxt in reader.chain(head):
-                    rep.leaf_pages[addr] = pages[addr]
+                    if addr not in rep.leaf_pages:  # a tail shared by two chains counts once
+                        rep.leaf_pages[addr] = pages[addr]
+                        kids = {rec.object_page for rec in records}
+                        if nxt != NO_PAGE:
+                            kids.add(nxt)
+                        named.extend(kids)
                     n_pages += 1
                     n_refs += len(records)
                     for rec in records:
@@ -359,14 +387,14 @@ def walk_version(
                         load_object(rec.object_page, "zone")
                     addr = nxt
             except (FormatError, IntegrityError) as e:
-                rep.problems.append(str(e))
+                rep.problems += [str(e)] * times
             else:
                 chain_sums[head] = (n_pages, n_refs, n_inside, n_edge)
             sums = (n_pages, n_refs, n_inside, n_edge)
-        rep.leaf_visits += sums[0]
-        rep.leaf_refs += sums[1]
-        rep.zone_inside += sums[2]
-        rep.zone_edge += sums[3]
+        rep.leaf_visits += sums[0] * times
+        rep.leaf_refs += sums[1] * times
+        rep.zone_inside += sums[2] * times
+        rep.zone_edge += sums[3] * times
 
     def visit_node(addr: int, level: int) -> None:
         if addr in rep.nodes:
@@ -380,22 +408,29 @@ def walk_version(
         if node.level != level:
             rep.problems.append(f"node {addr} has level {node.level}, expected {level}")
         rep.nodes[addr] = node.level
+        uses = Counter(node.entries)  # entry word -> entries holding it (dedup shares leaf pages)
+        empty = uses.pop(ENTRY_EMPTY, 0)
+        rep.empty_entries += empty
+        rep.used_entries += NODE_FANOUT - empty
+        named.extend(uses)
         if node.self_list != ENTRY_EMPTY:
+            if node.self_list not in uses:
+                named.append(node.self_list)
             visit_chain(entry_addr(node.self_list), level)
-        for word in node.entries:
-            if entry_is_empty(word):
-                rep.empty_entries += 1
-                continue
-            rep.used_entries += 1
-            if entry_is_child(word):
-                if level >= codec.MAX_NODE_LEVEL:
-                    rep.problems.append(f"node {addr} at level {level} has a child entry")
-                    continue
-                visit_node(entry_addr(word), level + 1)
+        for word, times in uses.items():
+            if word > ADDR_MASK:  # a leaf-list entry (decode_node refused the reserved tags)
+                visit_chain(word & ADDR_MASK, level + 1, times)
+            elif level >= codec.MAX_NODE_LEVEL:
+                rep.problems += [f"node {addr} at level {level} has a child entry"] * times
             else:
-                visit_chain(entry_addr(word), level + 1)
+                visit_node(word, level + 1)  # a child entry's word is its address
+                rep.problems += [f"node page {word} reachable twice"] * (times - 1)
 
     visit_node(root_page, 0)
+    refs = rep.refs
+    refs.update(named)
+    for word in [w for w in refs if w > ADDR_MASK]:
+        refs[word & ADDR_MASK] += refs.pop(word)
     return rep
 
 
@@ -430,6 +465,213 @@ def stats_from_walk(rep: WalkReport) -> StatsReport:
         index_pages_deduped=d - n,
         index_mib_deduped=(d - n) * PAGE_SIZE / _MIB,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference counts
+
+# What a reachable page is: a node's level (0..MAX_NODE_LEVEL), or one of these.
+Role = int | str
+LEAF = "leaf"
+GANTRY = "gantry"
+ZONE = "zone"
+ZONE_CONT = "zone_cont"
+
+
+def _role_name(role: Role) -> str:
+    return f"level-{role} node" if isinstance(role, int) else role.replace("_", " ")
+
+
+def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -> dict[int, Role]:
+    """The pages ``page`` references, each once, with the role it gives each.
+
+    Raises ``FormatError`` or ``IntegrityError`` naming the page when the
+    page is damaged or its references break the tree's rules.
+    """
+    if role == GANTRY:
+        return {}
+    if role in (ZONE, ZONE_CONT):
+        nxt = decode_object_page(page, addr=addr)["next"]
+        return {} if nxt == NO_PAGE else {nxt: ZONE_CONT}
+    if role == LEAF:
+        records, nxt = leaf_list_view(page, total_pages, addr=addr)
+        refs: dict[int, Role] = {} if nxt == NO_PAGE else {nxt: LEAF}
+        for rec in records:
+            want = GANTRY if rec.kind == KIND_POINT else ZONE
+            have = refs.setdefault(rec.object_page, want)
+            if have != want:
+                raise IntegrityError(
+                    f"leaf page {addr} names page {rec.object_page} as both a {_role_name(have)} "
+                    f"and a {_role_name(want)}"
+                )
+        return refs
+    node = decode_node(page, total_pages, addr=addr)
+    refs = {} if node.self_list == ENTRY_EMPTY else {entry_addr(node.self_list): LEAF}
+    for word in node.entries:
+        if entry_is_empty(word):
+            continue
+        child = entry_addr(word)
+        if entry_is_leaf(word):
+            if refs.setdefault(child, LEAF) != LEAF:
+                raise IntegrityError(f"node {addr} names page {child} as both a node and a leaf list")
+        elif role >= codec.MAX_NODE_LEVEL:
+            raise IntegrityError(f"node {addr} at level {role} has a child entry")
+        elif child in refs:
+            raise IntegrityError(f"node page {child} reachable twice")
+        else:
+            refs[child] = role + 1
+    return refs
+
+
+@dataclass
+class CountDelta:
+    """What one version step changes in the reference counts (see ``RefCounts.diff``)."""
+
+    counts: dict[int, int]  # new count of every page whose count changed; 0 = unreachable now
+    born: dict[int, Role]  # pages that became reachable
+    pages: dict[int, bytes]  # every page the diff read
+    new_objects: dict[int, tuple[str, int]]  # head -> (kind, id) of objects that became reachable
+    gone_objects: dict[int, int]  # head -> id of objects that are no longer reachable
+
+    @property
+    def leaf_pages(self) -> dict[int, bytes]:
+        """The bytes of every leaf page that became reachable."""
+        return {addr: self.pages[addr] for addr, role in self.born.items() if role == LEAF}
+
+
+class RefCounts:
+    """Reference counts of one version's tree, kept so a version step costs what changed.
+
+    ``counts`` maps every reachable page to the number of reachable pages
+    that reference it -- through node entries, self lists, leaf ``next``
+    links, leaf records and zone continuation links -- each referencing page
+    counting once; the root counts one more.  A leaf page shared by dedup
+    or a zone object named by many leaf pages has a count above one.
+    ``roles`` says what each reachable page is, and ``objects`` maps an
+    object id to {head page: kind} (one id may name several object pages).
+    This is refcounted shadowing as in Rodeh, "B-trees, Shadowing, and
+    Clones" (ACM TOS 2008).
+    """
+
+    def __init__(self, counts: dict[int, int], roles: dict[int, Role], objects: dict[int, dict[int, str]]):
+        self.counts = counts
+        self.roles = roles
+        self.objects = objects
+
+    @classmethod
+    def from_walk(cls, rep: WalkReport) -> "RefCounts":
+        """The counts of a walked version, from the bytes the walk read (taking over ``rep.refs``)."""
+        counts = rep.refs
+        counts[rep.root] += 1
+        roles: dict[int, Role] = dict.fromkeys(rep.pages, ZONE_CONT)  # what no rule below names
+        roles.update(dict.fromkeys(rep.leaf_pages, LEAF))
+        roles.update(rep.nodes)
+        roles.update((head, kind) for head, (kind, _) in rep.objects.items())
+        return cls(counts, roles, rep.object_heads())
+
+    def diff(
+        self, read: Callable[[int], bytes], base_root: int, new_root: int, total_pages: Optional[int] = None
+    ) -> CountDelta:
+        """The counts of the tree at ``new_root``, from these counts of the tree at ``base_root``.
+
+        First the increments from the new root: a page is read only when
+        its count goes from 0 to 1, and gets the checks ``walk_version``
+        makes (CRC, level, child entry in a level-5 node, node reachable
+        twice, chain loop, kind mismatch).  A page already counted is not
+        read; the role it is referenced in must match the one it has.  Then
+        the decrements from the base root: a page is read only when its
+        count falls to 0.  Raises ``FormatError`` or ``IntegrityError``
+        naming the first damaged page.  These counts are left as they are;
+        ``install`` applies the result.
+        """
+        counts, roles = self.counts, self.roles
+        delta: dict[int, int] = {}
+        born: dict[int, Role] = {}
+        pages: dict[int, bytes] = {}
+
+        def read_once(addr: int) -> bytes:
+            raw = pages.get(addr)
+            if raw is None:
+                raw = pages[addr] = read(addr)
+            return raw
+
+        reader = PageReader(read_once, total_pages)
+
+        def count(addr: int) -> int:
+            return delta[addr] if addr in delta else counts.get(addr, 0)
+
+        # increments, depth first; ``open_`` holds the born pages on the current path
+        open_: set[int] = set()
+        stack: list[tuple[int, Role, bool]] = [(new_root, 0, False)]
+        while stack:
+            addr, role, done = stack.pop()
+            if done:
+                open_.discard(addr)
+                continue
+            c = count(addr)
+            delta[addr] = c + 1
+            if c:
+                if addr in open_:
+                    what = "leaf chain loops" if role == LEAF else "node reachable twice"
+                    raise IntegrityError(f"{what} at page {addr}")
+                have = born[addr] if addr in born else roles[addr]
+                if have != role:
+                    raise IntegrityError(f"page {addr} is a {_role_name(have)}, expected a {_role_name(role)}")
+                continue
+            if isinstance(role, int):
+                page = reader.node(addr)
+                if page[1] != role:
+                    raise IntegrityError(f"node {addr} has level {page[1]}, expected {role}")
+            elif role in (GANTRY, ZONE):
+                reader.object(addr, role)  # a zone reads and checks all its pages here
+            born[addr] = role
+            open_.add(addr)
+            stack.append((addr, role, True))
+            stack.extend((ref, r, False) for ref, r in _page_refs(read_once(addr), role, addr, total_pages).items())
+
+        # decrements
+        work = [base_root]
+        while work:
+            addr = work.pop()
+            c = delta[addr] = count(addr) - 1
+            if not c:
+                work.extend(_page_refs(read_once(addr), roles[addr], addr, total_pages))
+
+        for addr, c in delta.items():
+            if c > 1 and isinstance(born.get(addr, roles.get(addr)), int):
+                raise IntegrityError(f"node page {addr} reachable twice")
+        return CountDelta(
+            counts=delta,
+            born=born,
+            pages=pages,
+            new_objects={
+                addr: (role, reader.object(addr, role).object_id)
+                for addr, role in born.items()
+                if role in (GANTRY, ZONE)
+            },
+            gone_objects={
+                addr: decode_object_page(pages[addr], addr=addr)["object_id"]
+                for addr, c in delta.items()
+                if not c and roles[addr] in (GANTRY, ZONE)
+            },
+        )
+
+    def install(self, d: CountDelta) -> None:
+        """Apply a diff of these counts: they become the counts of its new version."""
+        counts, roles, objects = self.counts, self.roles, self.objects
+        roles.update(d.born)
+        for addr, c in d.counts.items():
+            if c:
+                counts[addr] = c
+            else:
+                del counts[addr], roles[addr]
+        for head, oid in d.gone_objects.items():
+            heads = objects[oid]
+            del heads[head]
+            if not heads:
+                del objects[oid]
+        for head, (kind, oid) in d.new_objects.items():
+            objects.setdefault(oid, {})[head] = kind
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +793,9 @@ class TreeEditor:
     """Mutations for one in-progress version.
 
     Each public method takes the current root address and returns the new
-    one, programming only fresh pages.  The caller (store session) owns
-    allocation, pending-page tracking and the final commit.
+    one (an insert also returns the object page it wrote), programming only
+    fresh pages.  The caller (store session) owns allocation, pending-page
+    tracking, the object id -> head page map and the final commit.
     """
 
     def __init__(self, io, params: BuildParams):
@@ -614,7 +857,7 @@ class TreeEditor:
 
     # -- point insertion --
 
-    def insert_gantry(self, root: int, gid: int, x: int, y: int) -> int:
+    def insert_gantry(self, root: int, gid: int, x: int, y: int) -> tuple[int, int]:
         if not in_world(x, y):
             raise DomainError(f"gantry position ({x}, {y}) outside the world square")
         if not 0 <= gid < 1 << 32:
@@ -628,7 +871,7 @@ class TreeEditor:
         idx = cell_index(TOP_CELL, x, y)
         word = node_entry_word(page, idx // 9, idx % 9)
         new_word = self._point_entry(word, subcell(TOP_CELL, idx), rec, x, y)
-        return self._io.write_page(node_with_entry(page, idx // 9, idx % 9, new_word))
+        return self._io.write_page(node_with_entry(page, idx // 9, idx % 9, new_word)), obj_addr
 
     def _check_duplicate(self, root: int, gid: int, x: int, y: int) -> None:
         """Reject an id already present in the cell the new point lands in."""
@@ -740,7 +983,7 @@ class TreeEditor:
 
     # -- zone insertion --
 
-    def insert_zone(self, root: int, zid: int, verts: Sequence[tuple[int, int]]) -> int:
+    def insert_zone(self, root: int, zid: int, verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
         if not 0 <= zid < 1 << 32:
             raise DomainError(f"object id {zid} out of u32 range")
         verts = tuple((int(x), int(y)) for x, y in verts)
@@ -768,7 +1011,7 @@ class TreeEditor:
                 node.self_list = make_leaf(self._append(entry_addr(node.self_list), rec))
         else:
             node.entries = self._zone_entries(node.entries, TOP_CELL, _DESCEND)
-        return self._io.write_page(encode_node(node))
+        return self._io.write_page(encode_node(node)), self._zone_addr
 
     def _zone_entries(self, entries: list, cell: Cell, mode: int) -> list:
         """Entry words of a split cell after placing the staged zone in each child."""
@@ -803,45 +1046,61 @@ class TreeEditor:
 
     # -- deletion --
 
-    def delete_object(self, root: int, oid: int, kind: Optional[str] = None) -> int:
-        """Remove every record of the object with id ``oid``.
+    def delete_object(self, root: int, targets: dict[int, str]) -> int:
+        """Remove every record naming the object pages ``targets`` (head page -> kind).
 
-        ``kind`` ("gantry" or "zone") disambiguates when both an id's
-        gantry and zone exist; without it such a delete is rejected.
+        Only the cells the objects touch are read: the one path of a
+        gantry, and for a zone the subcells ``classify_children`` does not
+        call OUTSIDE (all subcells below an inside one).  Self lists on the
+        way are filtered too.
         """
         self._reader = self._new_reader()
-        rep = walk_version(self._io.read_page, root, self._io.total_pages)
-        if rep.problems:
-            raise IntegrityError("; ".join(rep.problems[:8]))
-        matches = {addr: k for addr, (k, i) in rep.objects.items() if i == oid}
-        if kind is not None:
-            matches = {addr: k for addr, k in matches.items() if k == kind}
-        if not matches:
-            raise NotFoundError(f"no {kind or 'object'} with id {oid}")
-        if kind is None and len(set(matches.values())) > 1:
-            raise ConflictError(f"id {oid} names both a gantry and a zone; pass the kind")
-        targets = set(matches)
-
+        shapes = []
+        for head, kind in targets.items():
+            obj = self._reader.object(head, kind)
+            shapes.append((_POINT, (obj.x, obj.y)) if kind == "gantry" else (_EDGE, obj.vertices))
+        drop = set(targets)
         node = decode_node(self._reader.node(root))
         if node.self_list != ENTRY_EMPTY:
-            new_head, _ = self._filter_chain(entry_addr(node.self_list), targets)
+            new_head, _ = self._filter_chain(entry_addr(node.self_list), drop)
             node.self_list = ENTRY_EMPTY if new_head == NO_PAGE else make_leaf(new_head)
-        node.entries = [self._delete_entry(w, targets) for w in node.entries]
+        node.entries = self._delete_entries(node.entries, TOP_CELL, shapes, drop)
         return self._io.write_page(encode_node(node))
 
-    def _delete_entry(self, word: int, targets: set[int]) -> int:
+    def _delete_entries(self, entries: list, cell: Cell, shapes: list, drop: set[int]) -> list:
+        """``cell``'s entry words after filtering ``drop`` out of the subcells ``shapes`` touch."""
+        touched: list[list] = [[] for _ in range(NODE_FANOUT)]
+        for shape in shapes:
+            mode, geom = shape
+            if mode == _POINT:
+                touched[cell_index(cell, *geom)].append(shape)
+            elif mode == _INSIDE:
+                for t in touched:
+                    t.append(shape)
+            else:
+                for t, cls in zip(touched, classify_children(cell, geom)):
+                    if cls == CellClass.INSIDE:
+                        t.append((_INSIDE, None))
+                    elif cls != CellClass.OUTSIDE:
+                        t.append(shape)
+        return [
+            self._delete_entry(word, subcell(cell, idx), touched[idx], drop) if touched[idx] else word
+            for idx, word in enumerate(entries)
+        ]
+
+    def _delete_entry(self, word: int, cell: Cell, shapes: list, drop: set[int]) -> int:
         if entry_is_empty(word):
             return word
         if entry_is_leaf(word):
-            new_head, removed = self._filter_chain(entry_addr(word), targets)
+            new_head, removed = self._filter_chain(entry_addr(word), drop)
             if not removed:
                 return word
             return ENTRY_EMPTY if new_head == NO_PAGE else make_leaf(new_head)
         node = decode_node(self._reader.node(entry_addr(word)))
-        new_entries = [self._delete_entry(w, targets) for w in node.entries]
+        new_entries = self._delete_entries(node.entries, cell, shapes, drop)
         new_self = node.self_list
         if new_self != ENTRY_EMPTY:
-            head, removed = self._filter_chain(entry_addr(new_self), targets)
+            head, removed = self._filter_chain(entry_addr(new_self), drop)
             if removed:
                 new_self = ENTRY_EMPTY if head == NO_PAGE else make_leaf(head)
         if new_entries == node.entries and new_self == node.self_list:

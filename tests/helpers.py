@@ -119,6 +119,28 @@ def random_gantries(rng: random.Random, n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def seeded_store(sectors, n_gantries, n_zones, seed, **kw):
+    """A fresh store holding random gantries and zones, committed as version 2."""
+    from flashquad.errors import DomainError
+    from flashquad.flashsim import FlashDevice, FlashGeometry
+    from flashquad.store import Store
+
+    rng = random.Random(seed)
+    store = Store.format(FlashDevice(FlashGeometry(sector_count=sectors)), **kw)
+    s = store.begin()
+    for gid, x, y in random_gantries(rng, n_gantries):
+        s.insert_gantry(gid, x, y)
+    zid = 1
+    while zid <= n_zones:
+        try:
+            s.insert_zone(zid, random_simple_polygon(rng))
+        except DomainError:
+            continue  # polygon fell wholly outside the world; roll another
+        zid += 1
+    s.commit()
+    return store
+
+
 # -- state digests -----------------------------------------------------------
 
 

@@ -53,6 +53,7 @@ from helpers import (
     pip_oracle,
     random_gantries,
     random_simple_polygon,
+    seeded_store,
     version_digest,
 )
 
@@ -82,23 +83,6 @@ def criterion(num, budget_s, label):
 
 def fresh(sectors, **kw):
     return Store.format(FlashDevice(FlashGeometry(sector_count=sectors)), **kw)
-
-
-def seeded_store(sectors, n_gantries, n_zones, seed, **kw):
-    rng = random.Random(seed)
-    store = fresh(sectors, **kw)
-    s = store.begin()
-    for gid, x, y in random_gantries(rng, n_gantries):
-        s.insert_gantry(gid, x, y)
-    zid = 1
-    while zid <= n_zones:
-        try:
-            s.insert_zone(zid, random_simple_polygon(rng))
-        except DomainError:
-            continue  # polygon fell wholly outside the world; roll another
-        zid += 1
-    s.commit()
-    return store
 
 
 # -- 1: page format ------------------------------------------------------------

@@ -1,12 +1,31 @@
 """Store behavior: directory, retention, gc, dedup, updates, crash recovery."""
 
 import random
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flashquad.codec import PAGE_SIZE
+from flashquad.codec import (
+    ENTRY_EMPTY,
+    KIND_POINT,
+    LEAF_MAGIC,
+    NODE_MAGIC,
+    OBJ_MAGIC,
+    PAGE_SIZE,
+    LeafListPage,
+    LeafRecord,
+    NodePage,
+    decode_node,
+    encode_leaf_list,
+    encode_node,
+    make_child,
+    make_leaf,
+)
 from flashquad.dataset import build_database, generate_dataset
 from flashquad.errors import (
+    ConflictError,
     DomainError,
     FlashFullError,
     FormatError,
@@ -18,9 +37,10 @@ from flashquad.errors import (
     VersionConflictError,
 )
 from flashquad.flashsim import FlashDevice, FlashGeometry
-from flashquad.store import DATA_START, Store
+from flashquad.store import DATA_START, Store, _parse_update
+from flashquad.tree import BuildParams
 
-from helpers import version_digest
+from helpers import random_simple_polygon, seeded_store, version_digest
 
 
 def fresh(sectors=4, **kw):
@@ -74,6 +94,15 @@ def test_mount_reads_each_page_once():
     back = Store(dev)
     assert back.current_version == 2
     assert reads and len(reads) == len(set(reads))
+
+
+def test_format_spares_the_allocator_its_probe_reads():
+    store = fresh()
+    s = store.begin()
+    before = store.device.stats().reads
+    got = [s.alloc_page() for _ in range(40)]
+    assert store.device.stats().reads == before  # format found these pages blank
+    assert got == list(range(DATA_START + 1, DATA_START + 41))
 
 
 def test_mount_rejects_unformatted_device():
@@ -286,8 +315,6 @@ def test_dedup_shares_identical_leaf_pages():
 
 def test_dedup_off_writes_every_page():
     sq = ((100_000, 100_000), (1_900_000, 100_000), (1_900_000, 1_900_000), (100_000, 1_900_000))
-    from flashquad.tree import BuildParams
-
     on = fresh(params=BuildParams(zone_max_depth=1))
     off = fresh(params=BuildParams(zone_max_depth=1, dedup=False))
     for store in (on, off):
@@ -514,3 +541,211 @@ def test_compaction_crash_keeps_directory_consistent():
         store.begin().commit()
 
     crash_everywhere(build, op, max_ops=40)
+
+
+# -- reference counts: commits and applies read what changed ----------------------------
+
+
+def directory(store):
+    return [store.device.read_page(p) for p in range(DATA_START)]
+
+
+def damage(store, addr):
+    """Clear one set bit of a programmed page on the device, as a worn cell would."""
+    page = bytearray(store.device.read_page(addr))
+    pos = next(i for i in range(40, PAGE_SIZE) if page[i])
+    page[pos] &= page[pos] - 1
+    store.device.program_page(addr, bytes(page))
+    store.cache.invalidate(addr)
+
+
+@pytest.mark.parametrize("magic", [NODE_MAGIC, LEAF_MAGIC, OBJ_MAGIC], ids=["node", "leaf", "object"])
+def test_commit_refuses_a_damaged_page_and_names_it(magic):
+    store = fresh()
+    add_gantries(store, range(12))
+    s = store.begin()
+    s.insert_gantry(500, 1_234_567, 765_432)
+    victim = min(a for a in s.pending if store.device.read_page(a)[0] == magic)
+    damage(store, victim)
+    dir_before, version = directory(store), store.current_version
+    with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
+        s.commit()
+    assert directory(store) == dir_before and store.current_version == version
+
+
+@pytest.mark.parametrize("magic", [NODE_MAGIC, LEAF_MAGIC, OBJ_MAGIC], ids=["node", "leaf", "object"])
+def test_apply_refuses_a_resealed_corrupt_package_and_names_the_page(magic):
+    store, base_blob = two_version_store()
+    pkg = bytearray(store.make_update(2, 3))
+    _, _, pages, _ = _parse_update(bytes(pkg))
+    k, (victim, _) = next((k, p) for k, p in enumerate(pages) if p[1][0] == magic)
+    pkg[16 + k * (3 + PAGE_SIZE) + 3 + 100] ^= 0x10  # one bit inside the page's checksummed bytes
+    pkg[-4:] = zlib.crc32(bytes(pkg[:-4])).to_bytes(4, "little")  # resealed: only the page is wrong
+    clone = Store(FlashDevice.from_bytes(base_blob))
+    dir_before = directory(clone)
+    with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
+        clone.apply_update(bytes(pkg))
+    assert directory(clone) == dir_before and clone.current_version == 2
+
+
+def hand_made_root(kind):
+    """A store and a session whose root names pages the way ``kind`` breaks the rules.
+
+    Returns (store, session, the page the refusal must name).
+    """
+    store = fresh(params=BuildParams(leaf_split_threshold=1))
+    add_gantries(store, [1, 2, 3], base=0)  # close together: nodes down to level 4
+    rep = store.handle().walk()
+    s = store.begin()
+    root = decode_node(store.read_page(s.root))
+    free = [k for k, word in enumerate(root.entries) if word == ENTRY_EMPTY]
+    if kind == "object-as-leaf":
+        victim = min(head for head, (k, _) in rep.objects.items() if k == "gantry")
+        root.entries[free[0]] = make_leaf(victim)
+    elif kind == "node-at-wrong-level":
+        victim = min(addr for addr, level in rep.nodes.items() if level == 2)
+        root.entries[free[0]] = make_child(victim)
+    elif kind == "looping-leaf-chain":
+        victim = s.alloc_page()
+        gantry = min(rep.objects)
+        s.program_page(victim, encode_leaf_list(LeafListPage([LeafRecord(KIND_POINT, gantry)], victim)))
+        root.entries[free[0]] = make_leaf(victim)
+    else:  # one new node named by two entries
+        victim = s.write_page(encode_node(NodePage(1)))
+        root.entries[free[0]] = root.entries[free[1]] = make_child(victim)
+    s.root = s.write_page(encode_node(root))
+    return store, s, victim
+
+
+@pytest.mark.parametrize("kind", ["object-as-leaf", "node-at-wrong-level", "looping-leaf-chain", "node-twice"])
+def test_commit_refuses_pages_that_break_the_tree_rules(kind):
+    store, s, victim = hand_made_root(kind)
+    dir_before = directory(store)
+    with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
+        s.commit()
+    assert directory(store) == dir_before and store.current_version == 2
+
+
+def test_edits_commits_and_applies_read_what_changed():
+    """Each edit plus commit, and an applied package, reads a few pages, not the tree."""
+    store = seeded_store(16, 300, 10, seed=77)  # about 1 100 reachable pages
+    city = ((1_000_000, 1_000_000), (1_012_000, 1_000_000), (1_012_000, 1_009_000), (1_000_000, 1_009_000))
+    s = store.begin()
+    s.insert_zone(99, city)
+    base = s.commit()
+    blob = store.device.to_bytes()
+
+    def reads(st, op):
+        before = st.device.stats().reads
+        op()
+        return st.device.stats().reads - before
+
+    def edit(fn):
+        def op():
+            s = store.begin()
+            fn(s)
+            s.commit()
+        return op
+
+    assert reads(store, edit(lambda s: s.insert_gantry(777_777, 1_500_000, 333_333))) <= 60
+    replica = Store(FlashDevice.from_bytes(blob))
+    pkg = store.make_update(base, store.current_version)
+    assert reads(replica, lambda: replica.apply_update(pkg)) <= 60
+    assert reads(store, edit(lambda s: s.delete(5, "gantry"))) <= 60
+    assert reads(store, edit(lambda s: s.delete(99, "zone"))) <= 60
+    assert version_digest(replica, base + 1) == version_digest(store, base + 1)
+
+
+def assert_counts_match_mount(store):
+    """What the store keeps for its current version equals what a fresh mount builds."""
+    again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=store.max_versions)
+    assert again.current_version == store.current_version
+    root = store.handle().root_page
+    assert store._reach[root] == again._reach[root]
+    assert store._live_pages == again._live_pages
+    assert store._refs.counts == again._refs.counts
+    assert store._refs.roles == again._refs.roles
+    assert store._refs.objects == again._refs.objects
+    assert store._dedup == again._dedup
+
+
+EDIT = st.one_of(
+    # gantries crowd one 300 km square, so with a split threshold of 2 their cells split deep
+    st.tuples(st.just("gantry"), st.integers(1, 8), st.integers(400_000, 700_000), st.integers(400_000, 700_000)),
+    st.tuples(st.just("zone"), st.integers(1, 8), st.integers(0, 2**32)),
+    st.tuples(st.just("delete"), st.integers(0, 99)),
+    st.tuples(st.just("commit")),
+    st.tuples(st.just("rollback"), st.integers(0, 3)),
+    st.tuples(st.just("gc")),
+    st.tuples(st.just("stage")),
+)
+
+
+@given(st.lists(EDIT, min_size=4, max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_counts_and_maps_follow_every_commit_and_apply(edits):
+    """Random edit sequences, several per session, shipped as packages to a replica.
+
+    After every commit, apply, rollback and gc, both stores hold for their
+    current version what a store freshly mounted on the same bytes builds.
+    """
+    source = fresh(8, max_versions=2, params=BuildParams(leaf_split_threshold=2))
+    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
+    committed = {1: frozenset()}  # version -> its (id, kind) pairs
+    objects: set = set()  # (id, kind) pairs of the open session's tree
+    session = None
+
+    def check():
+        for store in (source, replica):
+            assert_counts_match_mount(store)
+        assert {(oid, k) for oid, heads in source._refs.objects.items() for k in heads.values()} == committed[
+            source.current_version
+        ]
+
+    for edit in edits + [("commit",)]:
+        op = edit[0]
+        if op in ("gantry", "zone", "delete"):
+            session = session or source.begin()
+            if op == "gantry":
+                try:
+                    session.insert_gantry(edit[1], edit[2], edit[3])
+                except ConflictError:  # that id already sits in the point's cell
+                    continue
+                objects.add((edit[1], "gantry"))
+            elif op == "zone":
+                try:
+                    session.insert_zone(edit[1], random_simple_polygon(random.Random(edit[2]), radius_max=120_000))
+                except DomainError:  # the polygon fell wholly outside the world
+                    continue
+                objects.add((edit[1], "zone"))
+            elif objects:
+                oid, kind = sorted(objects)[edit[1] % len(objects)]
+                session.delete(oid, kind)
+                objects.discard((oid, kind))
+        elif op == "commit":
+            base = source.current_version
+            vno = (session or source.begin()).commit()
+            session = None
+            committed[vno] = frozenset(objects)
+            replica.apply_update(source.make_update(base, vno))
+            check()
+        elif op == "stage" and session is not None:
+            # a staged session, picked up after a remount as the CLI's --stage does
+            staged = (session.base_version, session.root, set(session.pending))
+            source = Store(FlashDevice.from_bytes(source.device.to_bytes()), source.params, max_versions=2)
+            session = source.resume_session(*staged)
+        elif op == "rollback":
+            if session is not None:
+                session.rollback()
+                session = None
+            else:
+                live = [row["version"] for row in source.versions() if row["state"] == "live"]
+                target = live[edit[1] % len(live)]
+                source.rollback_to(target)
+                replica.rollback_to(target)
+                check()
+            objects = set(committed[source.current_version])
+        elif op == "gc" and session is None:
+            source.gc()
+            replica.gc()
+            check()
