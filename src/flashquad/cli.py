@@ -252,10 +252,7 @@ def cmd_build(args) -> int:
         gantries, zones = parse_dataset(fh.read())
 
     def edit(session):
-        for g in gantries:
-            session.insert_gantry(g.gantry_id, g.x, g.y)
-        for z in zones:
-            session.insert_zone(z.zone_id, z.vertices)
+        session.load([(g.gantry_id, g.x, g.y) for g in gantries], [(z.zone_id, z.vertices) for z in zones])
         print(f"loaded {len(gantries)} gantries, {len(zones)} zones")
 
     return _run_edit(args, edit)

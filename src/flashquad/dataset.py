@@ -230,13 +230,10 @@ def generate_trace(
 
 
 def build_database(store, gantries: Iterable[Gantry], zones: Iterable[Zone]) -> int:
-    """Load a dataset in one session; returns the committed version."""
+    """Load a dataset as one new version (``Session.load``); returns its number."""
     session = store.begin()
     try:
-        for g in gantries:
-            session.insert_gantry(g.gantry_id, g.x, g.y)
-        for z in zones:
-            session.insert_zone(z.zone_id, z.vertices)
+        session.load([(g.gantry_id, g.x, g.y) for g in gantries], [(z.zone_id, z.vertices) for z in zones])
     except Exception:
         session.rollback()
         raise

@@ -153,6 +153,22 @@ class Session:
         self.root, head = self._editor.insert_zone(self.root, zid, vertices)
         self._edited[zid] = {**self._heads(zid), head: "zone"}
 
+    def load(
+        self,
+        gantries: Iterable[tuple[int, int, int]],
+        zones: Iterable[tuple[int, Sequence[tuple[int, int]]]],
+    ) -> None:
+        """Add gantries ``(id, x, y)`` and zones ``(id, vertices)`` in one tree descent.
+
+        Bad input raises before any page is programmed.  On an empty base
+        every page of the resulting tree is written once (see ``TreeEditor.load``).
+        """
+        self._assert_open()
+        self.edit_pages.clear()
+        self.root, heads = self._editor.load(self.root, gantries, zones)
+        for oid, head, kind in heads:
+            self._edited[oid] = {**self._heads(oid), head: kind}
+
     def delete(self, oid: int, kind: Optional[str] = None) -> None:
         """Remove every record of the object with id ``oid``.
 
@@ -671,13 +687,15 @@ class Store:
         if new_v <= self.current_version:
             raise VersionConflictError(f"package target version {new_v} is not newer")
         live = self._live_pages
+        present: set[int] = set()
         need_erase: set[int] = set()
         for addr, data in pages:
             if not DATA_START <= addr < self.total_pages:
                 raise FormatError(f"package page {addr} outside the data area")
             raw = self.device.read_page(addr)
             if raw == data:
-                continue  # already present: shared page or an interrupted earlier apply
+                present.add(addr)  # shared page or an interrupted earlier apply
+                continue
             if addr in live:
                 raise RelocationError(f"package wants page {addr}, which is still live here")
             if any(d & ~r for d, r in zip(data, raw)):
@@ -691,8 +709,10 @@ class Store:
                         f"page {p} is live but shares a subsector with package pages"
                     )
             self._erase_subsector(first)
+        # each target was read once above: a page found present is programmed
+        # again only when its subsector has just been erased
         for addr, data in pages:
-            if self.device.read_page(addr) != data:
+            if addr not in present or addr - addr % PAGES_PER_SUBSECTOR in need_erase:
                 self._program(addr, data)
         delta = self._diff(new_root, "package left a damaged tree")
         rec = VersionRecord(new_v, new_root, self._cursor)

@@ -793,9 +793,10 @@ class TreeEditor:
     """Mutations for one in-progress version.
 
     Each public method takes the current root address and returns the new
-    one (an insert also returns the object page it wrote), programming only
-    fresh pages.  The caller (store session) owns allocation, pending-page
-    tracking, the object id -> head page map and the final commit.
+    one (an insert also returns the object page it wrote, a load every
+    object's), programming only fresh pages.  The caller (store session)
+    owns allocation, pending-page tracking, the object id -> head page map
+    and the final commit.
     """
 
     def __init__(self, io, params: BuildParams):
@@ -855,22 +856,140 @@ class TreeEditor:
                 )
         return new_next, removed
 
-    # -- point insertion --
+    def _write_zone(self, zone: ZoneObject) -> int:
+        """Program a zone's object pages; returns the head page."""
+        addrs = [self._io.alloc_page() for _ in range(zone_page_count(len(zone.vertices)))]
+        for addr, data in zip(addrs, encode_zone(zone, addrs[1:])):
+            self._io.program_page(addr, data)
+        return addrs[0]
 
-    def insert_gantry(self, root: int, gid: int, x: int, y: int) -> tuple[int, int]:
+    # -- input checks --
+
+    @staticmethod
+    def _check_gantry(gid: int, x: int, y: int) -> None:
         if not in_world(x, y):
             raise DomainError(f"gantry position ({x}, {y}) outside the world square")
         if not 0 <= gid < 1 << 32:
             raise DomainError(f"object id {gid} out of u32 range")
+
+    @staticmethod
+    def _check_zone(zid: int, verts: Sequence[tuple[int, int]]) -> tuple[tuple, CellClass]:
+        """The zone's vertices as int pairs, and the top cell's class of them."""
+        if not 0 <= zid < 1 << 32:
+            raise DomainError(f"object id {zid} out of u32 range")
+        verts = tuple((int(x), int(y)) for x, y in verts)
+        if len(verts) >= 1 << 16:
+            raise DomainError(f"zone {zid} has {len(verts)} vertices; a zone holds at most 65535")
+        validate_polygon(verts)
+        top = classify_cell(TOP_CELL, verts)
+        if top == CellClass.OUTSIDE:
+            raise DomainError("zone polygon does not intersect the world square")
+        return verts, top
+
+    def _top_record(self, top: CellClass, addr: int) -> Optional[LeafRecord]:
+        """The root self-list record of a zone, or None when it is placed below the top cell."""
+        if top == CellClass.INSIDE:
+            return LeafRecord(KIND_ZONE_INSIDE, addr)
+        if self.params.zone_max_depth == 0:
+            return LeafRecord(KIND_ZONE_EDGE, addr)
+        return None
+
+    # -- bulk load --
+
+    def load(
+        self,
+        root: int,
+        gantries: Iterable[tuple[int, int, int]],
+        zones: Iterable[tuple[int, Sequence[tuple[int, int]]]],
+    ) -> tuple[int, list[tuple[int, int, str]]]:
+        """Add gantries ``(id, x, y)`` and zones ``(id, vertices)`` in one descent.
+
+        Every input is checked before a page is programmed: the checks of
+        ``insert_gantry`` and ``insert_zone``, and an id repeated within one
+        kind raises ``ConflictError``.  Then the object pages are written
+        and the tree is descended once from ``root``, taking each new item
+        to the entries it lands in: an empty entry is built top-down by
+        ``_build_cell``, a leaf entry is rebuilt with its old records and
+        the new ones, and a node entry is rewritten once.  On an empty root
+        this is top-down region-quadtree construction (Samet, *The Design
+        and Analysis of Spatial Data Structures*, 1990), writing each page of
+        the final tree once.  Returns the new root and the (id, head page,
+        kind) of every object written.
+        """
+        gantries = list(gantries)
+        for gid, x, y in gantries:
+            self._check_gantry(gid, x, y)
+        checked_zones = [(zid, *self._check_zone(zid, verts)) for zid, verts in zones]
+        for kind, ids in (("gantry", [g[0] for g in gantries]), ("zone", [z[0] for z in checked_zones])):
+            repeated = [oid for oid, n in Counter(ids).items() if n > 1]
+            if repeated:
+                raise ConflictError(f"{kind} id {repeated[0]} appears twice in the load")
+        heads: list[tuple[int, int, str]] = []
+        if not gantries and not checked_zones:
+            return root, heads
+
+        self._reader = self._new_reader()
+        pts: list[tuple[LeafRecord, int, int, int]] = []
+        for gid, x, y in gantries:
+            addr = self._io.write_page(encode_gantry(GantryObject(gid, x, y)))
+            heads.append((gid, addr, "gantry"))
+            pts.append((LeafRecord(KIND_POINT, addr), x, y, gid))
+        top_records: list[LeafRecord] = []
+        zitems: list[tuple[int, int, Optional[tuple]]] = []
+        for zid, verts, top in checked_zones:
+            addr = self._write_zone(ZoneObject(zid, verts))
+            heads.append((zid, addr, "zone"))
+            rec = self._top_record(top, addr)
+            if rec is None:
+                zitems.append((_DESCEND, addr, verts))
+            else:
+                top_records.append(rec)
+
+        node = decode_node(self._reader.node(root))
+        if top_records:
+            old = [] if node.self_list == ENTRY_EMPTY else self._records(node.self_list)
+            node.self_list = make_leaf(self._write_chain(old + top_records))
+        node.entries = self._merge_entries(node.entries, TOP_CELL, pts, zitems)
+        return self._io.write_page(encode_node(node)), heads
+
+    def _merge_entries(self, entries: list, cell: Cell, pts: list, zitems: list) -> list:
+        """``cell``'s entry words after merging new items into the subcells they land in."""
+        bp, bz = self._buckets(cell, pts, zitems)
+        return [
+            self._merge_entry(word, subcell(cell, idx), bp[idx], bz[idx]) if bp[idx] or bz[idx] else word
+            for idx, word in enumerate(entries)
+        ]
+
+    def _merge_entry(self, word: int, cell: Cell, pts: list, zitems: list) -> int:
+        if entry_is_empty(word):
+            return self._build_cell(cell, pts, zitems)
+        if entry_is_leaf(word):
+            old_pts, old_zitems = self._partition(self._records(word))
+            present = {item[3] for item in old_pts}
+            for item in pts:
+                if item[3] in present:
+                    raise ConflictError(f"gantry id {item[3]} already present at this location")
+            return self._build_cell(cell, old_pts + pts, old_zitems + zitems)
+        node = decode_node(self._reader.node(entry_addr(word)))
+        entries = self._merge_entries(node.entries, cell, pts, zitems)
+        if entries == node.entries:
+            return word
+        node.entries = entries
+        return make_child(self._io.write_page(encode_node(node)))
+
+    # -- point insertion --
+
+    def insert_gantry(self, root: int, gid: int, x: int, y: int) -> tuple[int, int]:
+        self._check_gantry(gid, x, y)
         self._reader = self._new_reader()
         self._check_duplicate(root, gid, x, y)
         obj_addr = self._io.write_page(encode_gantry(GantryObject(gid, x, y)))
-        rec = LeafRecord(KIND_POINT, obj_addr)
+        item = (LeafRecord(KIND_POINT, obj_addr), x, y, gid)
 
         page = self._reader.node(root)
         idx = cell_index(TOP_CELL, x, y)
         word = node_entry_word(page, idx // 9, idx % 9)
-        new_word = self._point_entry(word, subcell(TOP_CELL, idx), rec, x, y)
+        new_word = self._point_entry(word, subcell(TOP_CELL, idx), item)
         return self._io.write_page(node_with_entry(page, idx // 9, idx % 9, new_word)), obj_addr
 
     def _check_duplicate(self, root: int, gid: int, x: int, y: int) -> None:
@@ -884,44 +1003,45 @@ class TreeEditor:
             if entry_is_empty(word):
                 return
             if entry_is_leaf(word):
-                records = [r for recs, _ in self._reader.chain(entry_addr(word)) for r in recs]
-                for rec in records:  # the whole chain is read before its objects
+                for rec in self._records(word):  # the whole chain is read before its objects
                     if rec.kind == KIND_POINT and self._reader.object(rec.object_page, "gantry").object_id == gid:
                         raise ConflictError(f"gantry id {gid} already present at this location")
                 return
             cell = subcell(cell, idx)
             addr = entry_addr(word)
 
-    def _point_entry(self, word: int, cell: Cell, rec: LeafRecord, x: int, y: int) -> int:
+    def _point_entry(self, word: int, cell: Cell, item: tuple) -> int:
+        rec, x, y, _ = item
         if entry_is_child(word):
             page = self._reader.node(entry_addr(word))
             idx = cell_index(cell, x, y)
             sub_word = node_entry_word(page, idx // 9, idx % 9)
-            new_word = self._point_entry(sub_word, subcell(cell, idx), rec, x, y)
+            new_word = self._point_entry(sub_word, subcell(cell, idx), item)
             return make_child(
                 self._io.write_page(node_with_entry(page, idx // 9, idx % 9, new_word))
             )
-        if entry_is_empty(word):
-            existing: list[LeafRecord] = []
-        else:
-            existing = [r for recs, _ in self._reader.chain(entry_addr(word)) for r in recs]
+        existing = [] if entry_is_empty(word) else self._records(word)
         n_points = 1 + sum(1 for r in existing if r.kind == KIND_POINT)
         if n_points > self.params.leaf_split_threshold and cell.level < self.params.max_depth:
             pts, zitems = self._partition(existing)
-            pts.append((rec, x, y))
+            pts.append(item)
             return self._build_cell(cell, pts, zitems)
         if entry_is_empty(word):
             return make_leaf(self._write_chain([rec]))
         return make_leaf(self._append(entry_addr(word), rec))
 
+    def _records(self, word: int) -> list[LeafRecord]:
+        """Every record of the leaf chain an entry word (or self list) names."""
+        return [r for recs, _ in self._reader.chain(entry_addr(word)) for r in recs]
+
     def _partition(self, records: Iterable[LeafRecord]) -> tuple[list, list]:
-        """Split chain records into point and zone placement items."""
-        pts: list[tuple[LeafRecord, int, int]] = []
+        """Split chain records into point items (record, x, y, id) and zone placement items."""
+        pts: list[tuple[LeafRecord, int, int, int]] = []
         zitems: list[tuple[int, int, Optional[tuple]]] = []
         for rec in records:
             if rec.kind == KIND_POINT:
                 g = self._reader.object(rec.object_page, "gantry")
-                pts.append((rec, g.x, g.y))
+                pts.append((rec, g.x, g.y, g.object_id))
                 continue
             zone = self._reader.object(rec.object_page, "zone")
             if rec.kind == KIND_ZONE_INSIDE:
@@ -949,6 +1069,18 @@ class TreeEditor:
             for cls in classify_children(cell, verts)
         ]
 
+    def _buckets(self, cell: Cell, pts: list, zitems: list) -> tuple[list, list]:
+        """Point and zone items of each of the cell's 81 subcells."""
+        bp: list[list] = [[] for _ in range(NODE_FANOUT)]
+        bz: list[list] = [[] for _ in range(NODE_FANOUT)]
+        for item in pts:
+            bp[cell_index(cell, item[1], item[2])].append(item)
+        for mode, addr, verts in zitems:
+            for idx, m in enumerate(self._child_modes81(mode, cell, verts)):
+                if m is not None:
+                    bz[idx].append((m, addr, verts))
+        return bp, bz
+
     def _build_cell(self, cell: Cell, pts: list, zitems: list) -> int:
         """Materialize a cell from in-memory records; returns its entry word."""
         if not pts and not zitems:
@@ -957,14 +1089,7 @@ class TreeEditor:
             len(pts) > self.params.leaf_split_threshold
             or any(mode == _DESCEND for mode, _, _ in zitems)
         ):
-            bp: list[list] = [[] for _ in range(NODE_FANOUT)]
-            bz: list[list] = [[] for _ in range(NODE_FANOUT)]
-            for item in pts:
-                bp[cell_index(cell, item[1], item[2])].append(item)
-            for mode, addr, verts in zitems:
-                for idx, m in enumerate(self._child_modes81(mode, cell, verts)):
-                    if m is not None:
-                        bz[idx].append((m, addr, verts))
+            bp, bz = self._buckets(cell, pts, zitems)
             entries = [
                 self._build_cell(subcell(cell, idx), bp[idx], bz[idx])
                 if bp[idx] or bz[idx]
@@ -984,27 +1109,14 @@ class TreeEditor:
     # -- zone insertion --
 
     def insert_zone(self, root: int, zid: int, verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        if not 0 <= zid < 1 << 32:
-            raise DomainError(f"object id {zid} out of u32 range")
-        verts = tuple((int(x), int(y)) for x, y in verts)
-        validate_polygon(verts)
-        top = classify_cell(TOP_CELL, verts)
-        if top == CellClass.OUTSIDE:
-            raise DomainError("zone polygon does not intersect the world square")
+        verts, top = self._check_zone(zid, verts)
         self._reader = self._new_reader()
-
-        n_pages = zone_page_count(len(verts))
-        addrs = [self._io.alloc_page() for _ in range(n_pages)]
-        for addr, data in zip(addrs, encode_zone(ZoneObject(zid, verts), addrs[1:])):
-            self._io.program_page(addr, data)
-        self._zone_addr = addrs[0]
+        self._zone_addr = self._write_zone(ZoneObject(zid, verts))
         self._zone_verts = verts
 
         node = decode_node(self._reader.node(root))
-        if top == CellClass.INSIDE or self.params.zone_max_depth == 0:
-            # records for the top cell itself live in the root's self_list
-            kind = KIND_ZONE_INSIDE if top == CellClass.INSIDE else KIND_ZONE_EDGE
-            rec = LeafRecord(kind, self._zone_addr)
+        rec = self._top_record(top, self._zone_addr)
+        if rec is not None:  # records for the top cell itself live in the root's self_list
             if node.self_list == ENTRY_EMPTY:
                 node.self_list = make_leaf(self._write_chain([rec]))
             else:
@@ -1026,8 +1138,7 @@ class TreeEditor:
             if entry_is_empty(word):
                 return self._build_cell(cell, [], [(_DESCEND, self._zone_addr, self._zone_verts)])
             if entry_is_leaf(word):
-                records = [r for recs, _ in self._reader.chain(entry_addr(word)) for r in recs]
-                pts, zitems = self._partition(records)
+                pts, zitems = self._partition(self._records(word))
                 zitems.append((_DESCEND, self._zone_addr, self._zone_verts))
                 return self._build_cell(cell, pts, zitems)
             node = decode_node(self._reader.node(entry_addr(word)))

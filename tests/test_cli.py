@@ -6,6 +6,8 @@ import os
 import pytest
 
 from flashquad.cli import main
+from flashquad.flashsim import FlashDevice
+from flashquad.store import Store
 
 
 @pytest.fixture()
@@ -76,6 +78,25 @@ def test_build_from_dataset_and_replay(ws, capsys):
     assert "25 steps" in err and "reads/step" in err
     lines = (ws / "out.csv").read_text().splitlines()
     assert lines[0].startswith("t,pages_read,") and len(lines) == 26
+
+
+def test_build_programs_only_the_pages_the_image_then_holds(ws, capsys, monkeypatch):
+    run(capsys, "gen-dataset", "-o", "net.txt", "--seed", "5", "--gantries", "300", "--zones", "12")
+    run(capsys, "format", "db.img", "--sectors", "8")
+    programs = []
+    program_page = FlashDevice.program_page
+
+    def counted(self, addr, data):
+        programs.append(addr)
+        return program_page(self, addr, data)
+
+    monkeypatch.setattr(FlashDevice, "program_page", counted)
+    code, out, _ = run(capsys, "build", "db.img", "net.txt")
+    assert code == 0 and "loaded 300 gantries, 12 zones" in out
+    store = Store(FlashDevice.load("db.img"))
+    held = store.handle().reachable_pages()
+    assert len(programs) == len(held) + 1  # every page of the new version once, and its record
+    assert store.verify()["ok"] and store.handle().stats().objects == 312
 
 
 def test_versions_rollback_diff_apply(ws, capsys):

@@ -276,6 +276,28 @@ def test_single_session_bulk_churn_reuses_staging():
     assert not store.verify()["problems"]
 
 
+def test_load_fits_a_part_where_the_insert_loop_runs_out():
+    """A bulk load writes only the final tree, so it fits a part about 1.25x that size."""
+    gantries, zones = generate_dataset(7, n_gantries=600, n_zones=40)
+    roomy = fresh(16)
+    build_database(roomy, gantries, zones)
+    tree_pages = len(roomy.handle().reachable_pages())
+    sectors = 7
+    assert 1.2 * tree_pages <= sectors * 256 <= 1.3 * tree_pages
+    tight = fresh(sectors)
+    build_database(tight, gantries, zones)
+    assert tight.verify()["ok"]
+    assert version_digest(tight, 2) == version_digest(roomy, 2)
+
+    looped = fresh(sectors)
+    s = looped.begin()
+    with pytest.raises(FlashFullError):
+        for g in gantries:
+            s.insert_gantry(g.gantry_id, g.x, g.y)
+        for z in zones:
+            s.insert_zone(z.zone_id, z.vertices)
+
+
 def test_cursor_survives_remount():
     store = fresh()
     add_gantries(store, range(10))
@@ -428,6 +450,41 @@ def test_apply_is_idempotent_after_interrupt():
     assert back.current_version == 2  # the torn apply never registered
     assert back.apply_update(pkg) == 3
     assert version_digest(back, 3) == version_digest(store, 3)
+
+
+def test_apply_reads_each_target_once_and_programs_only_what_it_must():
+    """A package page found present is not read again, nor programmed unless its subsector is erased."""
+    store = fresh(8)
+    add_gantries(store, [1])
+    base_blob = store.device.to_bytes()
+    s = store.begin()
+    s.load([(gid, 10_000 * gid, 12_000 * gid) for gid in range(100, 140)], [])
+    s.commit()
+    _, _, pages, _ = _parse_update(store.make_update(2, 3))
+    data = dict(pages)
+    assert {48, 49, 64} <= set(data)  # subsectors 3 and 4 hold no page of version 2
+
+    replica = Store(FlashDevice.from_bytes(base_blob))
+    replica.device.program_page(48, data[48])  # present, but subsector 3 must be erased ...
+    replica.device.program_page(49, bytes(PAGE_SIZE))  # ... for this page
+    replica.device.program_page(64, data[64])  # present: nothing to do
+    reads, programs = [], []
+    replica.device.on_read = reads.append
+    replica.device.on_program = lambda addr, _: programs.append(addr)
+    diff = replica._diff
+
+    def diff_unobserved(*args):  # what follows the package pages reads the new tree
+        replica.device.on_read = None
+        return diff(*args)
+
+    replica._diff = diff_unobserved
+    erases = replica.device.stats().erases
+    assert replica.apply_update(store.make_update(2, 3)) == 3
+    assert sorted(a for a in reads if a in data) == sorted(data)
+    assert sorted(a for a in programs if a in data) == sorted(set(data) - {64})
+    assert replica.device.stats().erases == erases + 1
+    assert replica.verify()["ok"]
+    assert version_digest(replica, 3) == version_digest(store, 3)
 
 
 def test_apply_refuses_to_clobber_live_pages():

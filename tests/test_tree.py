@@ -6,6 +6,8 @@ import signal
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from flashquad.codec import (
     KIND_POINT,
@@ -21,11 +23,12 @@ from flashquad.codec import (
 )
 from flashquad.errors import ConflictError, DomainError, FormatError, IntegrityError, NotFoundError
 from flashquad.flashsim import FlashDevice, FlashGeometry
+from flashquad.geometry import TOP_CELL, CellClass, classify_cell
 from flashquad.geometry import WORLD_SIZE as W
 from flashquad.store import Store
 from flashquad.tree import BuildParams
 
-from helpers import count_kind_programs
+from helpers import count_kind_programs, pip_oracle_one, random_simple_polygon
 
 
 def fresh(params=None, sectors=4):
@@ -524,3 +527,149 @@ def test_random_mixed_workload_stays_consistent():
         got = h.query_gantries_within(x, y, 100_000).ids
         want = {g for g, (gx, gy) in live_g.items() if (gx - x) ** 2 + (gy - y) ** 2 <= 100_000**2}
         assert got == want
+
+
+# -- bulk load ------------------------------------------------------------------
+
+WORLD_COVER = ((-W, -W), (3 * W, -W), (3 * W, 3 * W), (-W, 3 * W))  # inside at the top cell
+
+
+def random_objects(rng, n_gantries, n_zones, first_id=1, near=()):
+    """Gantries ``(id, x, y)`` clustered round a few centres, so small thresholds split deep,
+    and small zones ``(id, vertices)`` that meet the world.  Centres are random, or drawn
+    from ``near`` (points inside the world) when it is given."""
+    centres = rng.sample(near, min(len(near), 4)) if near else [(rng.randrange(W), rng.randrange(W)) for _ in range(3)]
+    gantries = []
+    for gid in range(first_id, first_id + n_gantries):
+        cx, cy = rng.choice(centres)
+        spread = rng.choice([0, 300, 30_000, 600_000])
+        x = min(max(cx + rng.randint(-spread, spread), 0), W - 1)
+        y = min(max(cy + rng.randint(-spread, spread), 0), W - 1)
+        gantries.append((gid, x, y))
+    zones = []
+    while len(zones) < n_zones:
+        verts = random_simple_polygon(rng, max_verts=8, radius_max=40_000)
+        if classify_cell(TOP_CELL, verts) != CellClass.OUTSIDE:
+            zones.append((first_id + len(zones), verts))
+    return gantries, zones
+
+
+def insert_each(session, gantries, zones):
+    for gid, x, y in gantries:
+        session.insert_gantry(gid, x, y)
+    for zid, verts in zones:
+        session.insert_zone(zid, verts)
+
+
+def assert_same_trees(a, b, gantries, zones, rng):
+    """Both stores' current versions verify, hold exactly these objects in as many
+    pages, and answer point and disc queries alike and as a linear scan does."""
+    ha, hb = a.handle(), b.handle()
+    for store in (a, b):
+        assert store.verify()["ok"]
+    want = {(gid, "gantry") for gid, _, _ in gantries} | {(zid, "zone") for zid, _ in zones}
+    for h in (ha, hb):
+        heads = h.walk().object_heads()
+        assert {(oid, kind) for oid, kinds in heads.items() for kind in kinds.values()} == want
+    assert len(ha.reachable_pages()) == len(hb.reachable_pages())
+    probes = [(x, y) for _, x, y in gantries] + [(rng.randrange(W), rng.randrange(W)) for _ in range(20)]
+    probes += [(min(max(x, 0), W - 1), min(max(y, 0), W - 1)) for _, verts in zones for x, y in verts[:2]]
+    for x, y in probes:
+        zones_at = ha.query_zones_at(x, y).ids
+        assert zones_at == hb.query_zones_at(x, y).ids
+        assert zones_at == {zid for zid, verts in zones if pip_oracle_one(x, y, verts)}
+        r = rng.choice([0, 500, 50_000])
+        near = ha.query_gantries_within(x, y, r).ids
+        assert near == hb.query_gantries_within(x, y, r).ids
+        assert near == {gid for gid, gx, gy in gantries if (gx - x) ** 2 + (gy - y) ** 2 <= r * r}
+
+
+PARAMS = hs.builds(
+    lambda t, md, zd, dedup: BuildParams(t, md, min(zd, md), dedup),
+    hs.sampled_from([0, 1, 2, 3, 8]),
+    hs.integers(0, 6),
+    hs.integers(0, 3),
+    hs.booleans(),
+)
+
+
+@given(seed=hs.integers(0, 2**32 - 1), params=PARAMS, world_cover=hs.booleans())
+@settings(max_examples=150, deadline=None)
+def test_load_agrees_with_the_insert_loop(seed, params, world_cover):
+    """``load`` builds what one insert per object builds, onto an empty base and onto a loaded one."""
+    rng = random.Random(seed)
+    first = random_objects(rng, rng.randint(1, 24), rng.randint(0, 4))
+    if world_cover:
+        first[1].append((50, WORLD_COVER))
+    # the second batch lands in the first one's leaves: at its gantries and its zones' corners
+    near = [(x, y) for _, x, y in first[0]] + [
+        (min(max(x, 0), W - 1), min(max(y, 0), W - 1)) for _, verts in first[1] for x, y in verts[:3]
+    ]
+    second = random_objects(rng, rng.randint(1, 12), rng.randint(0, 3), first_id=100, near=near)
+
+    loaded, looped = fresh(params, sectors=16), fresh(params, sectors=16)
+    committed(loaded, lambda s: s.load(*first))
+    committed(looped, lambda s: insert_each(s, *first))
+    assert_same_trees(loaded, looped, *first, rng)
+
+    inserted = Store(FlashDevice.from_bytes(loaded.device.to_bytes()), params=params)
+    committed(inserted, lambda s: insert_each(s, *second))
+    committed(loaded, lambda s: s.load(*second))
+    committed(looped, lambda s: s.load(*second))
+    both = (first[0] + second[0], first[1] + second[1])
+    assert_same_trees(loaded, inserted, *both, rng)
+    assert_same_trees(loaded, looped, *both, rng)
+
+
+def test_load_onto_an_empty_base_programs_each_page_of_the_tree_once():
+    gantries, zones = random_objects(random.Random(5), 60, 6)
+    zones.append((99, WORLD_COVER))
+    store = fresh(BuildParams(leaf_split_threshold=2), sectors=16)
+    before = store.device.stats().programs
+    committed(store, lambda s: s.load(gantries, zones))
+    # the pages of the new version, plus its version record
+    assert store.device.stats().programs - before == len(store.handle().reachable_pages()) + 1
+    assert store.handle().stats().objects == len(gantries) + len(zones)
+
+
+BOWTIE = ((0, 0), (10_000, 10_000), (0, 10_000), (10_000, 0))
+OFF_WORLD = ((-90_000, -90_000), (-50_000, -90_000), (-50_000, -50_000))
+OTHER_SQUARE = tuple((x + 50_000, y) for x, y in SQUARE)
+
+
+@pytest.mark.parametrize(
+    "gantries, zones, error",
+    [
+        ([(1, 5, 5), (2, W, 5)], [], DomainError),
+        ([(1, 5, 5), (1 << 32, 6, 6)], [], DomainError),
+        ([(1, 5, 5)], [(1, SQUARE), (2, BOWTIE)], DomainError),
+        ([(1, 5, 5)], [(1, SQUARE), (2, OFF_WORLD)], DomainError),
+        ([(1, 5, 5)], [(-1, SQUARE)], DomainError),
+        ([(1, 5, 5), (2, 6, 6), (1, 7, 7)], [], ConflictError),
+        ([(1, 5, 5)], [(1, SQUARE), (1, OTHER_SQUARE)], ConflictError),
+    ],
+    ids=["gantry-off-world", "id-past-u32", "crossing-polygon", "zone-off-world", "negative-id",
+         "gantry-id-twice", "zone-id-twice"],
+)
+def test_bad_load_input_raises_before_any_program(gantries, zones, error):
+    store = fresh()
+    committed(store, lambda s: s.insert_gantry(7, 100_000, 100_000))
+    s = store.begin()
+    before = store.device.stats().programs
+    with pytest.raises(error):
+        s.load(gantries, zones)
+    assert store.device.stats().programs == before
+    s.rollback()
+    assert store.current_version == 2
+    committed(store, lambda s: s.load([(8, 5, 5)], [(8, SQUARE)]))  # a gantry and a zone may share an id
+    assert store.handle().stats().objects == 3
+
+
+def test_load_refuses_a_gantry_id_already_in_its_leaf():
+    store = fresh()
+    committed(store, lambda s: s.insert_gantry(7, 100_000, 100_000))
+    s = store.begin()
+    with pytest.raises(ConflictError, match="gantry id 7 already present"):
+        s.load([(8, 1_500_000, 1_500_000), (7, 100_010, 100_010)], [])
+    s.rollback()
+    assert store.current_version == 2 and store.handle().stats().objects == 1
