@@ -75,15 +75,15 @@ def entry_addr(word: int) -> int:
     return word & ADDR_MASK
 
 
-def check_entry(word: int, total_pages: int | None = None) -> int:
-    """Validate a raw 24-bit entry word and return it."""
+def check_entry(word: int, total_pages: int | None = None, addr: int | None = None) -> int:
+    """Validate a raw 24-bit entry word (of the node page at ``addr``) and return it."""
     if word == ENTRY_EMPTY:
         return word
     tag = word >> ADDR_BITS
     if tag not in (TAG_CHILD, TAG_LEAF):
-        raise FormatError(f"cell entry 0x{word:06x} has reserved tag bits {tag:02b}")
+        raise FormatError(f"cell entry 0x{word:06x} has reserved tag bits {tag:02b}{_at(addr)}")
     if total_pages is not None and (word & ADDR_MASK) >= total_pages:
-        raise FormatError(f"cell entry 0x{word:06x} addresses past end of device")
+        raise FormatError(f"cell entry 0x{word:06x} addresses past end of device{_at(addr)}")
     return word
 
 
@@ -94,7 +94,10 @@ NODE_FANOUT = 81
 NODE_ENTRY_SIZE = 3
 NODE_ENTRY_AREA = NODE_FANOUT * NODE_ENTRY_SIZE  # 243
 NODE_SELF_LIST_OFF = 2  # 3 bytes; list pointer for the node's own cell
-NODE_RESERVED_OFF = 5  # 6 bytes, 0xFF
+NODE_SELF_CHECK_OFF = 5  # 1 byte: SELF_CHECKED when the next 2 hold a CRC-16 of self_list, else 0xFF
+NODE_SELF_CRC_OFF = 6  # 2 bytes
+NODE_RESERVED_OFF = 8  # 3 bytes, 0xFF
+SELF_CHECKED = 0x00
 NODE_CRC_OFF = 11  # 2 bytes over the entry area
 NODE_ENTRIES_OFF = 13
 
@@ -126,7 +129,10 @@ def encode_node(node: NodePage) -> bytes:
     buf = bytearray(b"\xff" * PAGE_SIZE)
     buf[0] = NODE_MAGIC
     buf[1] = node.level
-    buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = node.self_list.to_bytes(3, "big")
+    if node.self_list != ENTRY_EMPTY:
+        buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = node.self_list.to_bytes(3, "big")
+        buf[NODE_SELF_CHECK_OFF] = SELF_CHECKED
+        buf[NODE_SELF_CRC_OFF : NODE_SELF_CRC_OFF + 2] = _self_list_crc(buf).to_bytes(2, "big")
     pos = NODE_ENTRIES_OFF
     for word in node.entries:
         buf[pos : pos + 3] = check_entry(word).to_bytes(3, "big")
@@ -162,6 +168,10 @@ def _remember(memo: OrderedDict, key, value) -> None:
     memo[key] = value
 
 
+def _self_list_crc(page: bytes | bytearray) -> int:
+    return crc16(bytes(page[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3]))
+
+
 def validate_node(page: bytes, addr: int | None = None) -> None:
     """Cheap integrity check used on every node read (memoized by content)."""
     if type(page) is not bytes:
@@ -175,6 +185,12 @@ def validate_node(page: bytes, addr: int | None = None) -> None:
     stored = int.from_bytes(page[NODE_CRC_OFF : NODE_CRC_OFF + 2], "big")
     if stored != crc16(page[NODE_ENTRIES_OFF:]):
         raise FormatError(f"node entry-area CRC mismatch{_at(addr)}")
+    flag = page[NODE_SELF_CHECK_OFF]
+    if flag == SELF_CHECKED:
+        if int.from_bytes(page[NODE_SELF_CRC_OFF : NODE_SELF_CRC_OFF + 2], "big") != _self_list_crc(page):
+            raise FormatError(f"node self_list CRC mismatch{_at(addr)}")
+    elif flag != 0xFF:  # 0xFF: no check stored (an empty self_list, or a node written before the check)
+        raise FormatError(f"node self_list check flag 0x{flag:02x} is neither 0x00 nor 0xff{_at(addr)}")
     _remember(_VALID_NODES, page, None)
 
 
@@ -191,12 +207,12 @@ def decode_node(page: bytes, total_pages: int | None = None, addr: int | None = 
     limit = ADDR_MASK + 1 if total_pages is None else total_pages
     for word in entries:
         if word != ENTRY_EMPTY and (word >> ADDR_BITS > TAG_LEAF or word & ADDR_MASK >= limit):
-            check_entry(word, total_pages)  # raises, naming the fault
+            check_entry(word, total_pages, addr)  # raises, naming the fault
     self_list = int.from_bytes(page[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3], "big")
     if self_list != ENTRY_EMPTY:
-        check_entry(self_list, total_pages)
+        check_entry(self_list, total_pages, addr)
         if not entry_is_leaf(self_list):
-            raise FormatError("node self_list is not a leaf-list entry")
+            raise FormatError(f"node self_list is not a leaf-list entry{_at(addr)}")
     return NodePage(level=page[1], entries=entries, self_list=self_list)
 
 

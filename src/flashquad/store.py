@@ -26,8 +26,12 @@ writes bytes it already has, provided that page is still live or pending
 
 The store keeps reference counts for the current version
 (``tree.RefCounts``), so a commit or an applied update diffs the base root
-against the new one and reads only the pages that changed; mount builds
-the counts from the bytes its walk reads.
+against the new one and reads only the pages that changed.  Each page the
+current version no longer holds but an older retained version does is kept
+in one map, with the newest such version; a page is live when it is
+counted or in that map.  Mount counts the current version from an empty
+table, then adds each older retained root on top, newest first, so an older
+version reads only the pages no newer one holds.
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ class Session:
         # (the base version's map by default) under the ids this session edited
         self._objects = store._refs.objects if objects is None else objects
         self._edited: dict[int, dict[int, str]] = {}
+        # the entries this session added to the store's dedup map; they go at close unless live
+        self.learned: dict[bytes, int] = {}
 
     # -- page IO for the editor --
 
@@ -128,7 +134,7 @@ class Session:
         addr = self.alloc_page()
         self.program_page(addr, data)
         if dedupable and store.params.dedup:
-            store._dedup[data] = addr
+            store._dedup[data] = self.learned[data] = addr
         return addr
 
     # -- edits --
@@ -193,7 +199,6 @@ class Session:
     def rollback(self) -> None:
         self._assert_open()
         self._store._drop_session(self)
-        self._store._rebuild_live()  # forgets the dedup entries of the dropped pages
 
 
 class Store:
@@ -214,9 +219,6 @@ class Store:
         self.cache = PageCache(cache_pages)
         self._session: Optional[Session] = None
         self._known_erased: set[int] = set()
-        self._reach: dict[int, frozenset[int]] = {}
-        self._dedup: dict[bytes, int] = {}
-        self._live_pages: frozenset[int] = frozenset()
         self._mount()
 
     # -- construction --
@@ -298,7 +300,7 @@ class Store:
         if not DATA_START <= cursor < self.total_pages:
             raise IntegrityError(f"allocation cursor {cursor} out of range")
         self._cursor = cursor
-        self._rebuild_live()
+        self._count_versions()
 
     # -- basic page IO --
 
@@ -326,53 +328,42 @@ class Store:
         self._known_erased.discard(addr)
         self.cache.put(addr, data)
 
-    # -- reachability, liveness, dedup --
+    # -- liveness, dedup --
 
-    def _reachable_of(self, root: int) -> frozenset[int]:
-        rs = self._reach.get(root)
-        if rs is None:
-            rep = tree.walk_version(self.read_page, root, self.total_pages)
-            if rep.problems:
-                raise IntegrityError("; ".join(rep.problems[:8]))
-            rs = rep.reachable
-            self._reach[root] = rs
-            self._learn_leaves(rep.leaf_pages)
-        return rs
+    def _count_versions(self) -> None:
+        """Count the current version from an empty table, then each older retained version on top.
 
-    def _rebuild_live(self) -> None:
-        """Recompute the live set; walk each version whose reachable set is not cached.
-
-        When the current version is walked, its reference counts are built
-        from that walk (mount and ``rollback_to``); otherwise they are kept.
+        Older versions are added newest first into one scratch table, so each
+        reads only the pages no newer version holds; those pages go into
+        ``_held`` with the version that added them.  The first problem of
+        each damaged version goes into ``_damage``.
         """
-        union: set[int] = set()
         self._damage: dict[int, str] = {}
-        walked: dict[int, tree.WalkReport] = {}
-        for vno, rec in sorted(self._versions.items()):
-            cached = self._reach.get(rec.root_page)
-            if cached is not None:
-                union |= cached
-                continue
-            rep = walked[rec.root_page] = tree.walk_version(self.read_page, rec.root_page, self.total_pages)
-            union |= rep.reachable
-            if rep.problems:
-                # keep the partial reachable set so the allocator stays away
-                # from it, but never cache it as authoritative
-                self._damage[vno] = rep.problems[0]
-                continue
-            self._reach[rec.root_page] = rep.reachable
-            self._learn_leaves(rep.leaf_pages)
-        current = walked.get(self._versions[self.current_version].root_page)
-        if current is not None:
-            self._refs = tree.RefCounts.from_walk(current)
-        self._live_pages = live = frozenset(union)
-        roots = {rec.root_page for rec in self._versions.values()}
-        self._reach = {r: s for r, s in self._reach.items() if r in roots}
-        # _dedup_lookup refuses dead pages, and no session holds any here
-        for data in [data for data, addr in self._dedup.items() if addr not in live]:
-            del self._dedup[data]
+        self._dedup: dict[bytes, int] = {}
+        # page the current version does not hold -> (newest retained version holding it, its bytes)
+        self._held: dict[int, tuple[int, bytes]] = {}
+        self._refs = tree.RefCounts()
+        newest_first = sorted(self._versions, reverse=True)
+        d = tree.CountDelta(self._refs, self.read_page, self.total_pages)
+        d.add(self._versions[newest_first[0]].root_page)
+        problems = d.problems + d.nodes_named_twice()
+        if problems:
+            self._damage[newest_first[0]] = problems[0]
+        self._refs.install(d)
+        self._learn(d.leaf_pages)
+        d = tree.CountDelta(self._refs, self.read_page, self.total_pages)
+        for vno in newest_first[1:]:
+            seen = len(d.problems)
+            fresh = d.add(self._versions[vno].root_page)
+            if len(d.problems) > seen:
+                self._damage[vno] = d.problems[seen]
+            self._held.update((addr, (vno, d.pages[addr])) for addr in fresh)
+        self._learn(d.leaf_pages)
 
-    def _learn_leaves(self, leaf_pages: dict[int, bytes]) -> None:
+    def _is_live(self, addr: int) -> bool:
+        return addr in self._refs.counts or addr in self._held
+
+    def _learn(self, leaf_pages: dict[int, bytes]) -> None:
         """Add leaf pages (address -> bytes already read) to the dedup map."""
         if self.params.dedup:
             for addr, page in leaf_pages.items():
@@ -390,7 +381,7 @@ class Store:
         addr = self._dedup.get(data)
         if addr is None:
             return None
-        if addr not in pending and addr not in self._live_pages:
+        if addr not in pending and not self._is_live(addr):
             return None  # dead page: could be erased before the new version commits
         if self.read_page(addr) != data:
             return None
@@ -436,7 +427,7 @@ class Store:
         sess.pending &= rep.reachable | sess.edit_pages
 
     def _try_take(self, addr: int, pending: set[int]) -> bool:
-        if addr in pending or addr in self._live_pages:
+        if addr in pending or self._is_live(addr):
             return False
         if addr in self._known_erased:
             self._known_erased.discard(addr)
@@ -446,7 +437,7 @@ class Store:
         # dirty dead page: reclaim the subsector if nothing in it is live
         first = addr - addr % PAGES_PER_SUBSECTOR
         for p in range(first, first + PAGES_PER_SUBSECTOR):
-            if p in pending or p in self._live_pages:
+            if p in pending or self._is_live(p):
                 return False
         self._erase_subsector(first)
         self._known_erased.discard(addr)
@@ -463,12 +454,12 @@ class Store:
         self._refuse_damaged()  # a partial live set must never drive an erase
         if protect is None:
             protect = self._session.pending if self._session else set()
-        mark = self._live_pages
+        counts, held = self._refs.counts, self._held
         reclaimed = 0
         erased = 0
         for first in range(DATA_START, self.total_pages, PAGES_PER_SUBSECTOR):
             pages = range(first, first + PAGES_PER_SUBSECTOR)
-            if any(p in mark or p in protect for p in pages):
+            if any(p in protect or p in counts or p in held for p in pages):
                 continue
             dirty = sum(
                 1
@@ -551,14 +542,18 @@ class Store:
         rep = tree.walk_version(self.read_page, root, self.total_pages)
         if rep.problems:
             raise IntegrityError("staged tree is damaged: " + "; ".join(rep.problems[:8]))
-        self._learn_leaves(rep.leaf_pages)
+        self._learn(rep.leaf_pages)
         self._session = Session(self, base_version, root, pending, rep.object_heads())
+        self._session.learned = {page: addr for addr, page in rep.leaf_pages.items()}
         return self._session
 
     def _drop_session(self, session: Session) -> None:
         session.closed = True
         if self._session is session:
             self._session = None
+        for page, addr in session.learned.items():
+            if self._dedup.get(page) == addr and not self._is_live(addr):
+                del self._dedup[page]
 
     def _diff(self, new_root: int, refusal: str) -> tree.CountDelta:
         """The current version's counts diffed to ``new_root``; damage raises ``IntegrityError``."""
@@ -569,15 +564,23 @@ class Store:
             raise IntegrityError(f"{refusal}: {e}") from e
 
     def _install(self, rec: VersionRecord, delta: tree.CountDelta) -> None:
-        """Make ``rec`` current once its record is programmed: counts, reachable set, retention."""
+        """Make ``rec`` current once its record is programmed: counts, held pages, retention."""
+        held, base = self._held, self.current_version
         self._versions[rec.version_no] = rec
         self.current_version = rec.version_no
         self._refs.install(delta)
-        self._reach[rec.root_page] = frozenset(self._refs.counts)
-        self._learn_leaves(delta.leaf_pages)
+        for addr in delta.born:
+            held.pop(addr, None)
+        held.update((addr, (base, delta.pages[addr])) for addr, c in delta.counts.items() if not c)
+        self._learn(delta.leaf_pages)
         while len(self._versions) > self.max_versions:
             self._revoke(min(self._versions))
-        self._rebuild_live()
+        oldest = min(self._versions)
+        for addr, (vno, page) in list(held.items()):
+            if vno < oldest:  # no retained version holds it any more
+                del held[addr]
+                if self._dedup.get(page) == addr:
+                    del self._dedup[page]
 
     def _commit(self, session: Session) -> int:
         delta = self._diff(session.root, "refusing to commit a damaged tree")
@@ -597,8 +600,7 @@ class Store:
             self._revoke(v)
         self.current_version = vno
         self._cursor = self._versions[vno].alloc_cursor
-        self._reach.pop(self._versions[vno].root_page, None)  # walk it again for its counts
-        self._rebuild_live()
+        self._count_versions()
 
     # -- read access --
 
@@ -662,7 +664,21 @@ class Store:
             raise NotFoundError(f"version {new_version} is not live")
         if new_version <= base_version:
             raise DomainError("an update package must move to a newer version")
-        fresh = sorted(self._reachable_of(new.root_page) - self._reachable_of(base.root_page))
+        for vno in (base_version, new_version, self.current_version):
+            if vno in self._damage:
+                raise IntegrityError(f"version {vno} is damaged ({self._damage[vno]})")
+        # from the current version's counts to new's, then back to base's: the
+        # pages whose count falls to 0 on the way back are new's and not base's
+        d = tree.CountDelta(self._refs, self.read_page, self.total_pages)
+        try:
+            d.add(new.root_page)
+            d.drop(self._versions[self.current_version].root_page)
+            d.add(base.root_page)
+            if d.problems:
+                raise IntegrityError(d.problems[0])
+            fresh = sorted(d.drop(new.root_page))
+        except (FormatError, IntegrityError) as e:
+            raise IntegrityError(f"cannot package version {new_version}: {e}") from e
         out = bytearray()
         out += UPDATE_MAGIC
         out += base_version.to_bytes(4, "little")
@@ -670,7 +686,7 @@ class Store:
         out += len(fresh).to_bytes(4, "little")
         for addr in fresh:
             out += addr.to_bytes(3, "big")
-            out += self.read_page(addr)
+            out += d.pages[addr]
         out += new.root_page.to_bytes(3, "big")
         out += zlib.crc32(bytes(out)).to_bytes(4, "little")
         return bytes(out)
@@ -686,7 +702,6 @@ class Store:
             )
         if new_v <= self.current_version:
             raise VersionConflictError(f"package target version {new_v} is not newer")
-        live = self._live_pages
         present: set[int] = set()
         need_erase: set[int] = set()
         for addr, data in pages:
@@ -696,7 +711,7 @@ class Store:
             if raw == data:
                 present.add(addr)  # shared page or an interrupted earlier apply
                 continue
-            if addr in live:
+            if self._is_live(addr):
                 raise RelocationError(f"package wants page {addr}, which is still live here")
             if any(d & ~r for d, r in zip(data, raw)):
                 # needs at least one 0->1 transition, so the page must be erased first;
@@ -704,7 +719,7 @@ class Store:
                 need_erase.add(addr - addr % PAGES_PER_SUBSECTOR)
         for first in sorted(need_erase):
             for p in range(first, first + PAGES_PER_SUBSECTOR):
-                if p in live:
+                if self._is_live(p):
                     raise RelocationError(
                         f"page {p} is live but shares a subsector with package pages"
                     )

@@ -32,7 +32,7 @@ and writes through a small page-IO object (the store) that provides
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import codec
@@ -275,199 +275,6 @@ class PageReader:
 
 
 # ---------------------------------------------------------------------------
-# reachability walk
-
-
-@dataclass
-class WalkReport:
-    """Everything one full traversal of a version can tell us."""
-
-    root: int
-    pages: dict[int, bytes] = field(default_factory=dict)  # every page read, by address
-    nodes: dict[int, int] = field(default_factory=dict)  # addr -> level
-    leaf_pages: dict[int, bytes] = field(default_factory=dict)  # addr -> page bytes
-    leaf_visits: int = 0
-    leaf_refs: int = 0
-    zone_inside: int = 0
-    zone_edge: int = 0
-    objects: dict[int, tuple[str, int]] = field(default_factory=dict)  # head -> (kind, id)
-    refs: Counter = field(default_factory=Counter)  # addr -> referencing pages (see RefCounts)
-    empty_entries: int = 0
-    used_entries: int = 0
-    max_attach_level: int = 0
-    problems: list[str] = field(default_factory=list)
-
-    @property
-    def reachable(self) -> frozenset[int]:
-        """Every page the walk read (on a damaged version, undecodable ones too)."""
-        return frozenset(self.pages)
-
-    @property
-    def object_pages(self) -> set[int]:
-        """Pages read that are neither nodes nor leaf lists: objects and zone continuations."""
-        return set(self.pages).difference(self.nodes, self.leaf_pages)
-
-    def object_heads(self) -> dict[int, dict[int, str]]:
-        """Object id -> {head page: kind} of every object the walk loaded."""
-        out: dict[int, dict[int, str]] = {}
-        for head, (kind, oid) in self.objects.items():
-            out.setdefault(oid, {})[head] = kind
-        return out
-
-
-def walk_version(
-    read: Callable[[int], bytes], root_page: int, total_pages: Optional[int] = None
-) -> WalkReport:
-    """Traverse every page reachable from ``root_page``, reading each once.
-
-    Collects structure counts and integrity problems instead of raising,
-    so verification can report everything it finds; descent is pruned at
-    the first undecodable page on a branch.
-    """
-    rep = WalkReport(root=root_page)
-    pages = rep.pages
-    # the distinct pages each visited page names, one item per reference;
-    # nodes add their entry words, so leaf-list entries carry their tag bits
-    # until the count at the end folds them onto their addresses
-    named: list[int] = []
-
-    def read_once(addr: int) -> bytes:
-        raw = pages.get(addr)
-        if raw is None:
-            raw = pages[addr] = read(addr)
-        return raw
-
-    reader = PageReader(read_once, total_pages)
-    bad_objects: set[int] = set()
-
-    def load_object(head: int, kind: str) -> None:
-        known = rep.objects.get(head)
-        if (known is not None and known[0] == kind) or head in bad_objects:
-            return
-        try:
-            obj = reader.object(head, kind)
-        except (FormatError, IntegrityError) as e:
-            bad_objects.add(head)
-            rep.problems.append(str(e))
-            return
-        rep.objects[head] = (kind, obj.object_id)
-        if kind == "zone":  # the reader has read and checked every page of the zone
-            nxt = decode_object_page(pages[head])["next"]
-            while nxt != NO_PAGE:
-                named.append(nxt)
-                nxt = decode_object_page(pages[nxt])["next"]
-
-    chain_sums: dict[int, tuple[int, int, int, int]] = {}  # head -> pages, records, inside, edge
-
-    def visit_chain(head: int, attach_level: int, times: int = 1) -> None:
-        """Count ``times`` references to a leaf chain; a shared chain is read on its first only."""
-        rep.max_attach_level = max(rep.max_attach_level, attach_level)
-        sums = chain_sums.get(head)
-        if sums is None:
-            n_pages = n_refs = n_inside = n_edge = 0
-            addr = head
-            try:
-                for records, nxt in reader.chain(head):
-                    if addr not in rep.leaf_pages:  # a tail shared by two chains counts once
-                        rep.leaf_pages[addr] = pages[addr]
-                        kids = {rec.object_page for rec in records}
-                        if nxt != NO_PAGE:
-                            kids.add(nxt)
-                        named.extend(kids)
-                    n_pages += 1
-                    n_refs += len(records)
-                    for rec in records:
-                        if rec.kind == KIND_POINT:
-                            load_object(rec.object_page, "gantry")
-                            continue
-                        if rec.kind == KIND_ZONE_INSIDE:
-                            n_inside += 1
-                        else:
-                            n_edge += 1
-                        load_object(rec.object_page, "zone")
-                    addr = nxt
-            except (FormatError, IntegrityError) as e:
-                rep.problems += [str(e)] * times
-            else:
-                chain_sums[head] = (n_pages, n_refs, n_inside, n_edge)
-            sums = (n_pages, n_refs, n_inside, n_edge)
-        rep.leaf_visits += sums[0] * times
-        rep.leaf_refs += sums[1] * times
-        rep.zone_inside += sums[2] * times
-        rep.zone_edge += sums[3] * times
-
-    def visit_node(addr: int, level: int) -> None:
-        if addr in rep.nodes:
-            rep.problems.append(f"node page {addr} reachable twice")
-            return
-        try:
-            node = decode_node(reader.node(addr), total_pages, addr=addr)
-        except (FormatError, IntegrityError) as e:
-            rep.problems.append(str(e))
-            return
-        if node.level != level:
-            rep.problems.append(f"node {addr} has level {node.level}, expected {level}")
-        rep.nodes[addr] = node.level
-        uses = Counter(node.entries)  # entry word -> entries holding it (dedup shares leaf pages)
-        empty = uses.pop(ENTRY_EMPTY, 0)
-        rep.empty_entries += empty
-        rep.used_entries += NODE_FANOUT - empty
-        named.extend(uses)
-        if node.self_list != ENTRY_EMPTY:
-            if node.self_list not in uses:
-                named.append(node.self_list)
-            visit_chain(entry_addr(node.self_list), level)
-        for word, times in uses.items():
-            if word > ADDR_MASK:  # a leaf-list entry (decode_node refused the reserved tags)
-                visit_chain(word & ADDR_MASK, level + 1, times)
-            elif level >= codec.MAX_NODE_LEVEL:
-                rep.problems += [f"node {addr} at level {level} has a child entry"] * times
-            else:
-                visit_node(word, level + 1)  # a child entry's word is its address
-                rep.problems += [f"node page {word} reachable twice"] * (times - 1)
-
-    visit_node(root_page, 0)
-    refs = rep.refs
-    refs.update(named)
-    for word in [w for w in refs if w > ADDR_MASK]:
-        refs[word & ADDR_MASK] += refs.pop(word)
-    return rep
-
-
-def stats_from_walk(rep: WalkReport) -> StatsReport:
-    if rep.problems:
-        raise IntegrityError("; ".join(rep.problems[:8]))
-    node_count = len(rep.nodes)
-    m = rep.leaf_visits
-    l = len(set(rep.leaf_pages.values()))
-    n = m - l
-    obj_pages = len(rep.object_pages)
-    a = len(rep.objects)
-    b = node_count + m + obj_pages
-    d = node_count + m
-    return StatsReport(
-        objects=a,
-        total_pages=b,
-        total_mib=b * PAGE_SIZE / _MIB,
-        index_pages=d,
-        leaf_refs=rep.leaf_refs,
-        refs_per_object=(rep.leaf_refs / a) if a else 0.0,
-        empty_entries=rep.empty_entries,
-        used_entries=rep.used_entries,
-        max_depth=rep.max_attach_level,
-        zone_inside=rep.zone_inside,
-        zone_edge=rep.zone_edge,
-        distinct_leaf_pages=l,
-        leaf_pages=m,
-        duplicate_leaf_pages=n,
-        pages_deduped=b - n,
-        mib_deduped=(b - n) * PAGE_SIZE / _MIB,
-        index_pages_deduped=d - n,
-        index_mib_deduped=(d - n) * PAGE_SIZE / _MIB,
-    )
-
-
-# ---------------------------------------------------------------------------
 # reference counts
 
 # What a reachable page is: a node's level (0..MAX_NODE_LEVEL), or one of these.
@@ -485,8 +292,9 @@ def _role_name(role: Role) -> str:
 def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -> dict[int, Role]:
     """The pages ``page`` references, each once, with the role it gives each.
 
-    Raises ``FormatError`` or ``IntegrityError`` naming the page when the
-    page is damaged or its references break the tree's rules.
+    This is the one statement of what a page may reference.  Raises
+    ``FormatError`` or ``IntegrityError`` naming the page when the page is
+    damaged or its references break the tree's rules.
     """
     if role == GANTRY:
         return {}
@@ -506,37 +314,130 @@ def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -
                 )
         return refs
     node = decode_node(page, total_pages, addr=addr)
+    if node.level != role:
+        raise IntegrityError(f"node {addr} has level {node.level}, expected {role}")
     refs = {} if node.self_list == ENTRY_EMPTY else {entry_addr(node.self_list): LEAF}
-    for word in node.entries:
-        if entry_is_empty(word):
-            continue
-        child = entry_addr(word)
-        if entry_is_leaf(word):
+    uses = Counter(node.entries)  # entry word -> entries holding it (dedup shares leaf pages)
+    uses.pop(ENTRY_EMPTY, None)
+    for word, times in uses.items():
+        child = word & ADDR_MASK
+        if word > ADDR_MASK:  # a leaf-list entry (decode_node refused the reserved tags)
             if refs.setdefault(child, LEAF) != LEAF:
                 raise IntegrityError(f"node {addr} names page {child} as both a node and a leaf list")
         elif role >= codec.MAX_NODE_LEVEL:
             raise IntegrityError(f"node {addr} at level {role} has a child entry")
-        elif child in refs:
+        elif times > 1 or child in refs:
             raise IntegrityError(f"node page {child} reachable twice")
         else:
             refs[child] = role + 1
     return refs
 
 
-@dataclass
 class CountDelta:
-    """What one version step changes in the reference counts (see ``RefCounts.diff``)."""
+    """Changes to a ``RefCounts`` table, made by adding and dropping roots.
 
-    counts: dict[int, int]  # new count of every page whose count changed; 0 = unreachable now
-    born: dict[int, Role]  # pages that became reachable
-    pages: dict[int, bytes]  # every page the diff read
-    new_objects: dict[int, tuple[str, int]]  # head -> (kind, id) of objects that became reachable
-    gone_objects: dict[int, int]  # head -> id of objects that are no longer reachable
+    ``add`` counts one more reference to a root, ``drop`` one less.  A page
+    is read only when its count goes from 0 to 1 or falls to 0, and at most
+    once per delta.  The table is left as it is; ``RefCounts.install``
+    applies the delta.
+    """
+
+    def __init__(self, refs: "RefCounts", read: Callable[[int], bytes], total_pages: Optional[int]):
+        self._refs = refs
+        self._read = read
+        self._total_pages = total_pages
+        self._reader = PageReader(self._read_once, total_pages)
+        self.counts: dict[int, int] = {}  # new count of every page whose count changed; 0 = unreachable now
+        self.born: dict[int, Role] = {}  # pages that became reachable
+        self.pages: dict[int, bytes] = {}  # every page read
+        self.new_objects: dict[int, tuple[str, int]] = {}  # head -> (kind, id) of objects that became reachable
+        self.problems: list[str] = []  # damage ``add`` found, each naming a page
+
+    def _read_once(self, addr: int) -> bytes:
+        raw = self.pages.get(addr)
+        if raw is None:
+            raw = self.pages[addr] = self._read(addr)
+        return raw
+
+    def count(self, addr: int) -> int:
+        c = self.counts.get(addr)
+        return self._refs.counts.get(addr, 0) if c is None else c
+
+    def role(self, addr: int) -> Role:
+        return self.born[addr] if addr in self.born else self._refs.roles[addr]
 
     @property
     def leaf_pages(self) -> dict[int, bytes]:
         """The bytes of every leaf page that became reachable."""
         return {addr: self.pages[addr] for addr, role in self.born.items() if role == LEAF}
+
+    def add(self, root: int) -> list[int]:
+        """Count one more reference to the root node ``root``; returns the pages that became reachable.
+
+        A page is read only when its count goes from 0 to 1, and then gets
+        every check: ``_page_refs`` on its bytes, and the object reader's on
+        an object's pages.  A page already counted is not read; the role it
+        is referenced in must be the one it has.  Damage goes to
+        ``problems`` and stops the descent at the damaged page.
+        """
+        fresh: list[int] = []
+        counts, table = self.counts, self._refs.counts
+        open_: set[int] = set()  # leaf pages of the chain being followed
+        stack: list[tuple[int, Role, bool]] = [(root, 0, False)]
+        while stack:
+            addr, role, done = stack.pop()
+            if done:
+                open_.discard(addr)
+                continue
+            c = counts.get(addr)
+            if c is None:
+                c = table.get(addr, 0)
+            counts[addr] = c + 1
+            if c:
+                have = self.role(addr)
+                if have != role:
+                    self.problems.append(f"page {addr} is a {_role_name(have)}, expected a {_role_name(role)}")
+                elif addr in open_:
+                    self.problems.append(f"leaf chain loops at page {addr}")
+                continue
+            self.born[addr] = role
+            fresh.append(addr)
+            try:
+                if role in (GANTRY, ZONE):  # a zone reads and checks all its pages here
+                    self.new_objects[addr] = (role, self._reader.object(addr, role).object_id)
+                refs = _page_refs(self._read_once(addr), role, addr, self._total_pages)
+            except (FormatError, IntegrityError) as e:
+                self.problems.append(str(e))
+                continue
+            if role == LEAF:  # levels keep a node off its own path, and the reader checks zone chains
+                open_.add(addr)
+                stack.append((addr, role, True))
+            stack.extend((ref, r, False) for ref, r in refs.items())
+        return fresh
+
+    def drop(self, root: int) -> list[int]:
+        """Count one reference less to ``root``; returns the pages whose count fell to 0.
+
+        A page is read only when its count falls to 0.  Raises
+        ``FormatError`` or ``IntegrityError`` naming a damaged page.
+        """
+        gone: list[int] = []
+        work = [root]
+        while work:
+            addr = work.pop()
+            c = self.counts[addr] = self.count(addr) - 1
+            if not c:
+                gone.append(addr)
+                work.extend(_page_refs(self._read_once(addr), self.role(addr), addr, self._total_pages))
+        return gone
+
+    def nodes_named_twice(self) -> list[str]:
+        """A problem for each node page of one version counted more than once: a node has one parent."""
+        return [
+            f"node page {addr} reachable twice"
+            for addr, c in self.counts.items()
+            if c > 1 and isinstance(self.role(addr), int)
+        ]
 
 
 class RefCounts:
@@ -549,129 +450,162 @@ class RefCounts:
     or a zone object named by many leaf pages has a count above one.
     ``roles`` says what each reachable page is, and ``objects`` maps an
     object id to {head page: kind} (one id may name several object pages).
-    This is refcounted shadowing as in Rodeh, "B-trees, Shadowing, and
-    Clones" (ACM TOS 2008).
+    A new table is empty; adding a root to it counts that version.  This is
+    refcounted shadowing as in Rodeh, "B-trees, Shadowing, and Clones" (ACM
+    TOS 2008).
     """
 
-    def __init__(self, counts: dict[int, int], roles: dict[int, Role], objects: dict[int, dict[int, str]]):
-        self.counts = counts
-        self.roles = roles
-        self.objects = objects
-
-    @classmethod
-    def from_walk(cls, rep: WalkReport) -> "RefCounts":
-        """The counts of a walked version, from the bytes the walk read (taking over ``rep.refs``)."""
-        counts = rep.refs
-        counts[rep.root] += 1
-        roles: dict[int, Role] = dict.fromkeys(rep.pages, ZONE_CONT)  # what no rule below names
-        roles.update(dict.fromkeys(rep.leaf_pages, LEAF))
-        roles.update(rep.nodes)
-        roles.update((head, kind) for head, (kind, _) in rep.objects.items())
-        return cls(counts, roles, rep.object_heads())
+    def __init__(self) -> None:
+        self.counts: dict[int, int] = {}
+        self.roles: dict[int, Role] = {}
+        self.objects: dict[int, dict[int, str]] = {}
 
     def diff(
         self, read: Callable[[int], bytes], base_root: int, new_root: int, total_pages: Optional[int] = None
     ) -> CountDelta:
         """The counts of the tree at ``new_root``, from these counts of the tree at ``base_root``.
 
-        First the increments from the new root: a page is read only when
-        its count goes from 0 to 1, and gets the checks ``walk_version``
-        makes (CRC, level, child entry in a level-5 node, node reachable
-        twice, chain loop, kind mismatch).  A page already counted is not
-        read; the role it is referenced in must match the one it has.  Then
-        the decrements from the base root: a page is read only when its
-        count falls to 0.  Raises ``FormatError`` or ``IntegrityError``
-        naming the first damaged page.  These counts are left as they are;
-        ``install`` applies the result.
+        Adds the new root, then drops the base root.  Raises
+        ``IntegrityError`` naming the first damaged page, or the first node
+        the new tree names twice.
         """
-        counts, roles = self.counts, self.roles
-        delta: dict[int, int] = {}
-        born: dict[int, Role] = {}
-        pages: dict[int, bytes] = {}
-
-        def read_once(addr: int) -> bytes:
-            raw = pages.get(addr)
-            if raw is None:
-                raw = pages[addr] = read(addr)
-            return raw
-
-        reader = PageReader(read_once, total_pages)
-
-        def count(addr: int) -> int:
-            return delta[addr] if addr in delta else counts.get(addr, 0)
-
-        # increments, depth first; ``open_`` holds the born pages on the current path
-        open_: set[int] = set()
-        stack: list[tuple[int, Role, bool]] = [(new_root, 0, False)]
-        while stack:
-            addr, role, done = stack.pop()
-            if done:
-                open_.discard(addr)
-                continue
-            c = count(addr)
-            delta[addr] = c + 1
-            if c:
-                if addr in open_:
-                    what = "leaf chain loops" if role == LEAF else "node reachable twice"
-                    raise IntegrityError(f"{what} at page {addr}")
-                have = born[addr] if addr in born else roles[addr]
-                if have != role:
-                    raise IntegrityError(f"page {addr} is a {_role_name(have)}, expected a {_role_name(role)}")
-                continue
-            if isinstance(role, int):
-                page = reader.node(addr)
-                if page[1] != role:
-                    raise IntegrityError(f"node {addr} has level {page[1]}, expected {role}")
-            elif role in (GANTRY, ZONE):
-                reader.object(addr, role)  # a zone reads and checks all its pages here
-            born[addr] = role
-            open_.add(addr)
-            stack.append((addr, role, True))
-            stack.extend((ref, r, False) for ref, r in _page_refs(read_once(addr), role, addr, total_pages).items())
-
-        # decrements
-        work = [base_root]
-        while work:
-            addr = work.pop()
-            c = delta[addr] = count(addr) - 1
-            if not c:
-                work.extend(_page_refs(read_once(addr), roles[addr], addr, total_pages))
-
-        for addr, c in delta.items():
-            if c > 1 and isinstance(born.get(addr, roles.get(addr)), int):
-                raise IntegrityError(f"node page {addr} reachable twice")
-        return CountDelta(
-            counts=delta,
-            born=born,
-            pages=pages,
-            new_objects={
-                addr: (role, reader.object(addr, role).object_id)
-                for addr, role in born.items()
-                if role in (GANTRY, ZONE)
-            },
-            gone_objects={
-                addr: decode_object_page(pages[addr], addr=addr)["object_id"]
-                for addr, c in delta.items()
-                if not c and roles[addr] in (GANTRY, ZONE)
-            },
-        )
+        d = CountDelta(self, read, total_pages)
+        d.add(new_root)
+        if d.problems:
+            raise IntegrityError(d.problems[0])
+        d.drop(base_root)
+        twice = d.nodes_named_twice()
+        if twice:
+            raise IntegrityError(twice[0])
+        return d
 
     def install(self, d: CountDelta) -> None:
-        """Apply a diff of these counts: they become the counts of its new version."""
+        """Apply a delta of these counts: they become the counts of its new version."""
         counts, roles, objects = self.counts, self.roles, self.objects
         roles.update(d.born)
         for addr, c in d.counts.items():
             if c:
                 counts[addr] = c
-            else:
-                del counts[addr], roles[addr]
-        for head, oid in d.gone_objects.items():
-            heads = objects[oid]
-            del heads[head]
-            if not heads:
-                del objects[oid]
+                continue
+            del counts[addr]
+            if roles.pop(addr) in (GANTRY, ZONE):
+                oid = decode_object_page(d.pages[addr], addr=addr)["object_id"]
+                heads = objects[oid]
+                del heads[addr]
+                if not heads:
+                    del objects[oid]
         for head, (kind, oid) in d.new_objects.items():
             objects.setdefault(oid, {})[head] = kind
+
+
+# ---------------------------------------------------------------------------
+# full traversal
+
+
+@dataclass
+class WalkReport:
+    """What one full traversal of a version finds (see ``walk_version``)."""
+
+    root: int
+    pages: dict[int, bytes]  # every page read, by address
+    roles: dict[int, Role]  # what each page reached is
+    objects: dict[int, tuple[str, int]]  # head -> (kind, id) of every object loaded
+    problems: list[str]
+
+    @property
+    def reachable(self) -> frozenset[int]:
+        """Every page the walk read (on a damaged version, undecodable ones too)."""
+        return frozenset(self.pages)
+
+    @property
+    def nodes(self) -> dict[int, int]:
+        """Node page -> level."""
+        return {addr: role for addr, role in self.roles.items() if isinstance(role, int)}
+
+    @property
+    def leaf_pages(self) -> dict[int, bytes]:
+        """Leaf page -> its bytes."""
+        return {addr: self.pages[addr] for addr, role in self.roles.items() if role == LEAF}
+
+    @property
+    def object_pages(self) -> set[int]:
+        """Pages read that are neither nodes nor leaf lists: objects and zone continuations."""
+        return set(self.pages).difference(self.nodes, self.leaf_pages)
+
+    def object_heads(self) -> dict[int, dict[int, str]]:
+        """Object id -> {head page: kind} of every object the walk loaded."""
+        out: dict[int, dict[int, str]] = {}
+        for head, (kind, oid) in self.objects.items():
+            out.setdefault(oid, {})[head] = kind
+        return out
+
+
+def walk_version(
+    read: Callable[[int], bytes], root_page: int, total_pages: Optional[int] = None
+) -> WalkReport:
+    """Traverse every page reachable from ``root_page``, reading each once.
+
+    This is ``CountDelta.add`` on an empty table, so it checks what a
+    commit checks.  It collects integrity problems instead of raising, so
+    verification can report everything it finds; descent stops at each
+    damaged page.
+    """
+    d = CountDelta(RefCounts(), read, total_pages)
+    d.add(root_page)
+    return WalkReport(root_page, d.pages, d.born, d.new_objects, d.problems + d.nodes_named_twice())
+
+
+def stats_from_walk(rep: WalkReport) -> StatsReport:
+    if rep.problems:
+        raise IntegrityError("; ".join(rep.problems[:8]))
+    nodes, pages = rep.nodes, rep.pages
+    heads: Counter = Counter()  # leaf chain head -> entries and self lists naming it
+    empty = attach = 0
+    for addr, level in nodes.items():
+        node = decode_node(pages[addr])
+        uses = Counter(node.entries)  # dedup lets entries share a chain; each counts
+        empty += uses.pop(ENTRY_EMPTY, 0)
+        for word, times in uses.items():
+            if entry_is_leaf(word):
+                heads[entry_addr(word)] += times
+                attach = max(attach, level + 1)
+        if node.self_list != ENTRY_EMPTY:
+            heads[entry_addr(node.self_list)] += 1
+            attach = max(attach, level)
+    m = leaf_refs = inside = edge = 0  # leaf pages, records, inside and edge records, per reference
+    for addr, times in heads.items():
+        while addr != NO_PAGE:
+            records, addr = leaf_list_view(pages[addr])
+            m += times
+            leaf_refs += len(records) * times
+            inside += sum(rec.kind == KIND_ZONE_INSIDE for rec in records) * times
+            edge += sum(rec.kind == KIND_ZONE_EDGE for rec in records) * times
+    node_count = len(nodes)
+    l = len(set(rep.leaf_pages.values()))
+    n = m - l
+    a = len(rep.objects)
+    b = node_count + m + len(rep.object_pages)
+    d = node_count + m
+    return StatsReport(
+        objects=a,
+        total_pages=b,
+        total_mib=b * PAGE_SIZE / _MIB,
+        index_pages=d,
+        leaf_refs=leaf_refs,
+        refs_per_object=(leaf_refs / a) if a else 0.0,
+        empty_entries=empty,
+        used_entries=NODE_FANOUT * node_count - empty,
+        max_depth=attach,
+        zone_inside=inside,
+        zone_edge=edge,
+        distinct_leaf_pages=l,
+        leaf_pages=m,
+        duplicate_leaf_pages=n,
+        pages_deduped=b - n,
+        mib_deduped=(b - n) * PAGE_SIZE / _MIB,
+        index_pages_deduped=d - n,
+        index_mib_deduped=(d - n) * PAGE_SIZE / _MIB,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,31 @@ def test_node_self_list_outside_crc():
     assert back.self_list == make_leaf(42)
 
 
+def test_node_self_list_damage_names_the_page():
+    """Every single-bit flip of a node's self_list word or its check fails, naming the page."""
+    for self_list in (ENTRY_EMPTY, make_leaf(42)):
+        clean = encode_node(NodePage(1, self_list=self_list))
+        for offset in range(codec.NODE_SELF_LIST_OFF, codec.NODE_RESERVED_OFF):
+            if self_list == ENTRY_EMPTY and offset >= codec.NODE_SELF_CRC_OFF:
+                continue  # no check is stored for an empty self_list, so these bytes are unused
+            for bit in range(8):
+                page = bytearray(clean)
+                page[offset] ^= 1 << bit
+                with pytest.raises(FormatError, match=r"at page 77$"):
+                    decode_node(bytes(page), total_pages=500, addr=77)
+
+
+def test_node_self_list_check_is_written_and_optional():
+    page = encode_node(NodePage(0, self_list=make_leaf(42)))
+    assert page[codec.NODE_SELF_CHECK_OFF] == codec.SELF_CHECKED
+    assert page[codec.NODE_RESERVED_OFF : codec.NODE_CRC_OFF] == b"\xff" * 3  # still reserved
+    assert encode_node(NodePage(0))[codec.NODE_SELF_CHECK_OFF : codec.NODE_CRC_OFF] == b"\xff" * 6
+    # a node written before the check (reserved bytes erased) still decodes, unchecked
+    old = bytearray(page)
+    old[codec.NODE_SELF_CHECK_OFF : codec.NODE_RESERVED_OFF] = b"\xff" * 3
+    assert decode_node(bytes(old)).self_list == make_leaf(42)
+
+
 def test_node_rejects_bad_level_and_magic():
     with pytest.raises(FormatError):
         encode_node(NodePage(level=6))

@@ -1,14 +1,15 @@
 """Damaged inputs fail with a FlashQuadError, never with another exception.
 
 Bit flips and truncations of update packages, device images, dataset and
-trace text, and the CLI's staged-session sidecar.  Only the kind of
-failure is checked here; that a damaged page is named, and that answers
-stay right, is covered by the tests of each layer.
+trace text, and the CLI's staged-session sidecar.  Mostly the kind of
+failure is checked here; for one bit flipped in a tree page, also that
+``verify`` names the page or no answer changes.
 """
 
 import contextlib
 import functools
 import io
+import re
 import tempfile
 import zlib
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashquad.cli import main
+from flashquad.codec import NODE_MAGIC
 from flashquad.dataset import (
     build_database,
     generate_dataset,
@@ -126,6 +128,48 @@ def test_damaged_device_image(data):
     header = flips(8)
     flip_list = data.draw(st.one_of(in_use, anywhere, header))
     fails_cleanly(use_image, damaged(blob, flip_list, data.draw(cuts(len(blob)))))
+
+
+PROBES = tuple((x, y) for x in range(100_000, 2_000_000, 450_000) for y in range(150_000, 2_000_000, 450_000))
+
+
+def answers(store):
+    handle = store.handle()
+    return [
+        (handle.query_zones_at(x, y).ids, handle.query_gantries_within(x, y, 150_000).ids) for x, y in PROBES
+    ]
+
+
+@functools.cache
+def tree_case():
+    """(live tree pages, its node pages, the answers) of ``image_case``'s current version."""
+    store = Store(FlashDevice.from_bytes(image_case()[0]))
+    live = sorted(store.handle().reachable_pages())
+    nodes = [addr for addr in live if store.read_page(addr)[0] == NODE_MAGIC]
+    return live, nodes, answers(store)
+
+
+@fuzz(300)
+@given(data=st.data())
+def test_a_flipped_tree_page_is_named_or_changes_no_answer(data):
+    """One bit flipped in a live tree page: ``verify`` names that page, or every answer is the same.
+
+    Half of the flips land in bytes 1-12 of a node page, the bytes the
+    entry-area CRC does not cover.
+    """
+    blob, _ = image_case()
+    live, nodes, want = tree_case()
+    page, offset = data.draw(
+        st.one_of(
+            st.tuples(st.sampled_from(live), st.integers(0, 255)),
+            st.tuples(st.sampled_from(nodes), st.integers(1, 12)),
+        )
+    )
+    bad = damaged(blob, [(8 + 256 * page + offset, data.draw(st.integers(0, 7)))], len(blob))
+    store = Store(FlashDevice.from_bytes(bad))
+    if any(re.search(rf"\b{page}\b", problem) for problem in store.verify()["problems"]):
+        return
+    assert answers(store) == want
 
 
 # -- dataset and trace text ------------------------------------------------------------

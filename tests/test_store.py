@@ -96,6 +96,23 @@ def test_mount_reads_each_page_once():
     assert reads and len(reads) == len(set(reads))
 
 
+def test_mount_reads_the_tree_once_plus_what_each_older_version_changed():
+    """Each retained version older than the current one costs mount only the pages no newer one holds."""
+    store = seeded_store(16, 300, 10, seed=5, max_versions=8)  # about 940 reachable pages
+    for k in range(1, 7):  # single-edit versions: gantry inserts, then deletes of seeded gantries
+        s = store.begin()
+        if k <= 3:
+            s.insert_gantry(1000 + k, 1_500_000 - 90_000 * k, 333_333 + 70_000 * k)
+        else:
+            s.delete(k, "gantry")
+        s.commit()
+        dev = FlashDevice.from_bytes(store.device.to_bytes())
+        back = Store(dev, max_versions=8)
+        older = len(back.versions()) - 1
+        assert older == k + 1  # the empty version 1, the seeded version 2 and the edits before this one
+        assert dev.stats().reads <= DATA_START + len(back.handle().reachable_pages()) + 20 * older
+
+
 def test_format_spares_the_allocator_its_probe_reads():
     store = fresh()
     s = store.begin()
@@ -366,7 +383,7 @@ def test_dedup_map_holds_exactly_the_leaf_pages_of_live_versions():
         replica.apply_update(source.make_update(base, source.current_version))
     remount = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
     for store in (source, replica):
-        assert set(store._dedup.values()) <= store._live_pages
+        assert set(store._dedup.values()) <= set().union(*live_reach(store).values())
         again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=2)
         assert store._dedup.keys() == again._dedup.keys()
     # what the map holds changes no device cost: the same edit programs alike
@@ -409,6 +426,33 @@ def test_update_package_round_trip():
         x, y = rng.randrange(2_000_000), rng.randrange(2_000_000)
         assert h1.query_zones_at(x, y).ids == h2.query_zones_at(x, y).ids
         assert h1.query_gantries_within(x, y, 80_000).ids == h2.query_gantries_within(x, y, 80_000).ids
+
+
+def test_a_package_holds_the_pages_new_reaches_and_base_does_not():
+    """For every pair of retained versions, the current one or not; each package applies at its base."""
+    store = seeded_store(8, 120, 4, seed=3, max_versions=5)
+    blobs = {2: store.device.to_bytes()}
+    for edit in (
+        lambda s: s.insert_gantry(900, 1_234_567, 765_432),
+        lambda s: s.delete(4, "zone"),
+        lambda s: s.insert_zone(8, ((200_000, 200_000), (700_000, 250_000), (400_000, 800_000))),
+        lambda s: s.delete(7, "gantry"),
+    ):
+        s = store.begin()
+        edit(s)
+        vno = s.commit()
+        blobs[vno] = store.device.to_bytes()
+    reach = {v: store.handle(v).reachable_pages() for v in range(2, 7)}
+    for base in range(2, 7):
+        for new in range(base + 1, 7):
+            pkg = store.make_update(base, new)
+            _, _, pages, root = _parse_update(pkg)
+            assert [addr for addr, _ in pages] == sorted(reach[new] - reach[base])
+            assert all(data == store.device.read_page(addr) for addr, data in pages)
+            assert root == store.handle(new).root_page
+            replica = Store(FlashDevice.from_bytes(blobs[base]), max_versions=5)
+            assert replica.apply_update(pkg) == new
+            assert version_digest(replica, new) == version_digest(store, new)
 
 
 def test_update_requires_live_versions_and_order():
@@ -667,14 +711,21 @@ def hand_made_root(kind):
         gantry = min(rep.objects)
         s.program_page(victim, encode_leaf_list(LeafListPage([LeafRecord(KIND_POINT, gantry)], victim)))
         root.entries[free[0]] = make_leaf(victim)
-    else:  # one new node named by two entries
+    elif kind == "node-twice":  # one new node named by two entries
         victim = s.write_page(encode_node(NodePage(1)))
         root.entries[free[0]] = root.entries[free[1]] = make_child(victim)
+    else:  # an old level-2 node named by a new level-1 node as well as by its old parent
+        victim = min(addr for addr, level in rep.nodes.items() if level == 2)
+        entries = [ENTRY_EMPTY] * 81
+        entries[0] = make_child(victim)
+        root.entries[free[0]] = make_child(s.write_page(encode_node(NodePage(1, entries))))
     s.root = s.write_page(encode_node(root))
     return store, s, victim
 
 
-@pytest.mark.parametrize("kind", ["object-as-leaf", "node-at-wrong-level", "looping-leaf-chain", "node-twice"])
+@pytest.mark.parametrize(
+    "kind", ["object-as-leaf", "node-at-wrong-level", "looping-leaf-chain", "node-twice", "node-from-two-pages"]
+)
 def test_commit_refuses_pages_that_break_the_tree_rules(kind):
     store, s, victim = hand_made_root(kind)
     dir_before = directory(store)
@@ -713,17 +764,49 @@ def test_edits_commits_and_applies_read_what_changed():
     assert version_digest(replica, base + 1) == version_digest(store, base + 1)
 
 
+def live_reach(store):
+    """Live version -> the pages a full walk of it reaches."""
+    return {
+        row["version"]: store.handle(row["version"]).reachable_pages()
+        for row in store.versions()
+        if row["state"] == "live"
+    }
+
+
 def assert_counts_match_mount(store):
-    """What the store keeps for its current version equals what a fresh mount builds."""
+    """What the store keeps for its live versions equals what a fresh mount builds.
+
+    The pages held only by older versions are also checked against full
+    walks of every live version: each is held by the newest one reaching it.
+    """
     again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=store.max_versions)
     assert again.current_version == store.current_version
-    root = store.handle().root_page
-    assert store._reach[root] == again._reach[root]
-    assert store._live_pages == again._live_pages
+    reach = live_reach(store)
+    assert set(store._refs.counts) == reach[store.current_version]
+    assert store._held == again._held
+    assert store._held == {
+        addr: (max(v for v, pages in reach.items() if addr in pages), store.device.read_page(addr))
+        for addr in set().union(*reach.values()) - reach[store.current_version]
+    }
     assert store._refs.counts == again._refs.counts
     assert store._refs.roles == again._refs.roles
     assert store._refs.objects == again._refs.objects
     assert store._dedup == again._dedup
+
+
+def test_a_held_page_an_edit_brings_back_is_counted_again():
+    """Deleting the gantry the last commit added rewrites its leaf's old bytes; dedup returns the held page."""
+    store = fresh(8, max_versions=3, params=BuildParams(leaf_split_threshold=2))
+    for gid in (1, 2):
+        s = store.begin()
+        s.insert_gantry(gid, 500_000 + 100 * gid, 500_000)
+        s.commit()
+    held = set(store._held)
+    s = store.begin()
+    s.delete(2, "gantry")
+    s.commit()
+    assert held & set(store._refs.counts)
+    assert_counts_match_mount(store)
 
 
 EDIT = st.one_of(
@@ -738,16 +821,17 @@ EDIT = st.one_of(
 )
 
 
-@given(st.lists(EDIT, min_size=4, max_size=24))
+@given(st.lists(EDIT, min_size=4, max_size=24), st.integers(2, 4))
 @settings(max_examples=200, deadline=None)
-def test_counts_and_maps_follow_every_commit_and_apply(edits):
+def test_counts_and_maps_follow_every_commit_and_apply(edits, window):
     """Random edit sequences, several per session, shipped as packages to a replica.
 
     After every commit, apply, rollback and gc, both stores hold for their
-    current version what a store freshly mounted on the same bytes builds.
+    live versions what a store freshly mounted on the same bytes builds.
+    ``window`` versions are retained.
     """
-    source = fresh(8, max_versions=2, params=BuildParams(leaf_split_threshold=2))
-    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
+    source = fresh(8, max_versions=window, params=BuildParams(leaf_split_threshold=2))
+    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=window)
     committed = {1: frozenset()}  # version -> its (id, kind) pairs
     objects: set = set()  # (id, kind) pairs of the open session's tree
     session = None
@@ -784,12 +868,15 @@ def test_counts_and_maps_follow_every_commit_and_apply(edits):
             vno = (session or source.begin()).commit()
             session = None
             committed[vno] = frozenset(objects)
-            replica.apply_update(source.make_update(base, vno))
+            pkg = source.make_update(base, vno)
+            shipped = {addr for addr, _ in _parse_update(pkg)[2]}
+            assert shipped == source.handle(vno).reachable_pages() - source.handle(base).reachable_pages()
+            replica.apply_update(pkg)
             check()
         elif op == "stage" and session is not None:
             # a staged session, picked up after a remount as the CLI's --stage does
             staged = (session.base_version, session.root, set(session.pending))
-            source = Store(FlashDevice.from_bytes(source.device.to_bytes()), source.params, max_versions=2)
+            source = Store(FlashDevice.from_bytes(source.device.to_bytes()), source.params, max_versions=window)
             session = source.resume_session(*staged)
         elif op == "rollback":
             if session is not None:

@@ -15,12 +15,17 @@ from flashquad.codec import (
     LEAF_CRC_OFF,
     LEAF_MAGIC,
     NODE_MAGIC,
+    NODE_RESERVED_OFF,
+    NODE_SELF_CHECK_OFF,
     PAGE_SIZE,
+    SELF_CHECKED,
     LeafRecord,
     crc16,
     decode_leaf_list,
+    decode_node,
     encode_leaf_list,
 )
+from flashquad.dataset import build_database, generate_dataset
 from flashquad.errors import ConflictError, DomainError, FormatError, IntegrityError, NotFoundError
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.geometry import TOP_CELL, CellClass, classify_cell
@@ -468,6 +473,55 @@ def test_zone_page_link_past_the_device_end_is_reported():
     assert damaged.verify()["problems"] == [f"version 2: {problem}"]
     with pytest.raises(FormatError, match=problem):
         damaged.handle().query_zones_at(1_000_000, 1_000_000)
+
+
+WORLD_ZONE = ((-10, -10), (W + 10, -10), (W + 10, W + 10), (-10, W + 10))
+PROBES = ((1_000, 1_000), (1_000_000, 1_000_000), (1_500_000, 400_000))
+
+
+def world_zone_store():
+    """A 600-gantry build plus zone 777 covering the world, whose record sits in the root's self_list."""
+    store = fresh(sectors=16)
+    build_database(store, *generate_dataset(4, 600, 30))
+    committed(store, lambda s: s.insert_zone(777, WORLD_ZONE))
+    return store
+
+
+@pytest.mark.parametrize("byte, bit", [(3, 0), (4, 4)])
+def test_a_flipped_self_list_is_refused_not_answered(byte, bit):
+    """Each flip moves the root's self_list onto another valid leaf page; it used to pass verify."""
+    store = world_zone_store()
+    root = store.handle().root_page
+    page = bytearray(store.read_page(root))
+    assert decode_node(bytes(page)).self_list != 0xFFFFFF
+    page[byte] ^= 1 << bit
+    damaged = remount_with_page(store, root, bytes(page))
+    problem = f"node self_list CRC mismatch at page {root}"
+    assert damaged.verify()["problems"] == [f"version 3: {problem}"]
+    with pytest.raises(FormatError, match=problem):
+        damaged.handle().query_zones_at(*PROBES[1])
+    assert all(store.handle().query_zones_at(x, y).ids == {777} for x, y in PROBES)
+
+
+def test_an_image_without_self_list_checks_mounts_and_answers_alike():
+    """Nodes written before the self_list check leave its bytes erased; they are read unchecked."""
+    store = world_zone_store()
+    blob = bytearray(store.device.to_bytes())
+    unchecked = 0
+    for addr in range(32, store.total_pages):  # past the version directory
+        off = 8 + addr * PAGE_SIZE
+        if blob[off] == NODE_MAGIC and blob[off + NODE_SELF_CHECK_OFF] == SELF_CHECKED:
+            blob[off + NODE_SELF_CHECK_OFF : off + NODE_RESERVED_OFF] = b"\xff" * 3
+            unchecked += 1
+    assert unchecked
+    old = Store(FlashDevice.from_bytes(bytes(blob)))
+    assert old.verify()["ok"]
+    assert old.handle().stats() == store.handle().stats()
+    for x, y in PROBES:
+        assert old.handle().query_zones_at(x, y).ids == store.handle().query_zones_at(x, y).ids
+        assert old.handle().query_gantries_within(x, y, 90_000).ids == store.handle().query_gantries_within(
+            x, y, 90_000
+        ).ids
 
 
 def test_zone_record_naming_a_gantry_page_is_refused():
