@@ -333,7 +333,7 @@ class Store:
     def _count_versions(self) -> None:
         """Count the current version from an empty table, then each older retained version on top.
 
-        Older versions are added newest first into one scratch table, so each
+        Older versions are added newest first into one temporary table, so each
         reads only the pages no newer version holds; those pages go into
         ``_held`` with the version that added them.  The first problem of
         each damaged version goes into ``_damage``.
