@@ -79,14 +79,7 @@ _BLANK = b"\xff" * PAGE_SIZE
 class Session:
     """Single in-progress version.  Also the page-IO object for TreeEditor."""
 
-    def __init__(
-        self,
-        store: "Store",
-        base_version: int,
-        root: int,
-        pending: Iterable[int] = (),
-        objects: Optional[dict[int, dict[int, str]]] = None,
-    ):
+    def __init__(self, store: "Store", base_version: int, root: int, pending: Iterable[int] = ()):
         self._store = store
         self.base_version = base_version
         self.root = root
@@ -96,9 +89,9 @@ class Session:
         self.edit_pages: set[int] = set()
         self.closed = False
         self._editor = TreeEditor(self, store.params)
-        # object id -> {head page: kind} of the session's tree: ``objects``
-        # (the base version's map by default) under the ids this session edited
-        self._objects = store._refs.objects if objects is None else objects
+        # object id -> {head page: kind} of the session's tree: the base
+        # version's map under the ids this session edited
+        self._objects = store._refs.objects
         self._edited: dict[int, dict[int, str]] = {}
         # the entries this session added to the store's dedup map; they go at close unless live
         self.learned: dict[bytes, int] = {}
@@ -148,16 +141,12 @@ class Session:
         return self._objects.get(oid, {}) if heads is None else heads
 
     def insert_gantry(self, gid: int, x: int, y: int) -> None:
-        self._assert_open()
-        self.edit_pages.clear()
-        self.root, head = self._editor.insert_gantry(self.root, gid, x, y)
-        self._edited[gid] = {**self._heads(gid), head: "gantry"}
+        """Add one gantry: a one-object ``load``."""
+        self.load([(gid, x, y)], ())
 
     def insert_zone(self, zid: int, vertices: Sequence[tuple[int, int]]) -> None:
-        self._assert_open()
-        self.edit_pages.clear()
-        self.root, head = self._editor.insert_zone(self.root, zid, vertices)
-        self._edited[zid] = {**self._heads(zid), head: "zone"}
+        """Add one zone: a one-object ``load``."""
+        self.load((), [(zid, vertices)])
 
     def load(
         self,
@@ -531,7 +520,12 @@ class Store:
         return self._session
 
     def resume_session(self, base_version: int, root: int, pending: Iterable[int]) -> Session:
-        """Re-open a staged session (pages already programmed on the device)."""
+        """Re-open a staged session (pages already programmed on the device).
+
+        The staged root is diffed from the current version's counts, so only
+        the pages the session staged are read.  A damaged staged tree raises
+        ``IntegrityError``.
+        """
         if self._session is not None:
             raise SessionError("another session is already open")
         self._refuse_damaged()
@@ -539,13 +533,12 @@ class Store:
             raise VersionConflictError(
                 f"staged on version {base_version}, device is at {self.current_version}"
             )
-        rep = tree.walk_version(self.read_page, root, self.total_pages)
-        if rep.problems:
-            raise IntegrityError("staged tree is damaged: " + "; ".join(rep.problems[:8]))
-        self._learn(rep.leaf_pages)
-        self._session = Session(self, base_version, root, pending, rep.object_heads())
-        self._session.learned = {page: addr for addr, page in rep.leaf_pages.items()}
-        return self._session
+        delta = self._diff(root, "staged tree is damaged")
+        self._learn(delta.leaf_pages)
+        session = self._session = Session(self, base_version, root, pending)
+        session._edited = delta.changed_heads(session._heads)
+        session.learned = {page: addr for addr, page in delta.leaf_pages.items()}
+        return session
 
     def _drop_session(self, session: Session) -> None:
         session.closed = True

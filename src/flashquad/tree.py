@@ -14,7 +14,12 @@ reached.  The root cell itself cannot be a leaf entry (the root is always
 a node page), so records attaching to it go into the root's self_list
 slot.
 
-Structural rules when a cell has to change shape:
+There is one way to add objects, ``TreeEditor.load``; an insert is a
+one-object load.  Its descent builds an empty entry top down, appends the
+new records to a leaf that does not split (extending the head page, then
+chaining new pages in front of it), rebuilds a leaf that does split, and
+patches only the changed entry words of a node.  Structural rules when a
+cell has to change shape:
 
 * a leaf list whose point count would exceed ``leaf_split_threshold``
   splits into a node, points redistributed by subcell (repeatedly, until
@@ -439,6 +444,26 @@ class CountDelta:
             if c > 1 and isinstance(self.role(addr), int)
         ]
 
+    def changed_heads(self, heads_of: Callable[[int], dict[int, str]]) -> dict[int, dict[int, str]]:
+        """Object id -> {head page: kind} after this delta, for each id whose heads it changes.
+
+        ``heads_of(oid)`` gives an id's heads before the delta; an id whose
+        last head became unreachable maps to an empty dict.
+        """
+        out: dict[int, dict[int, str]] = {}
+
+        def heads(oid: int) -> dict[int, str]:
+            if oid not in out:
+                out[oid] = dict(heads_of(oid))
+            return out[oid]
+
+        for addr, c in self.counts.items():
+            if not c and self.role(addr) in (GANTRY, ZONE):
+                del heads(decode_object_page(self.pages[addr], addr=addr)["object_id"])[addr]
+        for head, (kind, oid) in self.new_objects.items():
+            heads(oid)[head] = kind
+        return out
+
 
 class RefCounts:
     """Reference counts of one version's tree, kept so a version step costs what changed.
@@ -482,20 +507,18 @@ class RefCounts:
     def install(self, d: CountDelta) -> None:
         """Apply a delta of these counts: they become the counts of its new version."""
         counts, roles, objects = self.counts, self.roles, self.objects
+        changed = d.changed_heads(lambda oid: objects.get(oid, {}))
         roles.update(d.born)
         for addr, c in d.counts.items():
             if c:
                 counts[addr] = c
-                continue
-            del counts[addr]
-            if roles.pop(addr) in (GANTRY, ZONE):
-                oid = decode_object_page(d.pages[addr], addr=addr)["object_id"]
-                heads = objects[oid]
-                del heads[addr]
-                if not heads:
-                    del objects[oid]
-        for head, (kind, oid) in d.new_objects.items():
-            objects.setdefault(oid, {})[head] = kind
+            else:
+                del counts[addr], roles[addr]
+        for oid, heads in changed.items():
+            if heads:
+                objects[oid] = heads
+            else:
+                del objects[oid]
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +747,14 @@ class Handle:
 
 
 class TreeEditor:
-    """Mutations for one in-progress version.
+    """Mutations for one in-progress version: ``load`` adds objects, ``delete_object`` removes them.
 
+    ``load`` is the one insertion path; a single insert is a one-object
+    load, which appends to the leaf it lands in unless that leaf splits.
     Each public method takes the current root address and returns the new
-    one (an insert also returns the object page it wrote, a load every
-    object's), programming only fresh pages.  The caller (store session)
-    owns allocation, pending-page tracking, the object id -> head page map
-    and the final commit.
+    one (a load also returns every object page it wrote), programming only
+    fresh pages.  The caller (store session) owns allocation, pending-page
+    tracking, the object id -> head page map and the final commit.
     """
 
     def __init__(self, io, params: BuildParams):
@@ -744,9 +768,9 @@ class TreeEditor:
         """A reader for one public edit: each object is read once per edit."""
         return PageReader(self._io.read_page, self._io.total_pages)
 
-    def _write_chain(self, records: Sequence[LeafRecord]) -> int:
-        """Lay records out over fresh chained pages, tail first."""
-        addr = NO_PAGE
+    def _write_chain(self, records: Sequence[LeafRecord], tail: int = NO_PAGE) -> int:
+        """Lay records out over fresh chained pages in front of ``tail``, tail first."""
+        addr = tail
         chunks = [records[i : i + LEAF_CAPACITY] for i in range(0, len(records), LEAF_CAPACITY)]
         for chunk in reversed(chunks):
             addr = self._io.write_page(
@@ -754,14 +778,16 @@ class TreeEditor:
             )
         return addr
 
-    def _append(self, head: int, rec: LeafRecord) -> int:
-        """One-page append: extend the head page or chain a new one onto it."""
+    def _append(self, head: int, new: Sequence[LeafRecord]) -> int:
+        """Append records to a chain: extend its head page, then chain new pages in front of it."""
         records, nxt = next(self._reader.chain(head))  # the head page alone
-        if len(records) < LEAF_CAPACITY:
-            data = encode_leaf_list(LeafListPage([*records, rec], nxt))
-        else:
-            data = encode_leaf_list(LeafListPage([rec], head))
-        return self._io.write_page(data, dedupable=True)
+        room = LEAF_CAPACITY - len(records)
+        if room > 0:
+            head = self._io.write_page(
+                encode_leaf_list(LeafListPage([*records, *new[:room]], nxt)), dedupable=True
+            )
+            new = new[room:]
+        return self._write_chain(new, head)
 
     def _filter_chain(self, head: int, drop: set[int]) -> tuple[int, int]:
         """Rewrite a chain without records referencing ``drop`` pages.
@@ -828,7 +854,7 @@ class TreeEditor:
             return LeafRecord(KIND_ZONE_EDGE, addr)
         return None
 
-    # -- bulk load --
+    # -- insertion --
 
     def load(
         self,
@@ -838,17 +864,20 @@ class TreeEditor:
     ) -> tuple[int, list[tuple[int, int, str]]]:
         """Add gantries ``(id, x, y)`` and zones ``(id, vertices)`` in one descent.
 
-        Every input is checked before a page is programmed: the checks of
-        ``insert_gantry`` and ``insert_zone``, and an id repeated within one
-        kind raises ``ConflictError``.  Then the object pages are written
-        and the tree is descended once from ``root``, taking each new item
-        to the entries it lands in: an empty entry is built top-down by
-        ``_build_cell``, a leaf entry is rebuilt with its old records and
-        the new ones, and a node entry is rewritten once.  On an empty root
-        this is top-down region-quadtree construction (Samet, *The Design
-        and Analysis of Spatial Data Structures*, 1990), writing each page of
-        the final tree once.  Returns the new root and the (id, head page,
-        kind) of every object written.
+        This is the one way to add objects; an insert is a one-object load.
+        Every input is checked before a page is programmed: positions, ids
+        and polygons, an id repeated within one kind, and a gantry id
+        already in the leaf its point lands in (``ConflictError``).  Then
+        the object pages are written and the tree is descended once from
+        ``root``, taking each new item to the entries it lands in: an empty
+        entry is built top-down by ``_build_cell``, a leaf that does not
+        split gets the new records appended, a leaf that splits is rebuilt
+        with its old records and the new ones, and a node gets only its
+        changed entry words patched.  On an empty root this is top-down
+        region-quadtree construction (Samet, *The Design and Analysis of
+        Spatial Data Structures*, 1990), writing each page of the final tree
+        once.  Returns the new root and the (id, head page, kind) of every
+        object written.
         """
         gantries = list(gantries)
         for gid, x, y in gantries:
@@ -861,8 +890,10 @@ class TreeEditor:
         heads: list[tuple[int, int, str]] = []
         if not gantries and not checked_zones:
             return root, heads
-
         self._reader = self._new_reader()
+        for gid, x, y in gantries:
+            self._check_duplicate(root, gid, x, y)
+
         pts: list[tuple[LeafRecord, int, int, int]] = []
         for gid, x, y in gantries:
             addr = self._io.write_page(encode_gantry(GantryObject(gid, x, y)))
@@ -879,52 +910,15 @@ class TreeEditor:
             else:
                 top_records.append(rec)
 
-        node = decode_node(self._reader.node(root))
-        if top_records:
-            old = [] if node.self_list == ENTRY_EMPTY else self._records(node.self_list)
-            node.self_list = make_leaf(self._write_chain(old + top_records))
-        node.entries = self._merge_entries(node.entries, TOP_CELL, pts, zitems)
-        return self._io.write_page(encode_node(node)), heads
-
-    def _merge_entries(self, entries: list, cell: Cell, pts: list, zitems: list) -> list:
-        """``cell``'s entry words after merging new items into the subcells they land in."""
-        bp, bz = self._buckets(cell, pts, zitems)
-        return [
-            self._merge_entry(word, subcell(cell, idx), bp[idx], bz[idx]) if bp[idx] or bz[idx] else word
-            for idx, word in enumerate(entries)
-        ]
-
-    def _merge_entry(self, word: int, cell: Cell, pts: list, zitems: list) -> int:
-        if entry_is_empty(word):
-            return self._build_cell(cell, pts, zitems)
-        if entry_is_leaf(word):
-            old_pts, old_zitems = self._partition(self._records(word))
-            present = {item[3] for item in old_pts}
-            for item in pts:
-                if item[3] in present:
-                    raise ConflictError(f"gantry id {item[3]} already present at this location")
-            return self._build_cell(cell, old_pts + pts, old_zitems + zitems)
-        node = decode_node(self._reader.node(entry_addr(word)))
-        entries = self._merge_entries(node.entries, cell, pts, zitems)
-        if entries == node.entries:
-            return word
-        node.entries = entries
-        return make_child(self._io.write_page(encode_node(node)))
-
-    # -- point insertion --
-
-    def insert_gantry(self, root: int, gid: int, x: int, y: int) -> tuple[int, int]:
-        self._check_gantry(gid, x, y)
-        self._reader = self._new_reader()
-        self._check_duplicate(root, gid, x, y)
-        obj_addr = self._io.write_page(encode_gantry(GantryObject(gid, x, y)))
-        item = (LeafRecord(KIND_POINT, obj_addr), x, y, gid)
-
         page = self._reader.node(root)
-        idx = cell_index(TOP_CELL, x, y)
-        word = node_entry_word(page, idx // 9, idx % 9)
-        new_word = self._point_entry(word, subcell(TOP_CELL, idx), item)
-        return self._io.write_page(node_with_entry(page, idx // 9, idx % 9, new_word)), obj_addr
+        if top_records:  # records for the top cell itself live in the root's self_list
+            node = decode_node(page)
+            if node.self_list == ENTRY_EMPTY:
+                node.self_list = make_leaf(self._write_chain(top_records))
+            else:
+                node.self_list = make_leaf(self._append(entry_addr(node.self_list), top_records))
+            page = encode_node(node)
+        return self._io.write_page(self._merge_node(page, TOP_CELL, pts, zitems)), heads
 
     def _check_duplicate(self, root: int, gid: int, x: int, y: int) -> None:
         """Reject an id already present in the cell the new point lands in."""
@@ -944,25 +938,38 @@ class TreeEditor:
             cell = subcell(cell, idx)
             addr = entry_addr(word)
 
-    def _point_entry(self, word: int, cell: Cell, item: tuple) -> int:
-        rec, x, y, _ = item
+    def _merge_node(self, page: bytes, cell: Cell, pts: list, zitems: list) -> bytes:
+        """The node ``page`` with new items merged into the entries they land in.
+
+        Only the entry words that change are patched; ``page`` itself comes
+        back when none does.
+        """
+        bp, bz = self._buckets(cell, pts, zitems)
+        for idx in range(NODE_FANOUT):
+            if bp[idx] or bz[idx]:
+                i, j = divmod(idx, 9)
+                word = node_entry_word(page, i, j)
+                new = self._merge_entry(word, subcell(cell, idx), bp[idx], bz[idx])
+                if new != word:
+                    page = node_with_entry(page, i, j, new)
+        return page
+
+    def _merge_entry(self, word: int, cell: Cell, pts: list, zitems: list) -> int:
+        if entry_is_empty(word):
+            return self._build_cell(cell, pts, zitems)
         if entry_is_child(word):
             page = self._reader.node(entry_addr(word))
-            idx = cell_index(cell, x, y)
-            sub_word = node_entry_word(page, idx // 9, idx % 9)
-            new_word = self._point_entry(sub_word, subcell(cell, idx), item)
-            return make_child(
-                self._io.write_page(node_with_entry(page, idx // 9, idx % 9, new_word))
-            )
-        existing = [] if entry_is_empty(word) else self._records(word)
-        n_points = 1 + sum(1 for r in existing if r.kind == KIND_POINT)
-        if n_points > self.params.leaf_split_threshold and cell.level < self.params.max_depth:
-            pts, zitems = self._partition(existing)
-            pts.append(item)
-            return self._build_cell(cell, pts, zitems)
-        if entry_is_empty(word):
-            return make_leaf(self._write_chain([rec]))
-        return make_leaf(self._append(entry_addr(word), rec))
+            merged = self._merge_node(page, cell, pts, zitems)
+            return word if merged is page else make_child(self._io.write_page(merged))
+        old = None  # the leaf's records, read only when new points may take it over the threshold
+        n_points = 0
+        if pts:
+            old = self._records(word)
+            n_points = len(pts) + sum(r.kind == KIND_POINT for r in old)
+        if not self._splits(cell, n_points, zitems):
+            return make_leaf(self._append(entry_addr(word), self._leaf_records(pts, zitems)))
+        old_pts, old_zitems = self._partition(self._records(word) if old is None else old)
+        return self._build_cell(cell, old_pts + pts, old_zitems + zitems)
 
     def _records(self, word: int) -> list[LeafRecord]:
         """Every record of the leaf chain an entry word (or self list) names."""
@@ -1015,14 +1022,24 @@ class TreeEditor:
                     bz[idx].append((m, addr, verts))
         return bp, bz
 
+    def _splits(self, cell: Cell, n_points: int, zitems: list) -> bool:
+        """The split rule: whether a cell holding ``n_points`` points and these zone items is a node."""
+        return cell.level < self.params.max_depth and (
+            n_points > self.params.leaf_split_threshold or any(mode == _DESCEND for mode, _, _ in zitems)
+        )
+
+    @staticmethod
+    def _leaf_records(pts: list, zitems: list) -> list[LeafRecord]:
+        """The leaf records of point and zone items, points first."""
+        return [item[0] for item in pts] + [
+            LeafRecord(KIND_ZONE_INSIDE if mode == _INSIDE else KIND_ZONE_EDGE, addr) for mode, addr, _ in zitems
+        ]
+
     def _build_cell(self, cell: Cell, pts: list, zitems: list) -> int:
         """Materialize a cell from in-memory records; returns its entry word."""
         if not pts and not zitems:
             return ENTRY_EMPTY
-        if cell.level < self.params.max_depth and (
-            len(pts) > self.params.leaf_split_threshold
-            or any(mode == _DESCEND for mode, _, _ in zitems)
-        ):
+        if self._splits(cell, len(pts), zitems):
             bp, bz = self._buckets(cell, pts, zitems)
             entries = [
                 self._build_cell(subcell(cell, idx), bp[idx], bz[idx])
@@ -1033,61 +1050,7 @@ class TreeEditor:
             if all(entry_is_empty(w) for w in entries):
                 return ENTRY_EMPTY
             return make_child(self._io.write_page(encode_node(NodePage(cell.level, entries))))
-        records = [item[0] for item in pts]
-        records += [
-            LeafRecord(KIND_ZONE_INSIDE if mode == _INSIDE else KIND_ZONE_EDGE, addr)
-            for mode, addr, _ in zitems
-        ]
-        return make_leaf(self._write_chain(records))
-
-    # -- zone insertion --
-
-    def insert_zone(self, root: int, zid: int, verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
-        verts, top = self._check_zone(zid, verts)
-        self._reader = self._new_reader()
-        self._zone_addr = self._write_zone(ZoneObject(zid, verts))
-        self._zone_verts = verts
-
-        node = decode_node(self._reader.node(root))
-        rec = self._top_record(top, self._zone_addr)
-        if rec is not None:  # records for the top cell itself live in the root's self_list
-            if node.self_list == ENTRY_EMPTY:
-                node.self_list = make_leaf(self._write_chain([rec]))
-            else:
-                node.self_list = make_leaf(self._append(entry_addr(node.self_list), rec))
-        else:
-            node.entries = self._zone_entries(node.entries, TOP_CELL, _DESCEND)
-        return self._io.write_page(encode_node(node)), self._zone_addr
-
-    def _zone_entries(self, entries: list, cell: Cell, mode: int) -> list:
-        """Entry words of a split cell after placing the staged zone in each child."""
-        modes = self._child_modes81(mode, cell, self._zone_verts)
-        return [
-            w if m is None else self._zone_entry(w, subcell(cell, idx), m)
-            for idx, (w, m) in enumerate(zip(entries, modes))
-        ]
-
-    def _zone_entry(self, word: int, cell: Cell, mode: int) -> int:
-        if mode == _DESCEND:
-            if entry_is_empty(word):
-                return self._build_cell(cell, [], [(_DESCEND, self._zone_addr, self._zone_verts)])
-            if entry_is_leaf(word):
-                pts, zitems = self._partition(self._records(word))
-                zitems.append((_DESCEND, self._zone_addr, self._zone_verts))
-                return self._build_cell(cell, pts, zitems)
-            node = decode_node(self._reader.node(entry_addr(word)))
-            node.entries = self._zone_entries(node.entries, cell, _DESCEND)
-            return make_child(self._io.write_page(encode_node(node)))
-        # attach an inside/edge record at this cell
-        rec = LeafRecord(KIND_ZONE_INSIDE if mode == _INSIDE else KIND_ZONE_EDGE, self._zone_addr)
-        if entry_is_empty(word):
-            return make_leaf(self._write_chain([rec]))
-        if entry_is_leaf(word):
-            return make_leaf(self._append(entry_addr(word), rec))
-        # the cell is split: push the record into the children it maps onto
-        node = decode_node(self._reader.node(entry_addr(word)))
-        node.entries = self._zone_entries(node.entries, cell, mode)
-        return make_child(self._io.write_page(encode_node(node)))
+        return make_leaf(self._write_chain(self._leaf_records(pts, zitems)))
 
     # -- deletion --
 

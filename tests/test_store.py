@@ -221,6 +221,32 @@ def test_resume_session_picks_up_staged_pages():
     assert back.handle(v).stats().objects == 2
 
 
+def test_resume_reads_only_the_staged_pages():
+    """Resuming diffs the staged root from the base counts; it does not walk the staged tree."""
+    store = seeded_store(16, 300, 10, seed=5)  # about 940 reachable pages
+    s = store.begin()
+    s.insert_gantry(1000, 1_234_567, 765_432)
+    staged = (s.base_version, s.root, set(s.pending))
+    image = store.device.to_bytes()
+
+    back = Store(FlashDevice.from_bytes(image))
+    before = back.device.stats().reads
+    s2 = back.resume_session(*staged)
+    assert back.device.stats().reads - before <= 30
+    s2.delete(1000, "gantry")  # the staged gantry and a base one
+    s2.delete(7, "gantry")
+    s2.commit()
+    assert back.verify()["ok"]
+    assert back.handle().stats().objects == store.handle().stats().objects - 1
+    with pytest.raises(NotFoundError):
+        back.begin().delete(1000, "gantry")
+
+    damaged = Store(FlashDevice.from_bytes(image))
+    damage(damaged, max(staged[2]))
+    with pytest.raises(IntegrityError, match="staged tree is damaged"):
+        damaged.resume_session(*staged)
+
+
 def test_resume_rejects_stale_base():
     store = fresh()
     add_gantries(store, [1])

@@ -106,8 +106,10 @@ def test_duplicate_gantry_id_rejected():
     store = fresh()
     committed(store, lambda s: s.insert_gantry(1, 5, 5))
     s = store.begin()
+    before = store.device.stats().programs
     with pytest.raises(ConflictError):
         s.insert_gantry(1, 100, 100)
+    assert store.device.stats().programs == before and not s.pending
     s.rollback()
 
 
@@ -364,6 +366,49 @@ def test_path_copy_programs_scale_with_depth():
         committed(store, lambda s: s.insert_gantry(1, 5, 5))
         store.device.on_program = None
         assert box[0] == d + 1, f"depth {d}: programmed {box[0]} node pages"
+
+
+def test_an_insert_appends_to_a_leaf_that_does_not_split():
+    """New records join a leaf below the split threshold without reading or rewriting its records.
+
+    With ``zone_max_depth`` 1 every zone record sits in a level-1 leaf
+    (222 km cells).  Cell A (x, y in 222..444 km) holds gantries and a
+    small zone; cell B (x in 667..889 km) holds gantries and 70 small
+    zones, a two-page chain.  The new zone is inside A and crosses B.
+    """
+    store = fresh(BuildParams(zone_max_depth=1), sectors=16)
+    tiny = lambda x, y: ((x, y), (x + 500, y), (x, y + 500))  # noqa: E731
+    gantries = [(1, 300_000, 300_000), (2, 310_000, 300_000), (3, 700_000, 300_000), (4, 710_000, 310_000)]
+    zones = [(100, tiny(400_000, 400_000))] + [(101 + k, tiny(680_000 + 2_000 * k, 350_000)) for k in range(70)]
+    committed(store, lambda s: s.load(gantries, zones))
+    zone = ((200_000, 200_000), (800_000, 200_000), (800_000, 460_000), (200_000, 460_000))
+    zones.append((200, zone))
+
+    def zone_pages():
+        return {addr for addr, role in store.handle().walk().roles.items() if role in ("zone", "zone_cont")}
+
+    old_objects = store.handle().walk().object_pages
+    reads = []
+    store.device.on_read = reads.append
+    store.cache.clear()
+    committed(store, lambda s: s.insert_zone(200, zone))
+    assert not old_objects.intersection(reads)  # the leaves' gantries and zones are not read
+
+    old_zones = zone_pages()
+    leaves = count_kind_programs(store.device, LEAF_MAGIC)
+    reads.clear()
+    store.cache.clear()
+    committed(store, lambda s: s.insert_gantry(5, 720_000, 320_000))
+    store.device.on_read = store.device.on_program = None
+    assert leaves[0] == 1  # a rebuilt chain of 75 records would take two pages
+    assert not old_zones.intersection(reads)  # only the leaf's gantries are read, for the id check
+
+    gantries.append((5, 720_000, 320_000))
+    h = store.handle()
+    for x, y in [(300_000, 300_000), (400_100, 400_100), (681_000, 350_100), (720_000, 320_000), (850_000, 300_000)]:
+        assert h.query_zones_at(x, y).ids == {zid for zid, verts in zones if pip_oracle_one(x, y, verts)}
+    assert h.query_gantries_within(705_000, 305_000, 25_000).ids == {3, 4, 5}
+    assert store.verify()["ok"]
 
 
 # -- integrity ----------------------------------------------------------------------
@@ -723,7 +768,9 @@ def test_load_refuses_a_gantry_id_already_in_its_leaf():
     store = fresh()
     committed(store, lambda s: s.insert_gantry(7, 100_000, 100_000))
     s = store.begin()
+    before = store.device.stats().programs
     with pytest.raises(ConflictError, match="gantry id 7 already present"):
         s.load([(8, 1_500_000, 1_500_000), (7, 100_010, 100_010)], [])
+    assert store.device.stats().programs == before and not s.pending
     s.rollback()
     assert store.current_version == 2 and store.handle().stats().objects == 1
