@@ -884,9 +884,9 @@ class TreeEditor:
             self._check_gantry(gid, x, y)
         checked_zones = [(zid, *self._check_zone(zid, verts)) for zid, verts in zones]
         for kind, ids in (("gantry", [g[0] for g in gantries]), ("zone", [z[0] for z in checked_zones])):
-            repeated = [oid for oid, n in Counter(ids).items() if n > 1]
-            if repeated:
-                raise ConflictError(f"{kind} id {repeated[0]} appears twice in the load")
+            if len(set(ids)) < len(ids):
+                repeated = next(oid for oid, n in Counter(ids).items() if n > 1)
+                raise ConflictError(f"{kind} id {repeated} appears twice in the load")
         heads: list[tuple[int, int, str]] = []
         if not gantries and not checked_zones:
             return root, heads
@@ -944,14 +944,12 @@ class TreeEditor:
         Only the entry words that change are patched; ``page`` itself comes
         back when none does.
         """
-        bp, bz = self._buckets(cell, pts, zitems)
-        for idx in range(NODE_FANOUT):
-            if bp[idx] or bz[idx]:
-                i, j = divmod(idx, 9)
-                word = node_entry_word(page, i, j)
-                new = self._merge_entry(word, subcell(cell, idx), bp[idx], bz[idx])
-                if new != word:
-                    page = node_with_entry(page, i, j, new)
+        for idx, (sub_pts, sub_zitems) in sorted(self._buckets(cell, pts, zitems).items()):
+            i, j = divmod(idx, 9)
+            word = node_entry_word(page, i, j)
+            new = self._merge_entry(word, subcell(cell, idx), sub_pts, sub_zitems)
+            if new != word:
+                page = node_with_entry(page, i, j, new)
         return page
 
     def _merge_entry(self, word: int, cell: Cell, pts: list, zitems: list) -> int:
@@ -1010,17 +1008,17 @@ class TreeEditor:
             for cls in classify_children(cell, verts)
         ]
 
-    def _buckets(self, cell: Cell, pts: list, zitems: list) -> tuple[list, list]:
-        """Point and zone items of each of the cell's 81 subcells."""
-        bp: list[list] = [[] for _ in range(NODE_FANOUT)]
-        bz: list[list] = [[] for _ in range(NODE_FANOUT)]
+    def _buckets(self, cell: Cell, pts: list, zitems: list) -> dict[int, tuple[list, list]]:
+        """Subcell index -> (point items, zone items) of each subcell that gets an item."""
+        out: dict[int, tuple[list, list]] = {}
         for item in pts:
-            bp[cell_index(cell, item[1], item[2])].append(item)
+            idx = cell_index(cell, item[1], item[2])
+            (out.get(idx) or out.setdefault(idx, ([], [])))[0].append(item)
         for mode, addr, verts in zitems:
             for idx, m in enumerate(self._child_modes81(mode, cell, verts)):
                 if m is not None:
-                    bz[idx].append((m, addr, verts))
-        return bp, bz
+                    (out.get(idx) or out.setdefault(idx, ([], [])))[1].append((m, addr, verts))
+        return out
 
     def _splits(self, cell: Cell, n_points: int, zitems: list) -> bool:
         """The split rule: whether a cell holding ``n_points`` points and these zone items is a node."""
@@ -1040,11 +1038,9 @@ class TreeEditor:
         if not pts and not zitems:
             return ENTRY_EMPTY
         if self._splits(cell, len(pts), zitems):
-            bp, bz = self._buckets(cell, pts, zitems)
+            buckets = self._buckets(cell, pts, zitems)
             entries = [
-                self._build_cell(subcell(cell, idx), bp[idx], bz[idx])
-                if bp[idx] or bz[idx]
-                else ENTRY_EMPTY
+                self._build_cell(subcell(cell, idx), *buckets[idx]) if idx in buckets else ENTRY_EMPTY
                 for idx in range(NODE_FANOUT)
             ]
             if all(entry_is_empty(w) for w in entries):
