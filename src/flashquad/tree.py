@@ -959,14 +959,11 @@ class TreeEditor:
             page = self._reader.node(entry_addr(word))
             merged = self._merge_node(page, cell, pts, zitems)
             return word if merged is page else make_child(self._io.write_page(merged))
-        old = None  # the leaf's records, read only when new points may take it over the threshold
-        n_points = 0
-        if pts:
-            old = self._records(word)
-            n_points = len(pts) + sum(r.kind == KIND_POINT for r in old)
-        if not self._splits(cell, n_points, zitems):
+        # a leaf: only new points can take it over the split threshold, so only they need its records
+        old = self._records(word) if pts else []
+        if not self._splits(cell, len(pts) + sum(r.kind == KIND_POINT for r in old), zitems):
             return make_leaf(self._append(entry_addr(word), self._leaf_records(pts, zitems)))
-        old_pts, old_zitems = self._partition(self._records(word) if old is None else old)
+        old_pts, old_zitems = self._partition(old or self._records(word))
         return self._build_cell(cell, old_pts + pts, old_zitems + zitems)
 
     def _records(self, word: int) -> list[LeafRecord]:

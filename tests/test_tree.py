@@ -376,16 +376,16 @@ def test_an_insert_appends_to_a_leaf_that_does_not_split():
     small zone; cell B (x in 667..889 km) holds gantries and 70 small
     zones, a two-page chain.  The new zone is inside A and crosses B.
     """
+
+    def tiny(x, y):
+        return ((x, y), (x + 500, y), (x, y + 500))
+
     store = fresh(BuildParams(zone_max_depth=1), sectors=16)
-    tiny = lambda x, y: ((x, y), (x + 500, y), (x, y + 500))  # noqa: E731
     gantries = [(1, 300_000, 300_000), (2, 310_000, 300_000), (3, 700_000, 300_000), (4, 710_000, 310_000)]
     zones = [(100, tiny(400_000, 400_000))] + [(101 + k, tiny(680_000 + 2_000 * k, 350_000)) for k in range(70)]
     committed(store, lambda s: s.load(gantries, zones))
     zone = ((200_000, 200_000), (800_000, 200_000), (800_000, 460_000), (200_000, 460_000))
     zones.append((200, zone))
-
-    def zone_pages():
-        return {addr for addr, role in store.handle().walk().roles.items() if role in ("zone", "zone_cont")}
 
     old_objects = store.handle().walk().object_pages
     reads = []
@@ -394,13 +394,13 @@ def test_an_insert_appends_to_a_leaf_that_does_not_split():
     committed(store, lambda s: s.insert_zone(200, zone))
     assert not old_objects.intersection(reads)  # the leaves' gantries and zones are not read
 
-    old_zones = zone_pages()
+    old_zones = {addr for addr, role in store.handle().walk().roles.items() if role in ("zone", "zone_cont")}
     leaves = count_kind_programs(store.device, LEAF_MAGIC)
     reads.clear()
     store.cache.clear()
     committed(store, lambda s: s.insert_gantry(5, 720_000, 320_000))
     store.device.on_read = store.device.on_program = None
-    assert leaves[0] == 1  # a rebuilt chain of 75 records would take two pages
+    assert leaves[0] == 1  # a rebuilt chain of 74 records would take two pages
     assert not old_zones.intersection(reads)  # only the leaf's gantries are read, for the id check
 
     gantries.append((5, 720_000, 320_000))
