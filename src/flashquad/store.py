@@ -523,8 +523,8 @@ class Store:
         """Re-open a staged session (pages already programmed on the device).
 
         The staged root is diffed from the current version's counts, so only
-        the pages the session staged are read.  A damaged staged tree raises
-        ``IntegrityError``.
+        the pages the session staged, and the base pages they replace, are
+        read.  A damaged staged tree raises ``IntegrityError``.
         """
         if self._session is not None:
             raise SessionError("another session is already open")

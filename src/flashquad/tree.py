@@ -891,8 +891,8 @@ class TreeEditor:
         if not gantries and not checked_zones:
             return root, heads
         self._reader = self._new_reader()
-        for gid, x, y in gantries:
-            self._check_duplicate(root, gid, x, y)
+        if gantries:
+            self._check_ids(root, TOP_CELL, gantries)
 
         pts: list[tuple[LeafRecord, int, int, int]] = []
         for gid, x, y in gantries:
@@ -920,23 +920,20 @@ class TreeEditor:
             page = encode_node(node)
         return self._io.write_page(self._merge_node(page, TOP_CELL, pts, zitems)), heads
 
-    def _check_duplicate(self, root: int, gid: int, x: int, y: int) -> None:
-        """Reject an id already present in the cell the new point lands in."""
-        cell = TOP_CELL
-        addr = root
-        while True:
-            page = self._reader.node(addr)
-            idx = cell_index(cell, x, y)
-            word = node_entry_word(page, idx // 9, idx % 9)
-            if entry_is_empty(word):
-                return
-            if entry_is_leaf(word):
-                for rec in self._records(word):  # the whole chain is read before its objects
-                    if rec.kind == KIND_POINT and self._reader.object(rec.object_page, "gantry").object_id == gid:
+    def _check_ids(self, addr: int, cell: Cell, gantries: list) -> None:
+        """Reject a gantry ``(id, x, y)`` whose id is already in the leaf its point lands in."""
+        page = self._reader.node(addr)
+        for idx, (sub, _) in sorted(self._buckets(cell, gantries, []).items()):
+            word = node_entry_word(page, *divmod(idx, 9))
+            if entry_is_child(word):
+                self._check_ids(entry_addr(word), subcell(cell, idx), sub)
+            elif entry_is_leaf(word):
+                ids = {g[0] for g in sub}
+                points = [rec for rec in self._records(word) if rec.kind == KIND_POINT]  # the chain before its objects
+                for rec in points:
+                    gid = self._reader.object(rec.object_page, "gantry").object_id
+                    if gid in ids:
                         raise ConflictError(f"gantry id {gid} already present at this location")
-                return
-            cell = subcell(cell, idx)
-            addr = entry_addr(word)
 
     def _merge_node(self, page: bytes, cell: Cell, pts: list, zitems: list) -> bytes:
         """The node ``page`` with new items merged into the entries they land in.
