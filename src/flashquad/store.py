@@ -89,9 +89,8 @@ class Session:
         self.edit_pages: set[int] = set()
         self.closed = False
         self._editor = TreeEditor(self, store.params)
-        # object id -> {head page: kind} of the session's tree: the base
-        # version's map under the ids this session edited
-        self._objects = store._refs.objects
+        # object id -> {head page: kind} of each id this session edited; the
+        # base version's map (the store's counts) holds the others
         self._edited: dict[int, dict[int, str]] = {}
         # the entries this session added to the store's dedup map; they go at close unless live
         self.learned: dict[bytes, int] = {}
@@ -138,7 +137,7 @@ class Session:
 
     def _heads(self, oid: int) -> dict[int, str]:
         heads = self._edited.get(oid)
-        return self._objects.get(oid, {}) if heads is None else heads
+        return self._store._refs.objects.get(oid, {}) if heads is None else heads
 
     def insert_gantry(self, gid: int, x: int, y: int) -> None:
         """Add one gantry: a one-object ``load``."""
