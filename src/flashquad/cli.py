@@ -90,12 +90,11 @@ def _save_image(device: FlashDevice, image: str) -> None:
 
 
 def _load_store(args, params: Optional[BuildParams] = None) -> Store:
+    cache_pages = getattr(args, "cache_pages", 15)
+    if cache_pages < 1:
+        raise DomainError(f"--cache-pages must be at least 1, got {cache_pages}")
     device = FlashDevice.load(args.image)
-    return Store(
-        device,
-        params=params,
-        cache_pages=getattr(args, "cache_pages", 15),
-    )
+    return Store(device, params=params, cache_pages=cache_pages)
 
 
 def _params_from(args) -> BuildParams:
@@ -233,11 +232,14 @@ def _add_tree_params(p: argparse.ArgumentParser) -> None:
 def cmd_format(args) -> int:
     if os.path.exists(args.image) and not args.force:
         raise ConflictError(f"{args.image} exists; pass --force to re-format it")
-    device = (
-        FlashDevice.load(args.image)
-        if os.path.exists(args.image)
-        else FlashDevice(FlashGeometry(sector_count=args.sectors))
-    )
+    if os.path.exists(args.image):
+        device = FlashDevice.load(args.image)
+    else:
+        try:
+            geometry = FlashGeometry(sector_count=args.sectors)
+        except ValueError as e:  # the sector count is out of range
+            raise DomainError(f"--sectors: {e}") from None
+        device = FlashDevice(geometry)
     with _image_lock(args.image) if os.path.exists(args.image) else contextlib.nullcontext():
         _drop_sidecar(args.image)
         Store.format(device)

@@ -154,10 +154,17 @@ class Session:
     ) -> None:
         """Add gantries ``(id, x, y)`` and zones ``(id, vertices)`` in one tree descent.
 
-        Bad input raises before any page is programmed.  On an empty base
-        every page of the resulting tree is written once (see ``TreeEditor.load``).
+        Bad input raises before any page is programmed, and so does an id
+        of its kind already in this session's tree (``ConflictError``; the
+        object map answers without a read).  On an empty base every page of
+        the resulting tree is written once (see ``TreeEditor.load``).
         """
         self._assert_open()
+        gantries, zones = list(gantries), list(zones)
+        for kind, items in (("gantry", gantries), ("zone", zones)):
+            for item in items:
+                if kind in self._heads(item[0]).values():
+                    raise ConflictError(f"{kind} id {item[0]} already present")
         self.edit_pages.clear()
         self.root, heads = self._editor.load(self.root, gantries, zones)
         for oid, head, kind in heads:

@@ -18,8 +18,11 @@ There is one way to add objects, ``TreeEditor.load``; an insert is a
 one-object load.  Its descent builds an empty entry top down, appends the
 new records to a leaf that does not split (extending the head page, then
 chaining new pages in front of it), rebuilds a leaf that does split, and
-patches only the changed entry words of a node.  Structural rules when a
-cell has to change shape:
+patches only the changed entry words of a node.  A delete takes the same
+descent (``TreeEditor._patch_node``): its targets become the load's item
+shapes, the leaf chains and self lists it meets are filtered, and a node
+left empty collapses into its parent.  Structural rules when a cell has to
+change shape:
 
 * a leaf list whose point count would exceed ``leaf_split_threshold``
   splits into a node, points redistributed by subcell (repeatedly, until
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import codec
@@ -102,9 +106,6 @@ _MIB = 1024 * 1024
 _INSIDE = 1  # attach an inside record at this cell
 _EDGE = 2  # attach an edge record at this cell
 _DESCEND = 3  # boundary cell above zone_max_depth: place records deeper
-# where a deleted object's records can be, below a cell: the subcells holding
-# a point (_POINT), every subcell (_INSIDE), or those not OUTSIDE a zone (_EDGE)
-_POINT = 4
 
 
 @dataclass(frozen=True)
@@ -632,6 +633,25 @@ def stats_from_walk(rep: WalkReport) -> StatsReport:
 
 
 # ---------------------------------------------------------------------------
+# node page fields
+
+
+_NO_ENTRIES = b"\xff" * codec.NODE_ENTRY_AREA  # the entry area of a node whose 81 entries are Empty
+
+
+def _self_list(page: bytes) -> int:
+    """A validated node page's self_list word."""
+    return int.from_bytes(page[codec.NODE_SELF_LIST_OFF : codec.NODE_SELF_LIST_OFF + 3], "big")
+
+
+def _with_self_list(page: bytes, word: int) -> bytes:
+    """Copy of a node page with its self_list replaced (and its check rebuilt)."""
+    node = decode_node(page)
+    node.self_list = word
+    return encode_node(node)
+
+
+# ---------------------------------------------------------------------------
 # read-only handle
 
 
@@ -681,7 +701,7 @@ class Handle:
         addr = self.root_page
         while True:
             page = reader.node(addr)
-            self_list = int.from_bytes(page[codec.NODE_SELF_LIST_OFF : codec.NODE_SELF_LIST_OFF + 3], "big")
+            self_list = _self_list(page)
             if self_list != ENTRY_EMPTY:
                 collect(entry_addr(self_list))
             idx = cell_index(cell, x, y)
@@ -751,10 +771,11 @@ class TreeEditor:
 
     ``load`` is the one insertion path; a single insert is a one-object
     load, which appends to the leaf it lands in unless that leaf splits.
-    Each public method takes the current root address and returns the new
-    one (a load also returns every object page it wrote), programming only
-    fresh pages.  The caller (store session) owns allocation, pending-page
-    tracking, the object id -> head page map and the final commit.
+    Both descend through ``_patch_node``.  Each takes the current root
+    address and returns the new one (a load also returns every object page
+    it wrote), programming only fresh pages.  The caller (store session)
+    owns allocation, pending-page tracking, the object id -> head page map
+    (so it refuses an id already present) and the final commit.
     """
 
     def __init__(self, io, params: BuildParams):
@@ -789,18 +810,19 @@ class TreeEditor:
             new = new[room:]
         return self._write_chain(new, head)
 
-    def _filter_chain(self, head: int, drop: set[int]) -> tuple[int, int]:
-        """Rewrite a chain without records referencing ``drop`` pages.
+    def _filter_chain(self, word: int, drop: set[int]) -> int:
+        """An entry word (or self list) with records referencing ``drop`` pages filtered out of its chain.
 
-        Returns (new head or NO_PAGE, records removed).  The longest
-        untouched tail run keeps its existing pages.
+        Returns ``word`` itself when no record goes, and Empty when every
+        record goes.  The longest untouched tail run keeps its existing pages.
         """
+        if word == ENTRY_EMPTY:
+            return word
         pages: list[tuple[int, tuple[LeafRecord, ...]]] = []
-        addr = head
-        for records, nxt in self._reader.chain(head):
+        addr = entry_addr(word)
+        for records, nxt in self._reader.chain(addr):
             pages.append((addr, records))
             addr = nxt
-        removed = 0
         new_next = NO_PAGE
         share_tail = True
         for addr, records in reversed(pages):
@@ -809,12 +831,13 @@ class TreeEditor:
                 new_next = addr
                 continue
             share_tail = False
-            removed += len(records) - len(kept)
             if kept:
                 new_next = self._io.write_page(
                     encode_leaf_list(LeafListPage(kept, new_next)), dedupable=True
                 )
-        return new_next, removed
+        if share_tail:
+            return word
+        return ENTRY_EMPTY if new_next == NO_PAGE else make_leaf(new_next)
 
     def _write_zone(self, zone: ZoneObject) -> int:
         """Program a zone's object pages; returns the head page."""
@@ -866,14 +889,14 @@ class TreeEditor:
 
         This is the one way to add objects; an insert is a one-object load.
         Every input is checked before a page is programmed: positions, ids
-        and polygons, an id repeated within one kind, and a gantry id
-        already in the leaf its point lands in (``ConflictError``).  Then
-        the object pages are written and the tree is descended once from
-        ``root``, taking each new item to the entries it lands in: an empty
-        entry is built top-down by ``_build_cell``, a leaf that does not
-        split gets the new records appended, a leaf that splits is rebuilt
-        with its old records and the new ones, and a node gets only its
-        changed entry words patched.  On an empty root this is top-down
+        and polygons, and an id repeated within one kind (``ConflictError``;
+        the session refuses an id already in the tree).  Then the object
+        pages are written and the tree is descended once from ``root``,
+        taking each new item to the entries it lands in: an empty entry is
+        built top-down by ``_build_cell``, a leaf that does not split gets
+        the new records appended, a leaf that splits is rebuilt with its old
+        records and the new ones, and a node gets only its changed entry
+        words patched.  On an empty root this is top-down
         region-quadtree construction (Samet, *The Design and Analysis of
         Spatial Data Structures*, 1990), writing each page of the final tree
         once.  Returns the new root and the (id, head page, kind) of every
@@ -891,8 +914,6 @@ class TreeEditor:
         if not gantries and not checked_zones:
             return root, heads
         self._reader = self._new_reader()
-        if gantries:
-            self._check_ids(root, TOP_CELL, gantries)
 
         pts: list[tuple[LeafRecord, int, int, int]] = []
         for gid, x, y in gantries:
@@ -912,39 +933,25 @@ class TreeEditor:
 
         page = self._reader.node(root)
         if top_records:  # records for the top cell itself live in the root's self_list
-            node = decode_node(page)
-            if node.self_list == ENTRY_EMPTY:
-                node.self_list = make_leaf(self._write_chain(top_records))
+            word = _self_list(page)
+            if word == ENTRY_EMPTY:
+                head = self._write_chain(top_records)
             else:
-                node.self_list = make_leaf(self._append(entry_addr(node.self_list), top_records))
-            page = encode_node(node)
-        return self._io.write_page(self._merge_node(page, TOP_CELL, pts, zitems)), heads
+                head = self._append(entry_addr(word), top_records)
+            page = _with_self_list(page, make_leaf(head))
+        return self._io.write_page(self._patch_node(page, TOP_CELL, pts, zitems, self._merge_entry)), heads
 
-    def _check_ids(self, addr: int, cell: Cell, gantries: list) -> None:
-        """Reject a gantry ``(id, x, y)`` whose id is already in the leaf its point lands in."""
-        page = self._reader.node(addr)
-        for idx, (sub, _) in sorted(self._buckets(cell, gantries, []).items()):
-            word = node_entry_word(page, *divmod(idx, 9))
-            if entry_is_child(word):
-                self._check_ids(entry_addr(word), subcell(cell, idx), sub)
-            elif entry_is_leaf(word):
-                ids = {g[0] for g in sub}
-                points = [rec for rec in self._records(word) if rec.kind == KIND_POINT]  # the chain before its objects
-                for rec in points:
-                    gid = self._reader.object(rec.object_page, "gantry").object_id
-                    if gid in ids:
-                        raise ConflictError(f"gantry id {gid} already present at this location")
+    def _patch_node(self, page: bytes, cell: Cell, pts: list, zitems: list, edit: Callable) -> bytes:
+        """The node ``page`` with ``edit(word, subcell, pts, zitems)`` applied to each entry items land in.
 
-    def _merge_node(self, page: bytes, cell: Cell, pts: list, zitems: list) -> bytes:
-        """The node ``page`` with new items merged into the entries they land in.
-
-        Only the entry words that change are patched; ``page`` itself comes
-        back when none does.
+        This is the one edit descent: a load merges items in, a delete
+        filters them out.  Only the entry words that change are patched;
+        ``page`` itself comes back when none does.
         """
         for idx, (sub_pts, sub_zitems) in sorted(self._buckets(cell, pts, zitems).items()):
             i, j = divmod(idx, 9)
             word = node_entry_word(page, i, j)
-            new = self._merge_entry(word, subcell(cell, idx), sub_pts, sub_zitems)
+            new = edit(word, subcell(cell, idx), sub_pts, sub_zitems)
             if new != word:
                 page = node_with_entry(page, i, j, new)
         return page
@@ -954,7 +961,7 @@ class TreeEditor:
             return self._build_cell(cell, pts, zitems)
         if entry_is_child(word):
             page = self._reader.node(entry_addr(word))
-            merged = self._merge_node(page, cell, pts, zitems)
+            merged = self._patch_node(page, cell, pts, zitems, self._merge_entry)
             return word if merged is page else make_child(self._io.write_page(merged))
         # a leaf: only new points can take it over the split threshold, so only they need its records
         old = self._records(word) if pts else []
@@ -1047,64 +1054,41 @@ class TreeEditor:
     def delete_object(self, root: int, targets: dict[int, str]) -> int:
         """Remove every record naming the object pages ``targets`` (head page -> kind).
 
-        Only the cells the objects touch are read: the one path of a
-        gantry, and for a zone the subcells ``classify_children`` does not
-        call OUTSIDE (all subcells below an inside one).  Self lists on the
-        way are filtered too.
+        A gantry becomes the point item ``(None, x, y, id)`` and a zone the
+        edge item ``(_EDGE, head, vertices)``; they take the load's descent,
+        so only the cells an object touches are read.  The leaf chains and
+        self lists met are filtered, and a node left empty collapses into
+        its parent.
         """
         self._reader = self._new_reader()
-        shapes = []
+        pts: list[tuple[None, int, int, int]] = []
+        zitems: list[tuple[int, int, tuple]] = []
         for head, kind in targets.items():
             obj = self._reader.object(head, kind)
-            shapes.append((_POINT, (obj.x, obj.y)) if kind == "gantry" else (_EDGE, obj.vertices))
-        drop = set(targets)
-        node = decode_node(self._reader.node(root))
-        if node.self_list != ENTRY_EMPTY:
-            new_head, _ = self._filter_chain(entry_addr(node.self_list), drop)
-            node.self_list = ENTRY_EMPTY if new_head == NO_PAGE else make_leaf(new_head)
-        node.entries = self._delete_entries(node.entries, TOP_CELL, shapes, drop)
-        return self._io.write_page(encode_node(node))
-
-    def _delete_entries(self, entries: list, cell: Cell, shapes: list, drop: set[int]) -> list:
-        """``cell``'s entry words after filtering ``drop`` out of the subcells ``shapes`` touch."""
-        touched: list[list] = [[] for _ in range(NODE_FANOUT)]
-        for shape in shapes:
-            mode, geom = shape
-            if mode == _POINT:
-                touched[cell_index(cell, *geom)].append(shape)
-            elif mode == _INSIDE:
-                for t in touched:
-                    t.append(shape)
+            if kind == "gantry":
+                pts.append((None, obj.x, obj.y, obj.object_id))
             else:
-                for t, cls in zip(touched, classify_children(cell, geom)):
-                    if cls == CellClass.INSIDE:
-                        t.append((_INSIDE, None))
-                    elif cls != CellClass.OUTSIDE:
-                        t.append(shape)
-        return [
-            self._delete_entry(word, subcell(cell, idx), touched[idx], drop) if touched[idx] else word
-            for idx, word in enumerate(entries)
-        ]
+                zitems.append((_EDGE, head, obj.vertices))
+        drop = set(targets)
+        page = self._filter_self_list(self._reader.node(root), drop)  # the root's self list before its entries
+        return self._io.write_page(self._patch_node(page, TOP_CELL, pts, zitems, partial(self._delete_entry, drop)))
 
-    def _delete_entry(self, word: int, cell: Cell, shapes: list, drop: set[int]) -> int:
+    def _delete_entry(self, drop: set[int], word: int, cell: Cell, pts: list, zitems: list) -> int:
         if entry_is_empty(word):
             return word
         if entry_is_leaf(word):
-            new_head, removed = self._filter_chain(entry_addr(word), drop)
-            if not removed:
-                return word
-            return ENTRY_EMPTY if new_head == NO_PAGE else make_leaf(new_head)
-        node = decode_node(self._reader.node(entry_addr(word)))
-        new_entries = self._delete_entries(node.entries, cell, shapes, drop)
-        new_self = node.self_list
-        if new_self != ENTRY_EMPTY:
-            head, removed = self._filter_chain(entry_addr(new_self), drop)
-            if removed:
-                new_self = ENTRY_EMPTY if head == NO_PAGE else make_leaf(head)
-        if new_entries == node.entries and new_self == node.self_list:
+            return self._filter_chain(word, drop)
+        page = self._reader.node(entry_addr(word))
+        patched = self._patch_node(page, cell, pts, zitems, partial(self._delete_entry, drop))
+        new = self._filter_self_list(patched, drop)  # a node's entries before its self list
+        if new is page:
             return word  # untouched subtree stays shared
-        if new_self == ENTRY_EMPTY and all(entry_is_empty(w) for w in new_entries):
+        if _self_list(new) == ENTRY_EMPTY and new[codec.NODE_ENTRIES_OFF :] == _NO_ENTRIES:
             return ENTRY_EMPTY  # node emptied out: collapse into the parent
-        node.entries = new_entries
-        node.self_list = new_self
-        return make_child(self._io.write_page(encode_node(node)))
+        return make_child(self._io.write_page(new))
+
+    def _filter_self_list(self, page: bytes, drop: set[int]) -> bytes:
+        """The node ``page`` with records naming ``drop`` pages filtered out of its self list."""
+        word = _self_list(page)
+        new = self._filter_chain(word, drop)
+        return page if new == word else _with_self_list(page, new)

@@ -262,6 +262,21 @@ def test_missing_image_is_a_clean_error(ws, capsys):
     assert code == 1 and "error:" in err
 
 
+def test_bad_option_values_are_clean_errors(ws, capsys):
+    code, _, err = run(capsys, "format", "db.img", "--sectors", 0)
+    assert code == 1 and err.startswith("error:") and "--sectors" in err
+    assert not os.path.exists(ws / "db.img")
+    run(capsys, "format", "db.img", "--sectors", "4")
+    (ws / "drive.txt").write_text("0 5 5\n")
+    for argv in (
+        ["query-zones", "db.img", "--at", "5,5"],
+        ["query-gantries", "db.img", "--at", "5,5", "--radius", 10],
+        ["replay", "db.img", "drive.txt"],
+    ):
+        code, _, err = run(capsys, *argv, "--cache-pages", 0)
+        assert code == 1 and err.startswith("error:") and "--cache-pages" in err, argv
+
+
 def test_parse_error_carries_line_number(ws, capsys):
     (ws / "bad.txt").write_text("G 1 10 10\nG oops 20 20\n")
     run(capsys, "format", "db.img", "--sectors", "4")

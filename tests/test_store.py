@@ -876,13 +876,15 @@ def test_counts_and_maps_follow_every_commit_and_apply(edits, window):
             if op == "gantry":
                 try:
                     session.insert_gantry(edit[1], edit[2], edit[3])
-                except ConflictError:  # that id already sits in the point's cell
+                except ConflictError:  # that id is already a gantry in the session's tree
                     continue
                 objects.add((edit[1], "gantry"))
             elif op == "zone":
                 try:
                     session.insert_zone(edit[1], random_simple_polygon(random.Random(edit[2]), radius_max=120_000))
                 except DomainError:  # the polygon fell wholly outside the world
+                    continue
+                except ConflictError:  # that id is already a zone in the session's tree
                     continue
                 objects.add((edit[1], "zone"))
             elif objects:

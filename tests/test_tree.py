@@ -358,14 +358,26 @@ def test_unrelated_subtrees_are_shared_across_versions():
 
 
 def test_path_copy_programs_scale_with_depth():
-    """One insert into a depth-d tree rewrites d+1 node pages, no more."""
+    """One insert or delete in a depth-d tree rewrites d+1 node pages, no more.
+
+    Deleting the last object of the path collapses it: only the root is
+    rewritten.
+    """
     for d in range(0, 5):
         params = BuildParams(leaf_split_threshold=0, max_depth=d + 1, zone_max_depth=0)
         store = fresh(params)
         box = count_kind_programs(store.device, NODE_MAGIC)
         committed(store, lambda s: s.insert_gantry(1, 5, 5))
+        assert box[0] == d + 1, f"depth {d}: insert programmed {box[0]} node pages"
+        committed(store, lambda s: s.insert_gantry(2, 6, 6))
+        box[0] = 0
+        committed(store, lambda s: s.delete(1))
+        assert box[0] == d + 1, f"depth {d}: delete programmed {box[0]} node pages"
+        box[0] = 0
+        committed(store, lambda s: s.delete(2))
         store.device.on_program = None
-        assert box[0] == d + 1, f"depth {d}: programmed {box[0]} node pages"
+        assert box[0] == 1, f"depth {d}: emptying delete programmed {box[0]} node pages"
+        assert store.handle().stats().total_pages == 1
 
 
 def test_an_insert_appends_to_a_leaf_that_does_not_split():
@@ -764,13 +776,55 @@ def test_bad_load_input_raises_before_any_program(gantries, zones, error):
     assert store.handle().stats().objects == 3
 
 
-def test_load_refuses_a_gantry_id_already_in_its_leaf():
+@pytest.mark.parametrize(
+    "gantries, zones, message",
+    [
+        ([(8, 1_500_000, 1_500_000), (7, 10, 10)], [], "gantry id 7 already present"),
+        ([(7, 1_500_000, 1_500_000)], [], "gantry id 7 already present"),
+        ([], [(51, OTHER_SQUARE), (50, OTHER_SQUARE)], "zone id 50 already present"),
+    ],
+    ids=["gantry-same-leaf", "gantry-far-leaf", "zone"],
+)
+def test_load_refuses_an_id_already_present(gantries, zones, message):
+    """An id of its kind anywhere in the session's tree is refused before any program."""
     store = fresh()
-    committed(store, lambda s: s.insert_gantry(7, 100_000, 100_000))
+    committed(store, lambda s: s.load([(7, 5, 5)], [(50, SQUARE)]))
     s = store.begin()
     before = store.device.stats().programs
-    with pytest.raises(ConflictError, match="gantry id 7 already present"):
-        s.load([(8, 1_500_000, 1_500_000), (7, 100_010, 100_010)], [])
+    with pytest.raises(ConflictError, match=message):
+        s.load(gantries, zones)
     assert store.device.stats().programs == before and not s.pending
     s.rollback()
-    assert store.current_version == 2 and store.handle().stats().objects == 1
+    assert store.current_version == 2 and store.handle().stats().objects == 2
+
+
+def test_delete_removes_every_head_of_an_id_held_twice():
+    """An image written before ids were refused tree-wide may hold one gantry id twice."""
+    store = fresh()
+    s = store.begin()
+    s.insert_gantry(7, 5, 5)
+    s.root, _ = s._editor.load(s.root, [(7, 1_500_000, 1_500_000)], [])  # past the session's check
+    s.commit()
+    assert len(store._refs.objects[7]) == 2
+    committed(store, lambda s: s.delete(7))
+    h = store.handle()
+    assert h.stats().objects == 0 and h.stats().total_pages == 1
+    assert store.verify()["ok"]
+
+
+def test_load_takes_an_id_deleted_in_the_session_or_held_by_the_other_kind():
+    store = fresh()
+    committed(store, lambda s: s.load([(7, 5, 5)], [(50, SQUARE)]))
+    s = store.begin()
+    s.delete(7)
+    s.delete(50)
+    s.load([(7, 1_500_000, 1_500_000), (50, 5, 5)], [(50, OTHER_SQUARE), (7, SQUARE)])
+    s.commit()
+    h = store.handle()
+    assert h.stats().objects == 4 and store.verify()["ok"]
+    assert h.query_gantries_within(5, 5, 0).ids == {50}
+    assert h.query_gantries_within(1_500_000, 1_500_000, 0).ids == {7}
+    assert h.query_zones_at(320_000, 600_000).ids == {7}
+    assert h.query_zones_at(920_000, 600_000).ids == {50}
+
+
