@@ -468,6 +468,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
+    for option, n in (("--gantries", args.gantries), ("--zones", args.zones), ("--steps", args.steps)):
+        if n < 0:
+            raise DomainError(f"{option} must be non-negative, got {n}")
     gantries, zones = generate_dataset(args.seed, args.gantries, args.zones)
     with open(args.output, "w") as fh:
         write_dataset(gantries, zones, fh)

@@ -7,7 +7,10 @@ write new leaf/node pages bottom-up and finish with a new root, so every
 previously committed root keeps describing a complete, readable tree.
 
 Three record kinds live in leaf lists: point records for gantries, and
-inside/edge records for zones.  A zone is decomposed from the top cell:
+inside/edge records for zones.  A point record carries its gantry's id and
+position, which every leaf page written repeats after its records, so a
+disc query reads no gantry object page; a chain is filled page by page as
+far as those bytes go.  A zone is decomposed from the top cell:
 cells wholly inside get an inside record at the level where that is
 detected, boundary cells get edge records once ``zone_max_depth`` is
 reached.  The root cell itself cannot be a leaf entry (the root is always
@@ -51,7 +54,7 @@ from .codec import (
     KIND_POINT,
     KIND_ZONE_EDGE,
     KIND_ZONE_INSIDE,
-    LEAF_CAPACITY,
+    LEAF_BYTES,
     NO_PAGE,
     NODE_FANOUT,
     GantryObject,
@@ -74,6 +77,7 @@ from .codec import (
     make_leaf,
     node_entry_word,
     node_with_entry,
+    record_bytes,
     validate_node,
     zone_page_count,
 )
@@ -279,6 +283,16 @@ class PageReader:
             raise IntegrityError(f"object page {addr} is a {found}, expected {kind}")
         return obj
 
+    def zone_id(self, addr: int) -> int:
+        """The id of the zone whose head page is ``addr``, read from that page alone."""
+        obj = self._objects.get(addr)
+        if obj is not None:
+            return self.object(addr, "zone").object_id
+        page = decode_object_page(self._read(addr), addr=addr)
+        if page["kind"] != "zone":
+            raise IntegrityError(f"object page {addr} is a {page['kind'].replace('_', ' ')}, expected zone")
+        return page["object_id"]
+
 
 # ---------------------------------------------------------------------------
 # reference counts
@@ -357,6 +371,7 @@ class CountDelta:
         self.born: dict[int, Role] = {}  # pages that became reachable
         self.pages: dict[int, bytes] = {}  # every page read
         self.new_objects: dict[int, tuple[str, int]] = {}  # head -> (kind, id) of objects that became reachable
+        self.gantries: dict[int, GantryObject] = {}  # page -> gantry of the gantry pages that became reachable
         self.problems: list[str] = []  # damage ``add`` found, each naming a page
 
     def _read_once(self, addr: int) -> bytes:
@@ -383,12 +398,15 @@ class CountDelta:
         A page is read only when its count goes from 0 to 1, and then gets
         every check: ``_page_refs`` on its bytes, and the object reader's on
         an object's pages.  A page already counted is not read; the role it
-        is referenced in must be the one it has.  Damage goes to
-        ``problems`` and stops the descent at the damaged page.
+        is referenced in must be the one it has.  A leaf page's coordinates
+        appendix must agree with the gantry pages it names, which this delta
+        read or the table already holds.  Damage goes to ``problems`` and
+        stops the descent at the damaged page.
         """
         fresh: list[int] = []
         counts, table = self.counts, self._refs.counts
         open_: set[int] = set()  # leaf pages of the chain being followed
+        listed: list[tuple[int, tuple[LeafRecord, ...]]] = []  # (page, records) of each leaf page with an appendix
         stack: list[tuple[int, Role, bool]] = [(root, 0, False)]
         while stack:
             addr, role, done = stack.pop()
@@ -410,15 +428,32 @@ class CountDelta:
             fresh.append(addr)
             try:
                 if role in (GANTRY, ZONE):  # a zone reads and checks all its pages here
-                    self.new_objects[addr] = (role, self._reader.object(addr, role).object_id)
-                refs = _page_refs(self._read_once(addr), role, addr, self._total_pages)
+                    obj = self._reader.object(addr, role)
+                    self.new_objects[addr] = (role, obj.object_id)
+                    if role == GANTRY:
+                        self.gantries[addr] = obj
+                raw = self._read_once(addr)
+                refs = _page_refs(raw, role, addr, self._total_pages)
             except (FormatError, IntegrityError) as e:
                 self.problems.append(str(e))
                 continue
             if role == LEAF:  # levels keep a node off its own path, and the reader checks zone chains
                 open_.add(addr)
                 stack.append((addr, role, True))
+                if raw[codec.LEAF_COORDS_FLAG_OFF] == codec.LEAF_COORDS:
+                    listed.append((addr, leaf_list_view(raw, self._total_pages)[0]))
             stack.extend((ref, r, False) for ref, r in refs.items())
+        born, known = self.gantries, self._refs.gantries
+        for leaf, records in listed:  # every gantry page named is now read or known to the table
+            for rec in records:
+                a = rec.gantry
+                if a is not None:
+                    g = born.get(rec.object_page) or known.get(rec.object_page)
+                    if g is not None and g != a:
+                        self.problems.append(
+                            f"leaf page {leaf} lists gantry {a.object_id} at ({a.x}, {a.y}) for page {rec.object_page}, "
+                            f"which holds gantry {g.object_id} at ({g.x}, {g.y})"
+                        )
         return fresh
 
     def drop(self, root: int) -> list[int]:
@@ -474,8 +509,10 @@ class RefCounts:
     links, leaf records and zone continuation links -- each referencing page
     counting once; the root counts one more.  A leaf page shared by dedup
     or a zone object named by many leaf pages has a count above one.
-    ``roles`` says what each reachable page is, and ``objects`` maps an
-    object id to {head page: kind} (one id may name several object pages).
+    ``roles`` says what each reachable page is, ``objects`` maps an
+    object id to {head page: kind} (one id may name several object pages),
+    and ``gantries`` maps each gantry page to its gantry, against which a
+    new leaf page's coordinates are checked without a read.
     A new table is empty; adding a root to it counts that version.  This is
     refcounted shadowing as in Rodeh, "B-trees, Shadowing, and Clones" (ACM
     TOS 2008).
@@ -485,6 +522,7 @@ class RefCounts:
         self.counts: dict[int, int] = {}
         self.roles: dict[int, Role] = {}
         self.objects: dict[int, dict[int, str]] = {}
+        self.gantries: dict[int, GantryObject] = {}
 
     def diff(
         self, read: Callable[[int], bytes], base_root: int, new_root: int, total_pages: Optional[int] = None
@@ -507,14 +545,16 @@ class RefCounts:
 
     def install(self, d: CountDelta) -> None:
         """Apply a delta of these counts: they become the counts of its new version."""
-        counts, roles, objects = self.counts, self.roles, self.objects
+        counts, roles, objects, gantries = self.counts, self.roles, self.objects, self.gantries
         changed = d.changed_heads(lambda oid: objects.get(oid, {}))
         roles.update(d.born)
+        gantries.update(d.gantries)
         for addr, c in d.counts.items():
             if c:
                 counts[addr] = c
             else:
                 del counts[addr], roles[addr]
+                gantries.pop(addr, None)
         for oid, heads in changed.items():
             if heads:
                 objects[oid] = heads
@@ -688,14 +728,14 @@ class Handle:
         def collect(head: int) -> None:
             for records, _ in reader.chain(head):
                 for rec in records:
-                    if rec.kind == KIND_POINT:
-                        continue
-                    zone = reader.object(rec.object_page, "zone")
-                    zid = zone.object_id
-                    if rec.kind == KIND_ZONE_INSIDE:
+                    if rec.kind == KIND_ZONE_INSIDE:  # the head page's id is the answer
+                        zid = reader.zone_id(rec.object_page)
                         found[zid] = QueryHit(zid, "zone", "inside-entry")
-                    elif zid not in found and point_in_polygon(x, y, zone.vertices):
-                        found[zid] = QueryHit(zid, "zone", "edge-test")
+                    elif rec.kind == KIND_ZONE_EDGE:
+                        zone = reader.object(rec.object_page, "zone")
+                        zid = zone.object_id
+                        if zid not in found and point_in_polygon(x, y, zone.vertices):
+                            found[zid] = QueryHit(zid, "zone", "edge-test")
 
         cell = TOP_CELL
         addr = self.root_page
@@ -716,7 +756,11 @@ class Handle:
         return self._result(found, before)
 
     def query_gantries_within(self, x: int, y: int, radius: int) -> QueryResult:
-        """Gantries within ``radius`` metres of (x, y), exact integer test."""
+        """Gantries within ``radius`` metres of (x, y), exact integer test.
+
+        A point record's position comes from its leaf page's appendix; only
+        a page written without one has its gantries' object pages loaded.
+        """
         if radius < 0:
             raise DomainError("radius must be non-negative")
         before = self._io.read_counters()
@@ -744,7 +788,7 @@ class Handle:
                     for rec in records:
                         if rec.kind != KIND_POINT:
                             continue
-                        g = reader.object(rec.object_page, "gantry")
+                        g = rec.gantry or reader.object(rec.object_page, "gantry")
                         if dist2(g.x, g.y, x, y) <= r2:
                             found[g.object_id] = QueryHit(g.object_id, "gantry", "distance", (g.x, g.y))
         return self._result(found, before)
@@ -789,26 +833,47 @@ class TreeEditor:
         """A reader for one public edit: each object is read once per edit."""
         return PageReader(self._io.read_page, self._io.total_pages)
 
+    def _with_coords(self, records: Iterable[LeafRecord]) -> list[LeafRecord]:
+        """Records read from a leaf page, each point record with its coordinates.
+
+        A page written without the appendix gives none; they are read from
+        the gantry's object page, so every leaf page written carries them.
+        """
+        return [
+            rec if rec.gantry or rec.kind != KIND_POINT
+            else LeafRecord(KIND_POINT, rec.object_page, self._reader.object(rec.object_page, "gantry"))
+            for rec in records
+        ]
+
     def _write_chain(self, records: Sequence[LeafRecord], tail: int = NO_PAGE) -> int:
-        """Lay records out over fresh chained pages in front of ``tail``, tail first."""
+        """Lay records out over fresh chained pages in front of ``tail``, tail first, packed by bytes."""
+        chunks: list[list[LeafRecord]] = []
+        room = 0
+        for rec in records:
+            size = record_bytes(rec)
+            if size > room:
+                chunks.append([])
+                room = LEAF_BYTES
+            chunks[-1].append(rec)
+            room -= size
         addr = tail
-        chunks = [records[i : i + LEAF_CAPACITY] for i in range(0, len(records), LEAF_CAPACITY)]
         for chunk in reversed(chunks):
-            addr = self._io.write_page(
-                encode_leaf_list(LeafListPage(list(chunk), addr)), dedupable=True
-            )
+            addr = self._io.write_page(encode_leaf_list(LeafListPage(chunk, addr)), dedupable=True)
         return addr
 
     def _append(self, head: int, new: Sequence[LeafRecord]) -> int:
         """Append records to a chain: extend its head page, then chain new pages in front of it."""
         records, nxt = next(self._reader.chain(head))  # the head page alone
-        room = LEAF_CAPACITY - len(records)
-        if room > 0:
+        room = LEAF_BYTES - sum(map(record_bytes, records))
+        k = 0
+        while k < len(new) and record_bytes(new[k]) <= room:
+            room -= record_bytes(new[k])
+            k += 1
+        if k:
             head = self._io.write_page(
-                encode_leaf_list(LeafListPage([*records, *new[:room]], nxt)), dedupable=True
+                encode_leaf_list(LeafListPage(self._with_coords([*records, *new[:k]]), nxt)), dedupable=True
             )
-            new = new[room:]
-        return self._write_chain(new, head)
+        return self._write_chain(new[k:], head)
 
     def _filter_chain(self, word: int, drop: set[int]) -> int:
         """An entry word (or self list) with records referencing ``drop`` pages filtered out of its chain.
@@ -831,10 +896,7 @@ class TreeEditor:
                 new_next = addr
                 continue
             share_tail = False
-            if kept:
-                new_next = self._io.write_page(
-                    encode_leaf_list(LeafListPage(kept, new_next)), dedupable=True
-                )
+            new_next = self._write_chain(self._with_coords(kept), new_next)  # one page, unless it had no appendix
         if share_tail:
             return word
         return ENTRY_EMPTY if new_next == NO_PAGE else make_leaf(new_next)
@@ -917,9 +979,10 @@ class TreeEditor:
 
         pts: list[tuple[LeafRecord, int, int, int]] = []
         for gid, x, y in gantries:
-            addr = self._io.write_page(encode_gantry(GantryObject(gid, x, y)))
+            g = GantryObject(gid, x, y)
+            addr = self._io.write_page(encode_gantry(g))
             heads.append((gid, addr, "gantry"))
-            pts.append((LeafRecord(KIND_POINT, addr), x, y, gid))
+            pts.append((LeafRecord(KIND_POINT, addr, g), x, y, gid))
         top_records: list[LeafRecord] = []
         zitems: list[tuple[int, int, Optional[tuple]]] = []
         for zid, verts, top in checked_zones:
@@ -978,9 +1041,9 @@ class TreeEditor:
         """Split chain records into point items (record, x, y, id) and zone placement items."""
         pts: list[tuple[LeafRecord, int, int, int]] = []
         zitems: list[tuple[int, int, Optional[tuple]]] = []
-        for rec in records:
+        for rec in self._with_coords(records):
             if rec.kind == KIND_POINT:
-                g = self._reader.object(rec.object_page, "gantry")
+                g = rec.gantry
                 pts.append((rec, g.x, g.y, g.object_id))
                 continue
             zone = self._reader.object(rec.object_page, "zone")

@@ -275,6 +275,10 @@ def test_bad_option_values_are_clean_errors(ws, capsys):
     ):
         code, _, err = run(capsys, *argv, "--cache-pages", 0)
         assert code == 1 and err.startswith("error:") and "--cache-pages" in err, argv
+    for option in ("--gantries", "--zones", "--steps"):
+        code, out, err = run(capsys, "gen-dataset", "-o", "d.txt", "--trace-out", "tr.txt", option, -3)
+        assert code == 1 and err.startswith("error:") and option in err and not out, option
+        assert not os.path.exists(ws / "d.txt") and not os.path.exists(ws / "tr.txt")
 
 
 def test_parse_error_carries_line_number(ws, capsys):

@@ -180,6 +180,56 @@ def test_leaf_capacity_is_62():
         encode_leaf_list(LeafListPage(records + [LeafRecord(0, 1)]))
 
 
+def _with_crc(page: bytearray) -> bytes:
+    page[codec.LEAF_CRC_OFF :] = codec.crc16(bytes(page[: codec.LEAF_CRC_OFF])).to_bytes(2, "big")
+    return bytes(page)
+
+
+def test_leaf_coordinates_appendix_round_trips():
+    records = [
+        LeafRecord(1, 40),
+        LeafRecord(0, 41, GantryObject(7, -5, 1_999_999)),
+        LeafRecord(2, 42),
+        LeafRecord(0, 43, GantryObject(2**32 - 1, 0, -(2**31))),
+    ]
+    page = encode_leaf_list(LeafListPage(records, next=9))
+    assert page[codec.LEAF_COORDS_FLAG_OFF] == codec.LEAF_COORDS
+    assert page[1] == 4 and page[5 + 4 * 3] == 0 and page[6 + 4 * 3 : 9 + 4 * 3] == (43).to_bytes(3, "big")
+    assert page[21:33] == (7).to_bytes(4, "big") + (-5).to_bytes(4, "big", signed=True) + (1_999_999).to_bytes(4, "big")
+    back = decode_leaf_list(page)
+    assert back.records == records and back.next == 9
+    # without coordinates (the layout written before the appendix) and with no point record: byte 253 stays 0xFF
+    legacy = [LeafRecord(r.kind, r.object_page) for r in records]
+    for plain in (legacy, [LeafRecord(1, 40), LeafRecord(2, 42)]):
+        page = encode_leaf_list(LeafListPage(plain))
+        assert page[codec.LEAF_COORDS_FLAG_OFF] == 0xFF and page[5 + 4 * len(plain) : 253] == b"\xff" * (248 - 4 * len(plain))
+        assert decode_leaf_list(page).records == plain
+    with pytest.raises(FormatError, match="all its point records or of none"):
+        encode_leaf_list(LeafListPage([records[1], legacy[3]]))
+    # 4 bytes a record, 12 more a point: 15 points and 2 zone records fill the 248 bytes exactly
+    full = [LeafRecord(0, k, GantryObject(k, k, k)) for k in range(15)] + [LeafRecord(1, 99)] * 2
+    assert decode_leaf_list(encode_leaf_list(LeafListPage(full))).records == full
+    with pytest.raises(FormatError, match="252 bytes"):
+        encode_leaf_list(LeafListPage(full + [LeafRecord(2, 98)]))
+    eight_and_forty = [LeafRecord(0, k, GantryObject(k, k, k)) for k in range(8)] + [LeafRecord(2, 99)] * 40
+    with pytest.raises(FormatError, match="288 bytes"):
+        encode_leaf_list(LeafListPage(eight_and_forty))
+
+
+def test_leaf_coordinates_flag_is_checked():
+    page = bytearray(encode_leaf_list(LeafListPage([LeafRecord(0, 5, GantryObject(1, 2, 3))])))
+    decode_leaf_list(bytes(page), addr=12)
+    for flag in (0x01, 0x7F, 0xFE):
+        page[codec.LEAF_COORDS_FLAG_OFF] = flag
+        with pytest.raises(FormatError, match="coordinates flag .* at page 12"):
+            decode_leaf_list(_with_crc(page), addr=12)
+    # a flagged page whose records leave no room for one entry per point record
+    crowded = bytearray(encode_leaf_list(LeafListPage([LeafRecord(0, k) for k in range(60)])))
+    crowded[codec.LEAF_COORDS_FLAG_OFF] = codec.LEAF_COORDS
+    with pytest.raises(FormatError, match="coordinates run past .* at page 13"):
+        decode_leaf_list(_with_crc(crowded), addr=13)
+
+
 def test_leaf_bad_kind_rejected():
     with pytest.raises(FormatError):
         encode_leaf_list(LeafListPage([LeafRecord(3, 1)]))

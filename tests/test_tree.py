@@ -3,6 +3,7 @@
 import math
 import random
 import signal
+import zlib
 from contextlib import contextmanager
 
 import pytest
@@ -12,13 +13,19 @@ from hypothesis import strategies as hs
 from flashquad.codec import (
     KIND_POINT,
     KIND_ZONE_EDGE,
+    LEAF_COORDS,
+    LEAF_COORDS_FLAG_OFF,
     LEAF_CRC_OFF,
     LEAF_MAGIC,
+    NO_PAGE,
     NODE_MAGIC,
     NODE_RESERVED_OFF,
     NODE_SELF_CHECK_OFF,
     PAGE_SIZE,
+    OBJ_GANTRY,
+    OBJ_MAGIC,
     SELF_CHECKED,
+    GantryObject,
     LeafRecord,
     crc16,
     decode_leaf_list,
@@ -517,8 +524,10 @@ def test_looping_zone_page_chain_is_reported_not_followed():
     with deadline():
         damaged = relink_zone_page(store, cont, head)  # the continuation links back to the head
         assert damaged.verify()["problems"] == [f"version 2: zone 77 page chain loops at page {head}"]
+        # an inside record needs only the id on the head page; an edge record joins the pages
+        assert damaged.handle().query_zones_at(1_000_000, 1_000_000).ids == {77}
         with pytest.raises(IntegrityError, match=f"zone 77 page chain loops at page {head}"):
-            damaged.handle().query_zones_at(1_000_000, 1_000_000)
+            damaged.handle().query_zones_at(1_400_000, 1_000_000)  # a vertex: an edge cell
 
 
 def test_zone_page_link_past_the_device_end_is_reported():
@@ -528,8 +537,9 @@ def test_zone_page_link_past_the_device_end_is_reported():
     damaged = relink_zone_page(store, head, store.total_pages + 5)  # mounts, read-only
     problem = f"zone 77 next pointer past end of device at page {head}"
     assert damaged.verify()["problems"] == [f"version 2: {problem}"]
+    assert damaged.handle().query_zones_at(1_000_000, 1_000_000).ids == {77}  # inside: the head page alone
     with pytest.raises(FormatError, match=problem):
-        damaged.handle().query_zones_at(1_000_000, 1_000_000)
+        damaged.handle().query_zones_at(1_400_000, 1_000_000)  # a vertex: an edge cell joins the pages
 
 
 WORLD_ZONE = ((-10, -10), (W + 10, -10), (W + 10, W + 10), (-10, W + 10))
@@ -828,3 +838,207 @@ def test_load_takes_an_id_deleted_in_the_session_or_held_by_the_other_kind():
     assert h.query_zones_at(920_000, 600_000).ids == {50}
 
 
+
+
+# -- gantry coordinates in leaf pages ----------------------------------------------
+
+
+def linear_gantries(gantries, x, y, r):
+    return {gid for gid, gx, gy in gantries if (gx - x) ** 2 + (gy - y) ** 2 <= r * r}
+
+
+def linear_zones(zones, x, y):
+    return {zid for zid, verts in zones if pip_oracle_one(x, y, verts)}
+
+
+def dataset_store(seed=4, n_gantries=600, n_zones=30):
+    """A built store and its objects as (id, x, y) and (id, vertices) tuples."""
+    gantries, zones = generate_dataset(seed, n_gantries, n_zones)
+    store = fresh(sectors=16)
+    build_database(store, gantries, zones)
+    return store, [(g.gantry_id, g.x, g.y) for g in gantries], [(z.zone_id, z.vertices) for z in zones]
+
+
+def disc_probes(gantries, n=60, seed=3):
+    """Disc centres: near gantries (hits) and anywhere (mostly misses)."""
+    rng = random.Random(seed)
+    near = [(x + rng.randint(-3_000, 3_000), y + rng.randint(-3_000, 3_000)) for _, x, y in rng.sample(gantries, n // 2)]
+    return [(min(max(x, 0), W - 1), min(max(y, 0), W - 1)) for x, y in near] + [
+        (rng.randrange(W), rng.randrange(W)) for _ in range(n - n // 2)
+    ]
+
+
+def gantry_pages(device):
+    """Every gantry object page on the device, from its first two bytes."""
+    blob = device.to_bytes()
+    return {
+        a
+        for a in range(device.geometry.total_pages)
+        if blob[8 + a * PAGE_SIZE] == OBJ_MAGIC and blob[9 + a * PAGE_SIZE] == OBJ_GANTRY
+    }
+
+
+def has_point(page):
+    return page[0] == LEAF_MAGIC and any(page[5 + 4 * k] == KIND_POINT for k in range(page[1]))
+
+
+def test_a_cold_disc_query_reads_no_gantry_object_page():
+    store, gantries, _ = dataset_store()
+    objects = gantry_pages(store.device)
+    assert len(objects) == len(gantries)
+    reads = []
+    store.device.on_read = reads.append
+    hits = 0
+    for x, y in disc_probes(gantries):
+        store.cache.clear()
+        reads.clear()
+        res = store.handle().query_gantries_within(x, y, 20_000)
+        assert res.ids == linear_gantries(gantries, x, y, 20_000)
+        assert reads and not objects.intersection(reads), (x, y)
+        hits += len(res.ids)
+    store.device.on_read = None
+    assert hits > 30
+
+
+def legacy_image(store):
+    """A copy of the store's device whose leaf pages have the layout written before the coordinates appendix.
+
+    The appendix bytes and the flag go back to 0xFF and the CRC is recomputed.
+    """
+    blob = bytearray(store.device.to_bytes())
+    rewritten = 0
+    for addr in range(32, store.total_pages):  # past the version directory
+        off = 8 + addr * PAGE_SIZE
+        if blob[off] == LEAF_MAGIC and blob[off + LEAF_COORDS_FLAG_OFF] == LEAF_COORDS:
+            end = off + 5 + 4 * blob[off + 1]
+            blob[end : off + LEAF_CRC_OFF] = b"\xff" * (off + LEAF_CRC_OFF - end)
+            blob[off + LEAF_CRC_OFF : off + PAGE_SIZE] = crc16(bytes(blob[off : off + LEAF_CRC_OFF])).to_bytes(2, "big")
+            rewritten += 1
+    assert rewritten
+    return FlashDevice.from_bytes(bytes(blob))
+
+
+def test_an_image_written_before_the_appendix_mounts_answers_and_is_upgraded_by_edits():
+    store, gantries, zones = dataset_store()
+    old = Store(legacy_image(store))
+    assert old.verify()["ok"]
+    assert old.handle().stats() == store.handle().stats()
+    objects = gantry_pages(old.device)
+    reads = []
+    old.device.on_read = reads.append
+    for x, y in disc_probes(gantries):
+        assert old.handle().query_gantries_within(x, y, 20_000).ids == linear_gantries(gantries, x, y, 20_000)
+        assert old.handle().query_zones_at(x, y).ids == linear_zones(zones, x, y)
+    old.device.on_read = None
+    assert objects.intersection(reads)  # gantry positions come from the object pages, as before
+
+    before = old.handle().walk().leaf_pages
+    gid, x, y = gantries[0]
+    committed(old, lambda s: s.insert_gantry(9_999, x + 7, y + 3))
+    gantries.append((9_999, x + 7, y + 3))
+    rewritten = {a: p for a, p in old.handle().walk().leaf_pages.items() if a not in before and has_point(p)}
+    assert rewritten and all(p[LEAF_COORDS_FLAG_OFF] == LEAF_COORDS for p in rewritten.values())
+    assert old.verify()["ok"]
+    for x, y in disc_probes(gantries, 20) + [(x, y)]:
+        assert old.handle().query_gantries_within(x, y, 20_000).ids == linear_gantries(gantries, x, y, 20_000)
+
+
+def test_a_leaf_of_points_and_zones_is_packed_by_bytes():
+    """8 points and 40 zone records take 8 * 16 + 40 * 4 = 288 bytes: two chained pages.
+
+    With ``zone_max_depth`` 1 every small zone has an edge record in its
+    level-1 cell; all of them and the 8 gantries sit in cell (1, 1).
+    """
+
+    def tiny(x, y):
+        return ((x, y), (x + 500, y), (x, y + 500))
+
+    store = fresh(BuildParams(zone_max_depth=1), sectors=16)
+    gantries = [(k + 1, 300_000 + 1_000 * k, 300_000) for k in range(8)]
+    zones = [(100 + k, tiny(230_000 + 4_000 * k, 400_000)) for k in range(40)]
+    committed(store, lambda s: s.load(gantries, zones))
+    leaves = store.handle().walk().leaf_pages
+    (head,) = [a for a, p in leaves.items() if has_point(p)]
+    page = decode_leaf_list(leaves[head])
+    assert [r.kind for r in page.records] == [KIND_POINT] * 8 + [KIND_ZONE_EDGE] * 30
+    assert {(r.gantry.object_id, r.gantry.x, r.gantry.y) for r in page.records[:8]} == set(gantries)
+    tail = decode_leaf_list(leaves[page.next])
+    assert len(tail.records) == 10 and tail.next == NO_PAGE
+
+    # a further zone does not fit the full head page: it goes on a new page in front of it
+    zones.append((200, tiny(400_000, 230_000)))
+    committed(store, lambda s: s.insert_zone(*zones[-1]))
+    h = store.handle()
+    for x, y in [(300_000, 300_000), (304_500, 299_000), (230_100, 400_100), (386_100, 400_100), (400_100, 230_100)]:
+        assert h.query_gantries_within(x, y, 2_500).ids == linear_gantries(gantries, x, y, 2_500)
+        assert h.query_zones_at(x, y).ids == linear_zones(zones, x, y)
+    assert store.verify()["ok"]
+
+
+def test_an_inside_hit_reads_only_the_zone_head_page():
+    store = fresh()
+    zones = [(77, CIRCLE_40), (78, SQUARE)]
+    committed(store, lambda s: s.load([(1, 1_000_000, 1_000_000)], zones))
+    rep = store.handle().walk()
+    head = next(a for a, (kind, zid) in rep.objects.items() if zid == 77)
+    cont = next(a for a, role in rep.roles.items() if role == "zone_cont")
+    reads = []
+    store.device.on_read = reads.append
+    store.cache.clear()
+    res = store.handle().query_zones_at(1_000_000, 1_000_000)
+    assert res.ids == {77} and [h.basis for h in res.hits] == ["inside-entry"]
+    assert head in reads and cont not in reads
+    rng = random.Random(8)
+    for x, y in [(1_400_000, 1_000_000), (600_000, 600_000), (899_999, 700_000)] + [
+        (rng.randrange(W), rng.randrange(W)) for _ in range(40)
+    ]:
+        assert store.handle().query_zones_at(x, y).ids == linear_zones(zones, x, y)
+    store.device.on_read = None
+
+
+def gantry_neighbours():
+    """A store whose one leaf holds gantries 1 and 2, and the address of that leaf and of gantry 1's page."""
+    store = fresh()
+    committed(store, lambda s: s.load([(1, 1_000, 1_000), (2, 5_000, 1_000)], []))
+    leaf, records = leaf_holding(store, KIND_POINT)
+    (page,) = [r.object_page for r in records if r.gantry.object_id == 1]
+    return store, leaf, records, page
+
+
+@pytest.mark.parametrize("listed", [GantryObject(1, 1_001, 1_000), GantryObject(3, 1_000, 1_000)])
+def test_an_appendix_that_disagrees_with_its_object_page_is_named(listed):
+    store, leaf, records, page = gantry_neighbours()
+    moved = [LeafRecord(KIND_POINT, r.object_page, listed) if r.object_page == page else r for r in records]
+    damaged = rewrite_leaf(store, leaf, records=moved)
+    problem = (
+        f"leaf page {leaf} lists gantry {listed.object_id} at ({listed.x}, {listed.y}) for page {page}, "
+        f"which holds gantry 1 at (1000, 1000)"
+    )
+    assert damaged.verify()["problems"] == [f"version 2: {problem}"]
+    with pytest.raises(IntegrityError, match=problem.replace("(", r"\(").replace(")", r"\)")):
+        damaged.begin().insert_gantry(9, 1_500_000, 1_500_000)  # the damaged version is refused
+
+
+def test_an_update_whose_appendix_disagrees_is_refused_without_reading_the_gantry():
+    """The leaf a package rewrites names gantry 1, which the replica already counts: no page is read for it."""
+    store, _, _, page = gantry_neighbours()
+    replica = Store(FlashDevice.from_bytes(store.device.to_bytes()))
+    committed(store, lambda s: s.insert_gantry(3, 3_000, 1_000))
+    pkg = bytearray(store.make_update(2, 3))
+    count = int.from_bytes(pkg[12:16], "little")
+    (at,) = [16 + 259 * k + 3 for k in range(count) if pkg[16 + 259 * k + 3] == LEAF_MAGIC]
+    leaf = int.from_bytes(pkg[at - 3 : at], "big")
+    listing = decode_leaf_list(bytes(pkg[at : at + PAGE_SIZE]))
+    assert len(listing.records) == 3
+    listing.records = [
+        LeafRecord(KIND_POINT, r.object_page, GantryObject(1, 1_000, 1_002)) if r.object_page == page else r
+        for r in listing.records
+    ]
+    pkg[at : at + PAGE_SIZE] = encode_leaf_list(listing)
+    pkg[-4:] = zlib.crc32(bytes(pkg[:-4])).to_bytes(4, "little")
+    reads = []
+    replica.device.on_read = reads.append
+    replica.cache.clear()
+    with pytest.raises(IntegrityError, match=f"leaf page {leaf} lists gantry 1 at \\(1000, 1002\\) for page {page}"):
+        replica.apply_update(bytes(pkg))
+    assert page not in reads
