@@ -230,17 +230,20 @@ def _add_tree_params(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_format(args) -> int:
-    if os.path.exists(args.image) and not args.force:
+    exists = os.path.exists(args.image)
+    if exists and not args.force:
         raise ConflictError(f"{args.image} exists; pass --force to re-format it")
-    if os.path.exists(args.image):
+    if exists:  # re-formatted in place: same part, same wear counters
         device = FlashDevice.load(args.image)
+        if args.sectors not in (None, device.geometry.sector_count):
+            raise DomainError(f"--sectors {args.sectors}: {args.image} is a {device.geometry.sector_count}-sector part")
     else:
         try:
-            geometry = FlashGeometry(sector_count=args.sectors)
+            geometry = FlashGeometry(sector_count=16 if args.sectors is None else args.sectors)
         except ValueError as e:  # the sector count is out of range
             raise DomainError(f"--sectors: {e}") from None
         device = FlashDevice(geometry)
-    with _image_lock(args.image) if os.path.exists(args.image) else contextlib.nullcontext():
+    with _image_lock(args.image) if exists else contextlib.nullcontext():
         _drop_sidecar(args.image)
         Store.format(device)
         _save_image(device, args.image)
@@ -502,9 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("format", cmd_format, "create or wipe a flash image")
-    p.add_argument("--sectors", type=int, default=16,
-                   help="64 KiB sectors on the device (default 16 = 1 MiB)")
+    p = add("format", cmd_format, "create a flash image or re-format one (an earlier image's "
+            "pages are reclaimed lazily; gc erases them at once)")
+    p.add_argument("--sectors", type=int,
+                   help="64 KiB sectors on a new device (default 16 = 1 MiB); a re-format keeps the image's")
     p.add_argument("--force", action="store_true", help="re-format an existing image")
 
     p = add("build", cmd_build, "load a dataset file as one new version")

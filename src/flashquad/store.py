@@ -12,7 +12,9 @@ Layout on the device:
   cut can lose at most the record being written, never a committed one.
 * pages 32.. hold tree and object pages, allocated by a cyclic cursor so
   erase load spreads over the whole device instead of hammering the
-  lowest free subsector.
+  lowest free subsector.  A dirty subsector that holds nothing live is
+  erased when the cursor reaches it: after ``Store.format``, that is how
+  an earlier image's pages are reclaimed (``gc`` erases them at once).
 
 A session is the single writer: it allocates fresh pages, programs them,
 and ends in ``commit`` (append a version record, revoke beyond the
@@ -74,6 +76,11 @@ MAX_VERSIONS_DEFAULT = 4
 UPDATE_MAGIC = b"FQUP"
 
 _BLANK = b"\xff" * PAGE_SIZE
+
+
+def _erase_if_dirty(device: FlashDevice, first: int) -> None:
+    if any(device.read_page(p) != _BLANK for p in range(first, first + PAGES_PER_SUBSECTOR)):
+        device.erase_subsector(first)
 
 
 class Session:
@@ -213,7 +220,6 @@ class Store:
         self.max_versions = max_versions
         self.cache = PageCache(cache_pages)
         self._session: Optional[Session] = None
-        self._known_erased: set[int] = set()
         self._mount()
 
     # -- construction --
@@ -226,25 +232,20 @@ class Store:
         cache_pages: int = 15,
         max_versions: int = MAX_VERSIONS_DEFAULT,
     ) -> "Store":
-        """Wipe the device and set up an empty database as version 1."""
+        """Set up an empty database as version 1, erasing only pages 0..47, where dirty.
+
+        An earlier image's other pages are reclaimed lazily by the allocator, or at once by ``gc``.
+        """
         if device.total_pages < DATA_START + 1:
             raise DomainError("device too small for directory plus one data page")
-        for first in range(0, device.total_pages, PAGES_PER_SUBSECTOR):
-            if any(
-                device.read_page(p) != _BLANK
-                for p in range(first, first + PAGES_PER_SUBSECTOR)
-            ):
-                device.erase_subsector(first)
+        for first in range(0, DATA_START + 1, PAGES_PER_SUBSECTOR):
+            _erase_if_dirty(device, first)
         device.program_page(DATA_START, encode_node(NodePage(0)))
         rec = VersionRecord(1, DATA_START, DATA_START + 1)
         slot0 = bytearray(_BLANK)
         slot0[:VERSION_RECORD_SIZE] = encode_version_record(rec)
         device.program_page(0, bytes(slot0))
-        store = cls(device, params=params, cache_pages=cache_pages, max_versions=max_versions)
-        # every data page past the empty root was found blank or erased above,
-        # so the allocator takes them without a probe read
-        store._known_erased.update(range(DATA_START + 1, device.total_pages))
-        return store
+        return cls(device, params=params, cache_pages=cache_pages, max_versions=max_versions)
 
     # -- mount --
 
@@ -320,7 +321,6 @@ class Store:
 
     def _program(self, addr: int, data: bytes) -> None:
         self.device.program_page(addr, data)
-        self._known_erased.discard(addr)
         self.cache.put(addr, data)
 
     # -- liveness, dedup --
@@ -411,22 +411,21 @@ class Store:
         unreachable from the session root, yet protected from gc.  Dropping
         them from the pending set makes that space reclaimable.  Pages of
         the edit in progress are kept -- the half-built tree references
-        them before the root does.
+        them before the root does.  A pending page is never counted in the
+        base, so those the session tree holds are born in its diff from it.
         """
         sess = self._session
         if sess is None:
             return
-        rep = tree.walk_version(self.read_page, sess.root, self.total_pages)
-        if rep.problems:
+        try:
+            born = self._diff(sess.root, "staged tree is damaged").born
+        except IntegrityError:
             return
-        sess.pending &= rep.reachable | sess.edit_pages
+        sess.pending &= born.keys() | sess.edit_pages
 
     def _try_take(self, addr: int, pending: set[int]) -> bool:
         if addr in pending or self._is_live(addr):
             return False
-        if addr in self._known_erased:
-            self._known_erased.discard(addr)
-            return True
         if self.device.read_page(addr) == _BLANK:  # probe; not a query read
             return True
         # dirty dead page: reclaim the subsector if nothing in it is live
@@ -435,14 +434,12 @@ class Store:
             if p in pending or self._is_live(p):
                 return False
         self._erase_subsector(first)
-        self._known_erased.discard(addr)
         return True
 
     def _erase_subsector(self, first: int) -> None:
         self.device.erase_subsector(first)
         for p in range(first, first + PAGES_PER_SUBSECTOR):
             self.cache.invalidate(p)
-            self._known_erased.add(p)
 
     def gc(self, protect: Optional[set[int]] = None) -> dict:
         """Erase every data subsector holding only unreachable pages."""
@@ -456,11 +453,7 @@ class Store:
             pages = range(first, first + PAGES_PER_SUBSECTOR)
             if any(p in protect or p in counts or p in held for p in pages):
                 continue
-            dirty = sum(
-                1
-                for p in pages
-                if p not in self._known_erased and self.device.read_page(p) != _BLANK
-            )
+            dirty = sum(1 for p in pages if self.device.read_page(p) != _BLANK)
             if not dirty:
                 continue
             self._erase_subsector(first)
@@ -496,10 +489,7 @@ class Store:
     def _compact_directory(self) -> None:
         target = 1 - self._active_sub
         t_base = target * PAGES_PER_SUBSECTOR
-        if any(
-            self.device.read_page(t_base + i) != _BLANK for i in range(PAGES_PER_SUBSECTOR)
-        ):
-            self.device.erase_subsector(t_base)
+        _erase_if_dirty(self.device, t_base)
         recs = [self._versions[v] for v in sorted(self._versions)]
         self._slot_of = {}
         for start in range(0, len(recs), SLOTS_PER_PAGE):
@@ -695,6 +685,8 @@ class Store:
             raise SessionError("close the open session before applying an update")
         self._refuse_damaged()
         base_v, new_v, pages, new_root = _parse_update(pkg)
+        if not DATA_START <= new_root < self.total_pages:
+            raise FormatError(f"package new root {new_root} is outside the data area")
         if self.current_version != base_v:
             raise VersionConflictError(
                 f"package expects version {base_v}, device is at {self.current_version}"
@@ -750,8 +742,10 @@ def _parse_update(pkg: bytes) -> tuple[int, int, list[tuple[int, bytes]], int]:
         )
     pages = []
     pos = 16
-    for _ in range(count):
+    for k in range(count):
         addr = int.from_bytes(pkg[pos : pos + 3], "big")
+        if pages and addr <= pages[-1][0]:
+            raise FormatError(f"package record {k} names page {addr} after {pages[-1][0]}: not ascending")
         pages.append((addr, pkg[pos + 3 : pos + 3 + PAGE_SIZE]))
         pos += 3 + PAGE_SIZE
     new_root = int.from_bytes(pkg[pos : pos + 3], "big")

@@ -40,6 +40,22 @@ def test_format_refuses_overwrite_without_force(ws, capsys):
     assert code == 0
 
 
+def test_reformat_keeps_the_part_and_its_wear(ws, capsys):
+    run(capsys, "format", "db.img", "--sectors", "4")
+    before = (ws / "db.img").read_bytes()
+    code, out, err = run(capsys, "format", "db.img", "--sectors", 64, "--force")
+    assert code == 1 and err.startswith("error:") and "--sectors" in err and not out
+    assert (ws / "db.img").read_bytes() == before
+    for wear in (1, 2):  # each re-format erases the directory's and the root's subsectors, once dirty
+        run(capsys, "insert", "db.img", "--gantry", 1, 5_000, 5_000)
+        code, out, _ = run(capsys, "format", "db.img", "--sectors", 4, "--force")
+        assert code == 0 and "4 sectors" in out
+        dev = FlashDevice.load(ws / "db.img")
+        assert [dev.erase_count(i) for i in range(4)] == [wear, 0, wear, 0]
+    code, out, _ = run(capsys, "format", "db.img", "--force")  # no --sectors: the image's part
+    assert code == 0 and "4 sectors" in out
+
+
 def test_insert_query_rm_cycle(ws, capsys):
     run(capsys, "format", "db.img", "--sectors", "4")
     code, out, _ = run(capsys, "insert", "db.img", "--gantry", 7, 150_000, 150_000)

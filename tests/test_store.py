@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashquad.cache import PageCache
 from flashquad.codec import (
     ENTRY_EMPTY,
     KIND_POINT,
@@ -36,9 +37,10 @@ from flashquad.errors import (
     SessionError,
     VersionConflictError,
 )
+from flashquad.flashsim import PAGES_PER_SUBSECTOR as SUB
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.store import DATA_START, Store, _parse_update
-from flashquad.tree import BuildParams
+from flashquad.tree import BuildParams, walk_version
 
 from helpers import random_simple_polygon, seeded_store, version_digest
 
@@ -113,13 +115,52 @@ def test_mount_reads_the_tree_once_plus_what_each_older_version_changed():
         assert dev.stats().reads <= DATA_START + len(back.handle().reachable_pages()) + 20 * older
 
 
-def test_format_spares_the_allocator_its_probe_reads():
-    store = fresh()
+def test_format_reads_only_what_it_writes_and_the_allocator_probes_the_rest():
+    """On a blank part, format reads at most its three subsectors and each allocation probes one page."""
+    dev = FlashDevice(FlashGeometry(sector_count=256))
+    store = Store.format(dev)
+    assert dev.stats().reads <= 3 * SUB + DATA_START + 1  # plus the mount: the directory and the root
+    before = dev.stats().reads
     s = store.begin()
-    before = store.device.stats().reads
     got = [s.alloc_page() for _ in range(40)]
-    assert store.device.stats().reads == before  # format found these pages blank
+    assert dev.stats().reads - before == 40
     assert got == list(range(DATA_START + 1, DATA_START + 41))
+
+
+def test_reformat_of_a_dirty_device_reclaims_the_old_pages_lazily():
+    """A load after a re-format writes what it writes on a blank part; gc then erases what is left."""
+    sectors = 8
+    dev = FlashDevice(FlashGeometry(sector_count=sectors))
+    build_database(Store.format(dev), *generate_dataset(seed=1, n_gantries=300, n_zones=10))
+    subsectors = dev.geometry.subsector_count
+    blank_page = b"\xff" * PAGE_SIZE
+    dirty = [any(dev.read_page(p) != blank_page for p in range(SUB * i, SUB * i + SUB)) for i in range(subsectors)]
+    worn = [dev.erase_count(i) for i in range(subsectors)]
+
+    new = generate_dataset(seed=2, n_gantries=60, n_zones=4)
+    again = Store.format(dev)
+    build_database(again, *new)
+    blank_dev = FlashDevice(FlashGeometry(sector_count=sectors))
+    blank = Store.format(blank_dev)
+    build_database(blank, *new)
+
+    def image(d, subs):
+        return [d.read_page(p) for i in subs for p in range(SUB * i, SUB * i + SUB)]
+
+    reached = range(again._cursor // SUB + 1)  # every subsector the cursor reached
+    beyond = [i for i in range(reached.stop, subsectors) if dirty[i]]
+    assert beyond  # the earlier image reaches past the new load
+    assert again._cursor == blank._cursor
+    assert image(dev, reached) == image(blank_dev, reached)
+    assert [dev.erase_count(i) - worn[i] for i in range(subsectors)] == [
+        int(dirty[i] and i in reached) for i in range(subsectors)
+    ]
+
+    freed = again.gc()
+    assert freed["subsectors_erased"] == len(beyond)
+    assert image(dev, range(subsectors)) == image(blank_dev, range(subsectors))
+    assert [dev.erase_count(i) - worn[i] for i in range(subsectors)] == [int(d) for d in dirty]
+    assert again.verify()["ok"]
 
 
 def test_mount_rejects_unformatted_device():
@@ -319,6 +360,26 @@ def test_single_session_bulk_churn_reuses_staging():
     assert not store.verify()["problems"]
 
 
+def test_staging_prune_reads_what_the_session_changed_not_the_tree():
+    """The prune diffs the session from the base: it reads staged pages and the base pages they replace."""
+    store = seeded_store(16, 300, 10, seed=5)
+    base_reach = store.handle().reachable_pages()
+    s = store.begin()
+    for k in range(6):  # neighbours: each insert copies the path the one before it staged
+        s.insert_gantry(1000 + k, 1_500_000 + 10 * k, 333_333 + 10 * k)
+    staged = set(s.pending)
+    reach = walk_version(store.device.read_page, s.root, store.total_pages).reachable
+    replaced = base_reach - reach
+    store.swap_cache(PageCache(15))
+    before = store.device.stats().reads
+    store._prune_staging()
+    reads = store.device.stats().reads - before
+    assert s.pending == staged & (reach | s.edit_pages) and s.pending < staged
+    assert reads <= len(staged) + len(replaced)
+    assert 10 * reads < len(base_reach)
+    assert s.commit() == 3 and store.verify()["ok"]
+
+
 def test_load_fits_a_part_where_the_insert_loop_runs_out():
     """A bulk load writes only the final tree, so it fits a part about 1.25x that size."""
     gantries, zones = generate_dataset(7, n_gantries=600, n_zones=40)
@@ -507,6 +568,41 @@ def test_apply_rejects_corrupt_package():
         clone.apply_update(bytes(pkg[: len(pkg) // 2]))
     with pytest.raises(FormatError):
         clone.apply_update(b"JUNKJUNK")
+
+
+def resealed(pkg, pages, root):
+    """``pkg`` with its page records and new root replaced, checksum recomputed."""
+    out = bytearray(pkg[:12]) + len(pages).to_bytes(4, "little")
+    for addr, data in pages:
+        out += addr.to_bytes(3, "big") + data
+    out += root.to_bytes(3, "big")
+    return bytes(out + zlib.crc32(bytes(out)).to_bytes(4, "little"))
+
+
+def test_apply_refuses_page_addresses_that_do_not_ascend_before_programming():
+    store, base_blob = two_version_store()
+    pkg = store.make_update(2, 3)
+    _, _, pages, root = _parse_update(pkg)
+    (a, da), (_, db) = pages[:2]
+    twice = resealed(pkg, [(a, da), (a, db)] + pages[2:], root)  # page a listed twice
+    clone = Store(FlashDevice.from_bytes(base_blob))
+    with pytest.raises(FormatError, match=rf"record 1 names page {a}\b.*ascending"):
+        clone.apply_update(twice)
+    backwards = resealed(pkg, pages[1::-1] + pages[2:], root)
+    with pytest.raises(FormatError, match=r"record 1 .*ascending"):
+        clone.apply_update(backwards)
+    assert clone.device.stats().programs == 0 and clone.current_version == 2
+
+
+def test_apply_refuses_a_new_root_outside_the_data_area_before_programming():
+    store, base_blob = two_version_store()
+    pkg = store.make_update(2, 3)
+    _, _, pages, _ = _parse_update(pkg)
+    clone = Store(FlashDevice.from_bytes(base_blob))
+    for root in (DATA_START - 1, clone.total_pages):
+        with pytest.raises(FormatError, match=rf"new root {root} is outside the data area"):
+            clone.apply_update(resealed(pkg, pages, root))
+    assert clone.device.stats().programs == 0 and clone.current_version == 2
 
 
 def test_apply_is_idempotent_after_interrupt():
