@@ -158,7 +158,8 @@ def encode_node(node: NodePage) -> bytes:
 
 MEMO_ENTRIES = 4096
 
-_VALID_NODES: OrderedDict[bytes, None] = OrderedDict()
+# a valid node page -> its occupied-entry mask, once asked for
+_VALID_NODES: OrderedDict[bytes, int | None] = OrderedDict()
 _LEAF_LISTS: OrderedDict[tuple[bytes, int | None], tuple[tuple["LeafRecord", ...], int]] = OrderedDict()
 
 
@@ -197,6 +198,30 @@ def validate_node(page: bytes, addr: int | None = None) -> None:
     elif flag != 0xFF:  # 0xFF: no check stored (an empty self_list, or a node written before the check)
         raise FormatError(f"node self_list check flag 0x{flag:02x} is neither 0x00 nor 0xff{_at(addr)}")
     _remember(_VALID_NODES, page, None)
+
+
+_NOT_FF = bytes([1] * 255 + [0])  # byte -> 1, but 0xFF -> 0
+_DIGIT = bytes([ord("0"), ord("1")] + [0] * 254)
+
+
+def occupied_entries(page: bytes, addr: int | None = None) -> int:
+    """Check a node page as ``validate_node`` does and return its occupied-entry mask.
+
+    Bit ``9*i + j`` is set when entry (i, j) is not Empty.  The mask is
+    kept in the node check's memo entry, computed on first need.
+    """
+    if type(page) is not bytes:
+        page = bytes(page)
+    occupied = _VALID_NODES.get(page)
+    if occupied is None:
+        validate_node(page, addr)
+        # an entry is Empty when its three bytes are 0xFF: OR each entry's bytes, as 0/1, into one flag
+        flags = page[NODE_ENTRIES_OFF : NODE_ENTRIES_OFF + NODE_ENTRY_AREA].translate(_NOT_FF)
+        any_set = int.from_bytes(flags[0::3], "big") | int.from_bytes(flags[1::3], "big")
+        any_set |= int.from_bytes(flags[2::3], "big")
+        occupied = int(any_set.to_bytes(NODE_FANOUT, "big").translate(_DIGIT)[::-1], 2)
+        _VALID_NODES[page] = occupied
+    return occupied
 
 
 # the entry area as 81 (high byte, low 16 bits) pairs: one C call instead of 81 slices

@@ -300,35 +300,56 @@ def disc_mask(cell: Cell, cx: int, cy: int, radius: int) -> int:
     """Bitmask over the 81 subcells of *cell* that meet the closed disc.
 
     Bit ``9*i + j`` is set when subcell (i, j) intersects; one call
-    replaces 81 ``cell_intersects_disc`` tests during query descent.  The
-    nine column gaps and nine row gaps between the disc centre and the
-    subcell boxes are computed once; subcell (i, j) meets the disc when
-    dx[j]**2 + dy[i]**2 <= r**2.
+    replaces 81 ``cell_intersects_disc`` tests during query descent.  Only
+    the rows and columns that the disc's bounding box spans are looked at,
+    since no other subcell can meet the disc.  Subcell (i, j) meets it when
+    dx[j]**2 + dy[i]**2 <= r**2, dx and dy being the gaps between the
+    centre and the subcell's column and row, so each row's hits are one
+    run of columns, found from both ends.
     """
     if radius < 0:
         raise DomainError("radius must be non-negative")
     level, sx, sy = cell
     _check_divisible(level)
     scale = _POW9[level + 1]
-    x = cx * scale
-    y = cy * scale
     r = radius * scale
-    psx = sx * 9
-    psy = sy * 9
-    dx2 = []
-    for j in range(9):
-        lo = psx + j * WORLD_SIZE
+    # the centre relative to the cell's origin, one subcell side being WORLD_SIZE
+    x = cx * scale - sx * 9
+    y = cy * scale - sy * 9
+    # closed box k meets [c - r, c + r] when k*W <= c + r and (k+1)*W >= c - r
+    j0 = -((r - x) // WORLD_SIZE) - 1
+    j1 = (x + r) // WORLD_SIZE
+    i0 = -((r - y) // WORLD_SIZE) - 1
+    i1 = (y + r) // WORLD_SIZE
+    if j0 < 0:
+        j0 = 0
+    if i0 < 0:
+        i0 = 0
+    if j1 > 8:
+        j1 = 8
+    if i1 > 8:
+        i1 = 8
+    if j0 > j1 or i0 > i1:
+        return 0
+    gaps = [0] * 9
+    for j in range(j0, j1 + 1):
+        lo = j * WORLD_SIZE
         d = lo - x if x < lo else (x - lo - WORLD_SIZE if x > lo + WORLD_SIZE else 0)
-        dx2.append(d * d)
+        gaps[j] = d * d
+    rr = r * r
     mask = 0
-    for i in range(9):
-        lo = psy + i * WORLD_SIZE
+    for i in range(i0, i1 + 1):
+        lo = i * WORLD_SIZE
         d = lo - y if y < lo else (y - lo - WORLD_SIZE if y > lo + WORLD_SIZE else 0)
-        room = r * r - d * d
-        if room >= 0:
-            for j in range(9):
-                if dx2[j] <= room:
-                    mask |= 1 << (9 * i + j)
+        room = rr - d * d
+        # the gaps fall, then rise, across the columns: the columns within reach are one run
+        a, b = j0, j1
+        while a <= b and gaps[a] > room:
+            a += 1
+        while b >= a and gaps[b] > room:
+            b -= 1
+        if a <= b:
+            mask |= ((1 << (b - a + 1)) - 1) << (9 * i + a)
     return mask
 
 

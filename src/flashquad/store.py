@@ -212,7 +212,14 @@ class Store:
         params: Optional[BuildParams] = None,
         cache_pages: int = 15,
         max_versions: int = MAX_VERSIONS_DEFAULT,
+        _known: Optional[dict[int, bytes]] = None,
     ):
+        """Mount the database on ``device``.
+
+        ``_known`` maps addresses to the bytes a caller has just read or
+        programmed there (``format`` passes pages 0..32); the mount takes
+        those instead of reading them again.
+        """
         if max_versions < 1:
             raise DomainError("max_versions must be at least 1")
         self.device = device
@@ -220,7 +227,7 @@ class Store:
         self.max_versions = max_versions
         self.cache = PageCache(cache_pages)
         self._session: Optional[Session] = None
-        self._mount()
+        self._mount(_known or {})
 
     # -- construction --
 
@@ -240,20 +247,25 @@ class Store:
             raise DomainError("device too small for directory plus one data page")
         for first in range(0, DATA_START + 1, PAGES_PER_SUBSECTOR):
             _erase_if_dirty(device, first)
-        device.program_page(DATA_START, encode_node(NodePage(0)))
+        root = encode_node(NodePage(0))
+        device.program_page(DATA_START, root)
         rec = VersionRecord(1, DATA_START, DATA_START + 1)
         slot0 = bytearray(_BLANK)
         slot0[:VERSION_RECORD_SIZE] = encode_version_record(rec)
         device.program_page(0, bytes(slot0))
-        return cls(device, params=params, cache_pages=cache_pages, max_versions=max_versions)
+        # the directory is blank but for the first record: the mount reads none of it, nor the root
+        known = dict.fromkeys(range(DIR_PAGES), _BLANK) | {0: bytes(slot0), DATA_START: root}
+        return cls(device, params=params, cache_pages=cache_pages, max_versions=max_versions, _known=known)
 
     # -- mount --
 
-    def _scan_dir(self, sub: int) -> list[tuple[int, int, str, Optional[VersionRecord]]]:
+    def _scan_dir(
+        self, sub: int, known: Optional[dict[int, bytes]] = None
+    ) -> list[tuple[int, int, str, Optional[VersionRecord]]]:
         out = []
         base = sub * PAGES_PER_SUBSECTOR
         for p in range(PAGES_PER_SUBSECTOR):
-            raw = self.device.read_page(base + p)
+            raw = known[base + p] if known and base + p in known else self.device.read_page(base + p)
             for s in range(SLOTS_PER_PAGE):
                 slot = raw[s * VERSION_RECORD_SIZE : (s + 1) * VERSION_RECORD_SIZE]
                 state, rec = decode_version_slot(slot)
@@ -261,8 +273,8 @@ class Store:
                     out.append((p, s, state, rec))
         return out
 
-    def _mount(self) -> None:
-        scans = [self._scan_dir(0), self._scan_dir(1)]
+    def _mount(self, known: dict[int, bytes]) -> None:
+        scans = [self._scan_dir(0, known), self._scan_dir(1, known)]
         live_sets = [
             {(r.version_no, r.root_page, r.alloc_cursor) for _, _, st, r in sc if st == "live"}
             for sc in scans
@@ -296,6 +308,9 @@ class Store:
         if not DATA_START <= cursor < self.total_pages:
             raise IntegrityError(f"allocation cursor {cursor} out of range")
         self._cursor = cursor
+        for addr, page in known.items():  # known data pages go into the cache, as a program's do
+            if addr >= DATA_START:
+                self.cache.put(addr, page)
         self._count_versions()
 
     # -- basic page IO --

@@ -42,7 +42,7 @@ and writes through a small page-IO object (the store) that provides
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -77,6 +77,7 @@ from .codec import (
     make_leaf,
     node_entry_word,
     node_with_entry,
+    occupied_entries,
     record_bytes,
     validate_node,
     zone_page_count,
@@ -92,11 +93,11 @@ from .geometry import (
     TOP_CELL,
     Cell,
     CellClass,
+    cell_contains,
     cell_index,
     classify_cell,
     classify_children,
     disc_mask,
-    dist2,
     in_world,
     point_in_polygon,
     subcell,
@@ -233,6 +234,11 @@ class PageReader:
         page = self._read(addr)
         validate_node(page, addr)
         return page
+
+    def node_entries(self, addr: int) -> tuple[bytes, int]:
+        """The validated node page at ``addr`` and its occupied-entry mask."""
+        page = self._read(addr)
+        return page, occupied_entries(page, addr)
 
     def chain(self, head: int) -> Iterator[tuple[tuple[LeafRecord, ...], int]]:
         """(records, next) of each page of the leaf chain at ``head``, read one at a time."""
@@ -679,6 +685,27 @@ def stats_from_walk(rep: WalkReport) -> StatsReport:
 _NO_ENTRIES = b"\xff" * codec.NODE_ENTRY_AREA  # the entry area of a node whose 81 entries are Empty
 
 
+def _zone_hits(met: Sequence[tuple[int, Optional[tuple]]], x: int, y: int) -> dict[int, QueryHit]:
+    """The zones containing (x, y) among the records a descent met, in the order it met them."""
+    found: dict[int, QueryHit] = {}
+    for zid, vertices in met:
+        if vertices is None:
+            found[zid] = QueryHit(zid, "zone", "inside-entry")
+        elif zid not in found and point_in_polygon(x, y, vertices):
+            found[zid] = QueryHit(zid, "zone", "edge-test")
+    return found
+
+
+def _gantry_hits(candidates: Sequence[GantryObject], x: int, y: int, radius: int) -> dict[int, QueryHit]:
+    """The candidate gantries within ``radius`` of (x, y)."""
+    r2 = radius * radius
+    return {
+        g.object_id: QueryHit(g.object_id, "gantry", "distance", (g.x, g.y))
+        for g in candidates
+        if (g.x - x) * (g.x - x) + (g.y - y) * (g.y - y) <= r2
+    }
+
+
 def _self_list(page: bytes) -> int:
     """A validated node page's self_list word."""
     return int.from_bytes(page[codec.NODE_SELF_LIST_OFF : codec.NODE_SELF_LIST_OFF + 3], "big")
@@ -701,12 +728,32 @@ class Handle:
     All page access goes through the store's cache; a query's device reads
     and cache hits are the change in the cache's own miss and hit counters,
     so a warm cache shows up as cache hits, not reads.
+
+    Each query kind keeps a memo of its last full run, a validity region in
+    the sense of Zhang, Zhu, Papadias, Tao & Lee ("Location-based Spatial
+    Queries", SIGMOD 2003): the ``(address, page)`` requests it made, in
+    order, and what it met before the exact per-point tests.  The memo
+    holds for a zone query whose point lies in the last descent's terminal
+    cell (the subcell whose entry was a leaf or Empty), and for a disc
+    query of the same radius whose disc meets the same occupied entries at
+    every node the last one visited.  Such a query would make the very same
+    page requests, since its descent depends on nothing else.  The memo
+    still makes them, in order, through the store, so the cache's hits and
+    misses, the device reads and ``QueryResult`` are exactly a full
+    query's, whatever cache is in place; it answers only when every page
+    comes back with the recorded bytes.  On a mismatch (the version was
+    revoked and its pages reused) the memo is dropped and the query runs in
+    full, taking the pages already requested as its first requests.  Only
+    the exact tests are run again: point in polygon for edge zones, the
+    distance for candidate gantries.
     """
 
     def __init__(self, io, root_page: int, version_no: int):
         self._io = io
         self.root_page = root_page
         self.version_no = version_no
+        self._zone_memo = None  # (terminal cell, page requests, zone records met)
+        self._disc_memo = None  # (radius, (cell, occupied, met) per node visited, page requests, candidates)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Handle(version={self.version_no}, root={self.root_page})"
@@ -717,25 +764,63 @@ class Handle:
             tuple(sorted(found.values(), key=lambda h: h.object_id)), reads - before[0], hits - before[1]
         )
 
+    def _replay(self, log: list[tuple[int, bytes]]) -> Optional[list[tuple[int, bytes]]]:
+        """Request the recorded pages again, in order.
+
+        Returns None when each comes back with its recorded bytes; else the
+        requests made, up to and including the first page that differs.
+        """
+        read = self._io.read_page
+        for k, (addr, page) in enumerate(log):
+            got = read(addr)
+            if got is not page and got != page:
+                return [*log[:k], (addr, got)]
+        return None
+
+    def _recorder(self, log: list[tuple[int, bytes]], made: Sequence[tuple[int, bytes]]) -> PageReader:
+        """A reader that appends each request to ``log``; the requests in ``made`` are not made again.
+
+        ``made`` is what a replay that stopped has already requested.  A
+        full query makes those same requests first: each page it read
+        decides the next request as it decided the replayed run's.
+        """
+        read = self._io.read_page
+        made = deque(made)
+
+        def record(addr: int) -> bytes:
+            if made and made[0][0] == addr:
+                page = made.popleft()[1]
+            else:
+                made.clear()
+                page = read(addr)
+            log.append((addr, page))
+            return page
+
+        return PageReader(record, self._io.total_pages)
+
     def query_zones_at(self, x: int, y: int) -> QueryResult:
         """Zones containing the point, from the single descent path for it."""
         if not in_world(x, y):
             raise DomainError(f"point ({x}, {y}) outside the world square")
         before = self._io.read_counters()
-        reader = PageReader(self._io.read_page, self._io.total_pages)
-        found: dict[int, QueryHit] = {}
+        memo, made = self._zone_memo, ()
+        if memo is not None and cell_contains(memo[0], x, y):
+            made = self._replay(memo[1])
+            if made is None:
+                return self._result(_zone_hits(memo[2], x, y), before)
+        self._zone_memo = None
+        log: list[tuple[int, bytes]] = []
+        reader = self._recorder(log, made)
+        met: list[tuple[int, Optional[tuple]]] = []  # (zone id, vertices of an edge record, None inside)
 
         def collect(head: int) -> None:
             for records, _ in reader.chain(head):
                 for rec in records:
                     if rec.kind == KIND_ZONE_INSIDE:  # the head page's id is the answer
-                        zid = reader.zone_id(rec.object_page)
-                        found[zid] = QueryHit(zid, "zone", "inside-entry")
+                        met.append((reader.zone_id(rec.object_page), None))
                     elif rec.kind == KIND_ZONE_EDGE:
                         zone = reader.object(rec.object_page, "zone")
-                        zid = zone.object_id
-                        if zid not in found and point_in_polygon(x, y, zone.vertices):
-                            found[zid] = QueryHit(zid, "zone", "edge-test")
+                        met.append((zone.object_id, zone.vertices))
 
         cell = TOP_CELL
         addr = self.root_page
@@ -753,7 +838,8 @@ class Handle:
                 break
             cell = subcell(cell, idx)
             addr = entry_addr(word)
-        return self._result(found, before)
+        self._zone_memo = (subcell(cell, idx), log, met)
+        return self._result(_zone_hits(met, x, y), before)
 
     def query_gantries_within(self, x: int, y: int, radius: int) -> QueryResult:
         """Gantries within ``radius`` metres of (x, y), exact integer test.
@@ -764,34 +850,42 @@ class Handle:
         if radius < 0:
             raise DomainError("radius must be non-negative")
         before = self._io.read_counters()
-        reader = PageReader(self._io.read_page, self._io.total_pages)
-        found: dict[int, QueryHit] = {}
-        r2 = radius * radius
+        memo, made = self._disc_memo, ()
+        if memo is not None and memo[0] == radius:
+            for cell, occupied, met in memo[1]:
+                if disc_mask(cell, x, y, radius) & occupied != met:
+                    break
+            else:
+                made = self._replay(memo[2])
+                if made is None:
+                    return self._result(_gantry_hits(memo[3], x, y, radius), before)
+        self._disc_memo = None
+        log: list[tuple[int, bytes]] = []
+        reader = self._recorder(log, made)
+        nodes: list[tuple[Cell, int, int]] = []
+        candidates: list[GantryObject] = []
 
         stack: list[tuple[Cell, int]] = [(TOP_CELL, self.root_page)]
         while stack:
             cell, addr = stack.pop()
-            page = reader.node(addr)
-            mask = disc_mask(cell, x, y, radius)
-            while mask:  # subcells meeting the disc, in index order
+            page, occupied = reader.node_entries(addr)
+            mask = disc_mask(cell, x, y, radius) & occupied
+            nodes.append((cell, occupied, mask))
+            while mask:  # occupied subcells meeting the disc, in index order
                 low = mask & -mask
                 mask ^= low
                 idx = low.bit_length() - 1
                 off = codec.NODE_ENTRIES_OFF + 3 * idx
                 word = int.from_bytes(page[off : off + 3], "big")
-                if word == ENTRY_EMPTY:
-                    continue
                 if entry_is_child(word):
                     stack.append((subcell(cell, idx), entry_addr(word)))
                     continue
                 for records, _ in reader.chain(entry_addr(word)):
                     for rec in records:
-                        if rec.kind != KIND_POINT:
-                            continue
-                        g = rec.gantry or reader.object(rec.object_page, "gantry")
-                        if dist2(g.x, g.y, x, y) <= r2:
-                            found[g.object_id] = QueryHit(g.object_id, "gantry", "distance", (g.x, g.y))
-        return self._result(found, before)
+                        if rec.kind == KIND_POINT:
+                            candidates.append(rec.gantry or reader.object(rec.object_page, "gantry"))
+        self._disc_memo = (radius, nodes, log, candidates)
+        return self._result(_gantry_hits(candidates, x, y, radius), before)
 
     def walk(self) -> WalkReport:
         return walk_version(self._io.read_page, self.root_page, self._io.total_pages)

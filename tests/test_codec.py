@@ -290,6 +290,22 @@ def test_decode_memo_is_bounded():
     for k in range(codec.MEMO_ENTRIES + 50):
         decode_leaf_list(encode_leaf_list(LeafListPage([LeafRecord(0, k)])))
     assert len(codec._LEAF_LISTS) <= codec.MEMO_ENTRIES
+    # a node check's memo entry also keeps the page's occupied-entry mask, once asked for
+    for k in range(codec.MEMO_ENTRIES + 50):
+        entries = [ENTRY_EMPTY] * 81
+        entries[k % 81] = make_leaf(k)
+        entries[(k + 40) % 81] = make_child(k)
+        mask = 1 << k % 81 | 1 << (k + 40) % 81
+        page = encode_node(NodePage(1, entries))
+        if k % 2:
+            codec.validate_node(page)
+        assert codec.occupied_entries(page) == mask == codec.occupied_entries(page)
+        assert codec._VALID_NODES[page] == mask
+    assert len(codec._VALID_NODES) <= codec.MEMO_ENTRIES
+    assert codec.occupied_entries(encode_node(NodePage(0))) == 0
+    full = [make_child(n) if n % 2 else make_leaf(n) for n in range(81)]
+    full[5], full[6] = make_child(codec.ADDR_MASK), make_leaf(codec.ADDR_MASK)  # one byte short of Empty
+    assert codec.occupied_entries(encode_node(NodePage(2, full))) == (1 << 81) - 1
     # a device-size range check is part of the key: the same bytes can pass
     # for a large device and fail for a small one
     page = encode_leaf_list(LeafListPage([LeafRecord(0, 700)]))

@@ -283,6 +283,29 @@ def test_disc_mask_matches_per_cell():
         mask = disc_mask(cell, cx, cy, r)
         for idx in range(81):
             assert bool(mask >> idx & 1) == cell_intersects_disc(subcell(cell, idx), cx, cy, r)
+    # centres outside the cell and outside the world, radius 0, and discs tangent to a
+    # subcell's edge or corner (exact tangency needs an integer edge: the world's edges)
+    low = subcell(TOP_CELL, 0)
+    corner = subcell(TOP_CELL, 80)
+    cases = [
+        (TOP_CELL, -1000, 500, 1000), (TOP_CELL, -1000, 500, 999),  # tangent to the left edge, and not
+        (TOP_CELL, 300_000, -7, 7), (TOP_CELL, 300_000, W + 7, 7),  # tangent to the bottom and top edges
+        (TOP_CELL, -3, -4, 5), (TOP_CELL, -3, -4, 4),  # tangent to the (0, 0) corner, and not
+        (TOP_CELL, W + 3, W + 4, 5), (TOP_CELL, W + 3, W + 4, 4),  # tangent to the (W, W) corner
+        (low, -3, -4, 5), (low, 0, 0, 0), (low, W // 9, W // 9, 0), (low, W // 81, 5, 0),
+        (low, 5 * W, 5 * W, 3), (low, -W, W // 18, W), (corner, W // 2, W // 2, 0),
+        (corner, W - 1, W - 1, 0), (corner, 3 * W, -W, 2 * W), (TOP_CELL, -5 * W, -5 * W, 0),
+    ]
+    for _ in range(200):  # radius 0 anywhere, and centres on or next to a subcell edge
+        cell = subcell(subcell(TOP_CELL, rng.randrange(81)), rng.randrange(81))
+        edge = (cell.sx * 9 + rng.randint(0, 9) * W) // 729
+        cases.append((cell, edge + rng.randint(-1, 1), rng.randint(-W, 2 * W), rng.choice([0, 1, 2, 5000])))
+    for cell, cx, cy, r in cases:
+        mask = disc_mask(cell, cx, cy, r)
+        for idx in range(81):
+            assert bool(mask >> idx & 1) == cell_intersects_disc(subcell(cell, idx), cx, cy, r), (cell, cx, cy, r)
+    assert disc_mask(TOP_CELL, -1000, 500, 999) == 0 and disc_mask(TOP_CELL, -1000, 500, 1000) == 1
+    assert disc_mask(TOP_CELL, -3, -4, 5) == 1 and disc_mask(TOP_CELL, -3, -4, 4) == 0
     assert disc_mask(TOP_CELL, W // 2, W // 2, 10 * W) == (1 << 81) - 1
     with pytest.raises(DomainError):
         disc_mask(TOP_CELL, 0, 0, -5)
