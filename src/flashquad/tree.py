@@ -940,7 +940,12 @@ class TreeEditor:
         ]
 
     def _write_chain(self, records: Sequence[LeafRecord], tail: int = NO_PAGE) -> int:
-        """Lay records out over fresh chained pages in front of ``tail``, tail first, packed by bytes."""
+        """Lay records out over fresh chained pages in front of ``tail``, packed by bytes.
+
+        Pages fill in record order and each new page is chained in front of
+        the last, so the head is the page still filling, as appending the
+        records one at a time (``_append``) leaves it.
+        """
         chunks: list[list[LeafRecord]] = []
         room = 0
         for rec in records:
@@ -951,7 +956,7 @@ class TreeEditor:
             chunks[-1].append(rec)
             room -= size
         addr = tail
-        for chunk in reversed(chunks):
+        for chunk in chunks:
             addr = self._io.write_page(encode_leaf_list(LeafListPage(chunk, addr)), dedupable=True)
         return addr
 

@@ -958,17 +958,22 @@ def test_a_leaf_of_points_and_zones_is_packed_by_bytes():
     zones = [(100 + k, tiny(230_000 + 4_000 * k, 400_000)) for k in range(40)]
     committed(store, lambda s: s.load(gantries, zones))
     leaves = store.handle().walk().leaf_pages
-    (head,) = [a for a, p in leaves.items() if has_point(p)]
-    page = decode_leaf_list(leaves[head])
+    (full,) = [a for a, p in leaves.items() if has_point(p)]
+    page = decode_leaf_list(leaves[full])
     assert [r.kind for r in page.records] == [KIND_POINT] * 8 + [KIND_ZONE_EDGE] * 30
     assert {(r.gantry.object_id, r.gantry.x, r.gantry.y) for r in page.records[:8]} == set(gantries)
-    tail = decode_leaf_list(leaves[page.next])
-    assert len(tail.records) == 10 and tail.next == NO_PAGE
+    assert page.next == NO_PAGE
+    # the page still filling heads the chain, as one insert per object leaves it
+    (head,) = [a for a, p in leaves.items() if decode_leaf_list(p).next == full]
+    assert len(decode_leaf_list(leaves[head]).records) == 10 and len(leaves) == 2
 
-    # a further zone does not fit the full head page: it goes on a new page in front of it
+    # a further zone fits the head page: it extends it, and the chain stays two pages
     zones.append((200, tiny(400_000, 230_000)))
     committed(store, lambda s: s.insert_zone(*zones[-1]))
     h = store.handle()
+    leaves = h.walk().leaf_pages
+    assert len(leaves) == 2 and full in leaves
+    assert sorted(len(decode_leaf_list(p).records) for p in leaves.values()) == [11, 38]
     for x, y in [(300_000, 300_000), (304_500, 299_000), (230_100, 400_100), (386_100, 400_100), (400_100, 230_100)]:
         assert h.query_gantries_within(x, y, 2_500).ids == linear_gantries(gantries, x, y, 2_500)
         assert h.query_zones_at(x, y).ids == linear_zones(zones, x, y)
