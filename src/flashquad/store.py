@@ -31,9 +31,11 @@ The store keeps reference counts for the current version
 against the new one and reads only the pages that changed.  Each page the
 current version no longer holds but an older retained version does is kept
 in one map, with the newest such version; a page is live when it is
-counted or in that map.  Mount counts the current version from an empty
-table, then adds each older retained root on top, newest first, so an older
-version reads only the pages no newer one holds.
+counted or in that map.  Mount reads only the version directory: queries
+need a root, and check each page they read.  The first write after mount
+or ``rollback_to`` counts the current version from an empty table, then
+adds each older retained root on top, newest first, so an older version
+reads only the pages no newer one holds (``Store._ensure_counted``).
 """
 
 from __future__ import annotations
@@ -76,6 +78,13 @@ MAX_VERSIONS_DEFAULT = 4
 UPDATE_MAGIC = b"FQUP"
 
 _BLANK = b"\xff" * PAGE_SIZE
+
+
+def _check_settings(cache_pages: int, max_versions: int) -> None:
+    if cache_pages < 1:
+        raise DomainError(f"cache_pages must be at least 1, got {cache_pages}")
+    if max_versions < 1:
+        raise DomainError("max_versions must be at least 1")
 
 
 def _erase_if_dirty(device: FlashDevice, first: int) -> None:
@@ -214,14 +223,16 @@ class Store:
         max_versions: int = MAX_VERSIONS_DEFAULT,
         _known: Optional[dict[int, bytes]] = None,
     ):
-        """Mount the database on ``device``.
+        """Mount the database on ``device``, reading only the version directory.
+
+        The reference counts are built by the first write (``_ensure_counted``),
+        which is refused if a retained version is damaged.
 
         ``_known`` maps addresses to the bytes a caller has just read or
         programmed there (``format`` passes pages 0..32); the mount takes
         those instead of reading them again.
         """
-        if max_versions < 1:
-            raise DomainError("max_versions must be at least 1")
+        _check_settings(cache_pages, max_versions)
         self.device = device
         self.params = params or BuildParams()
         self.max_versions = max_versions
@@ -243,6 +254,7 @@ class Store:
 
         An earlier image's other pages are reclaimed lazily by the allocator, or at once by ``gc``.
         """
+        _check_settings(cache_pages, max_versions)
         if device.total_pages < DATA_START + 1:
             raise DomainError("device too small for directory plus one data page")
         for first in range(0, DATA_START + 1, PAGES_PER_SUBSECTOR):
@@ -311,7 +323,7 @@ class Store:
         for addr, page in known.items():  # known data pages go into the cache, as a program's do
             if addr >= DATA_START:
                 self.cache.put(addr, page)
-        self._count_versions()
+        self._refs: Optional[tree.RefCounts] = None  # counted at the first write: see ``_ensure_counted``
 
     # -- basic page IO --
 
@@ -340,6 +352,16 @@ class Store:
 
     # -- liveness, dedup --
 
+    def _ensure_counted(self) -> None:
+        """Build ``_refs``, ``_held``, ``_dedup`` and ``_damage`` unless they are built.
+
+        Mount and ``rollback_to`` leave them unbuilt.  Each write calls this
+        first, so a query never pays the count; the count checks every page
+        it reads and records the damage ``_refuse_damaged`` refuses.
+        """
+        if self._refs is None:
+            self._count_versions()
+
     def _count_versions(self) -> None:
         """Count the current version from an empty table, then each older retained version on top.
 
@@ -352,16 +374,16 @@ class Store:
         self._dedup: dict[bytes, int] = {}
         # page the current version does not hold -> (newest retained version holding it, its bytes)
         self._held: dict[int, tuple[int, bytes]] = {}
-        self._refs = tree.RefCounts()
+        refs = tree.RefCounts()
         newest_first = sorted(self._versions, reverse=True)
-        d = tree.CountDelta(self._refs, self.read_page, self.total_pages)
+        d = tree.CountDelta(refs, self.read_page, self.total_pages)
         d.add(self._versions[newest_first[0]].root_page)
         problems = d.problems + d.nodes_named_twice()
         if problems:
             self._damage[newest_first[0]] = problems[0]
-        self._refs.install(d)
+        refs.install(d)
         self._learn(d.leaf_pages)
-        d = tree.CountDelta(self._refs, self.read_page, self.total_pages)
+        d = tree.CountDelta(refs, self.read_page, self.total_pages)
         for vno in newest_first[1:]:
             seen = len(d.problems)
             fresh = d.add(self._versions[vno].root_page)
@@ -369,6 +391,7 @@ class Store:
                 self._damage[vno] = d.problems[seen]
             self._held.update((addr, (vno, d.pages[addr])) for addr in fresh)
         self._learn(d.leaf_pages)
+        self._refs = refs  # last: a count cut short by an exception is made again
 
     def _is_live(self, addr: int) -> bool:
         return addr in self._refs.counts or addr in self._held
@@ -458,6 +481,7 @@ class Store:
 
     def gc(self, protect: Optional[set[int]] = None) -> dict:
         """Erase every data subsector holding only unreachable pages."""
+        self._ensure_counted()
         self._refuse_damaged()  # a partial live set must never drive an erase
         if protect is None:
             protect = self._session.pending if self._session else set()
@@ -523,6 +547,7 @@ class Store:
     # -- sessions --
 
     def begin(self) -> Session:
+        self._ensure_counted()
         if self._session is not None:
             raise SessionError("another session is already open")
         self._refuse_damaged()
@@ -537,6 +562,7 @@ class Store:
         the pages the session staged, and the base pages they replace, are
         read.  A damaged staged tree raises ``IntegrityError``.
         """
+        self._ensure_counted()
         if self._session is not None:
             raise SessionError("another session is already open")
         self._refuse_damaged()
@@ -604,7 +630,7 @@ class Store:
             self._revoke(v)
         self.current_version = vno
         self._cursor = self._versions[vno].alloc_cursor
-        self._count_versions()
+        self._refs = None  # the next write counts the versions left
 
     # -- read access --
 
@@ -660,6 +686,7 @@ class Store:
     # -- update packages --
 
     def make_update(self, base_version: int, new_version: int) -> bytes:
+        self._ensure_counted()
         base = self._versions.get(base_version)
         new = self._versions.get(new_version)
         if base is None:
@@ -696,6 +723,7 @@ class Store:
         return bytes(out)
 
     def apply_update(self, pkg: bytes) -> int:
+        self._ensure_counted()
         if self._session is not None:
             raise SessionError("close the open session before applying an update")
         self._refuse_damaged()

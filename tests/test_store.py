@@ -2,6 +2,7 @@
 
 import random
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from flashquad.codec import (
     make_child,
     make_leaf,
 )
-from flashquad.dataset import build_database, generate_dataset
+from flashquad.dataset import build_database, generate_dataset, generate_trace
 from flashquad.errors import (
     ConflictError,
     DomainError,
@@ -39,6 +40,7 @@ from flashquad.errors import (
 )
 from flashquad.flashsim import PAGES_PER_SUBSECTOR as SUB
 from flashquad.flashsim import FlashDevice, FlashGeometry
+from flashquad.replay import replay
 from flashquad.store import DATA_START, Store, _parse_update
 from flashquad.tree import BuildParams, walk_version
 
@@ -87,6 +89,7 @@ def test_mount_round_trip():
 
 
 def test_mount_reads_each_page_once():
+    """Mount reads the version directory only; with the count the first write makes, each page once."""
     store = fresh()
     gantries, zones = generate_dataset(seed=4, n_gantries=120, n_zones=6)
     build_database(store, gantries, zones)
@@ -95,7 +98,63 @@ def test_mount_reads_each_page_once():
     dev.on_read = reads.append
     back = Store(dev)
     assert back.current_version == 2
-    assert reads and len(reads) == len(set(reads))
+    assert reads == list(range(DATA_START))
+    back._ensure_counted()
+    assert len(reads) > DATA_START and len(reads) == len(set(reads))
+
+
+def test_reads_leave_the_count_unbuilt():
+    """Queries, listings, verify and replay read what they read; none of them counts the versions."""
+    store = seeded_store(8, 120, 4, seed=6)
+    add_gantries(store, [900])
+    back = Store(FlashDevice.from_bytes(store.device.to_bytes()))
+    h = back.handle()
+    h.query_zones_at(1_000_000, 1_000_000)
+    h.query_gantries_within(1_000_000, 1_000_000, 200_000)
+    back.handle(2).stats()
+    back.versions()
+    assert back.verify()["ok"]
+    replay(back, generate_trace(seed=6, steps=20), radius=60_000)
+    assert back._refs is None
+    back.begin()
+    assert back._refs is not None
+
+
+def write_once(image, write, cache_pages, counted_first):
+    """(device reads, reads per address) of a mount of ``image`` followed by ``write(store)``."""
+    dev = FlashDevice.from_bytes(image)
+    reads = []
+    dev.on_read = reads.append
+    store = Store(dev, cache_pages=cache_pages)
+    if counted_first:  # an eager mount
+        store._ensure_counted()
+    write(store)
+    return len(reads), Counter(reads)
+
+
+def test_mount_plus_the_first_write_reads_no_more_than_an_eager_mount():
+    """The first commit, and the first apply, pay the count mount no longer makes, and nothing more.
+
+    With a cache that holds the image, each data page is read at most once.
+    """
+    store = seeded_store(16, 300, 10, seed=8)
+    image = store.device.to_bytes()
+    add_gantries(store, [1000])
+    pkg = store.make_update(2, 3)
+
+    def commit(st):
+        s = st.begin()
+        s.insert_gantry(1000, 1_234_567, 765_432)
+        s.delete(7, "gantry")
+        s.commit()
+
+    for write in (commit, lambda st: st.apply_update(pkg)):
+        for cache_pages in (15, store.total_pages):
+            lazy, per_page = write_once(image, write, cache_pages, counted_first=False)
+            eager, _ = write_once(image, write, cache_pages, counted_first=True)
+            assert lazy <= eager
+            if cache_pages > 15:
+                assert max(n for addr, n in per_page.items() if addr >= DATA_START) == 1
 
 
 def test_mount_reads_the_tree_once_plus_what_each_older_version_changed():
@@ -110,6 +169,7 @@ def test_mount_reads_the_tree_once_plus_what_each_older_version_changed():
         s.commit()
         dev = FlashDevice.from_bytes(store.device.to_bytes())
         back = Store(dev, max_versions=8)
+        back._ensure_counted()
         older = len(back.versions()) - 1
         assert older == k + 1  # the empty version 1, the seeded version 2 and the edits before this one
         assert dev.stats().reads <= DATA_START + len(back.handle().reachable_pages()) + 20 * older
@@ -161,6 +221,26 @@ def test_reformat_of_a_dirty_device_reclaims_the_old_pages_lazily():
     assert image(dev, range(subsectors)) == image(blank_dev, range(subsectors))
     assert [dev.erase_count(i) - worn[i] for i in range(subsectors)] == [int(d) for d in dirty]
     assert again.verify()["ok"]
+
+
+def test_a_cache_of_no_pages_is_refused_before_any_device_access():
+    dev = FlashDevice(FlashGeometry(sector_count=1))
+    for kw in ({"cache_pages": 0}, {"cache_pages": -3}, {"max_versions": 0}):
+        with pytest.raises(DomainError):
+            Store.format(dev, **kw)
+        assert (dev.stats().reads, dev.stats().programs, dev.stats().erases) == (0, 0, 0)
+    Store.format(dev)
+    image = dev.to_bytes()
+    for kw in ({"cache_pages": 0}, {"max_versions": 0}):
+        again = FlashDevice.from_bytes(image)
+        with pytest.raises(DomainError):
+            Store(again, **kw)
+        assert again.stats().reads == 0
+    store = Store(dev)
+    before = dev.stats().reads
+    with pytest.raises(DomainError, match="cache_pages"):
+        replay(store, generate_trace(seed=1, steps=5), radius=60_000, cache_pages=0)
+    assert dev.stats().reads == before
 
 
 def test_mount_rejects_unformatted_device():
@@ -271,6 +351,7 @@ def test_resume_reads_only_the_staged_pages():
     image = store.device.to_bytes()
 
     back = Store(FlashDevice.from_bytes(image))
+    back._ensure_counted()
     before = back.device.stats().reads
     s2 = back.resume_session(*staged)
     assert back.device.stats().reads - before <= 30
@@ -472,6 +553,7 @@ def test_dedup_map_holds_exactly_the_leaf_pages_of_live_versions():
     for store in (source, replica):
         assert set(store._dedup.values()) <= set().union(*live_reach(store).values())
         again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=2)
+        again._ensure_counted()
         assert store._dedup.keys() == again._dedup.keys()
     # what the map holds changes no device cost: the same edit programs alike
     programs = []
@@ -671,9 +753,27 @@ def test_damaged_version_mounts_read_only_until_rolled_away():
     victim = max(only_v3)
     blob = bytearray(store.device.to_bytes())
     blob[8 + victim * PAGE_SIZE + 30] ^= 0x08
+    add_gantries(store, [3])
+    pkg = store.make_update(3, 4)
+    staged = (3, store.handle(4).root_page, set())
+    first_writes = {
+        "begin": lambda st: st.begin(),
+        "apply_update": lambda st: st.apply_update(pkg),
+        "make_update": lambda st: st.make_update(2, 3),
+        "resume_session": lambda st: st.resume_session(*staged),
+        "gc": lambda st: st.gc(),
+    }
+    for name, write in first_writes.items():  # each the first write after a mount: it counts, and refuses
+        dev = FlashDevice.from_bytes(bytes(blob))
+        damaged = Store(dev)
+        with pytest.raises(IntegrityError, match=rf"\b{victim}\b"):
+            write(damaged)
+        assert (dev.stats().programs, dev.stats().erases) == (0, 0), name
     back = Store(FlashDevice.from_bytes(bytes(blob)))
     assert back.verify()["problems"]  # damage is visible, mount survived
     assert back.handle(2).stats().objects == 1  # healthy version still answers
+    with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
+        back.handle(3).query_zones_at(1_000, 1_000)  # the damaged root
     with pytest.raises(IntegrityError):
         back.begin()
     with pytest.raises(IntegrityError):
@@ -879,6 +979,7 @@ def test_edits_commits_and_applies_read_what_changed():
 
     assert reads(store, edit(lambda s: s.insert_gantry(777_777, 1_500_000, 333_333))) <= 60
     replica = Store(FlashDevice.from_bytes(blob))
+    replica._ensure_counted()
     pkg = store.make_update(base, store.current_version)
     assert reads(replica, lambda: replica.apply_update(pkg)) <= 60
     assert reads(store, edit(lambda s: s.delete(5, "gantry"))) <= 60
@@ -903,6 +1004,8 @@ def assert_counts_match_mount(store):
     """
     again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=store.max_versions)
     assert again.current_version == store.current_version
+    for st in (store, again):
+        st._ensure_counted()
     reach = live_reach(store)
     assert set(store._refs.counts) == reach[store.current_version]
     assert store._held == again._held

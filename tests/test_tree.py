@@ -1028,6 +1028,7 @@ def test_an_update_whose_appendix_disagrees_is_refused_without_reading_the_gantr
     """The leaf a package rewrites names gantry 1, which the replica already counts: no page is read for it."""
     store, _, _, page = gantry_neighbours()
     replica = Store(FlashDevice.from_bytes(store.device.to_bytes()))
+    replica._ensure_counted()
     committed(store, lambda s: s.insert_gantry(3, 3_000, 1_000))
     pkg = bytearray(store.make_update(2, 3))
     count = int.from_bytes(pkg[12:16], "little")
