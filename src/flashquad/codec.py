@@ -238,12 +238,17 @@ def decode_node(page: bytes, total_pages: int | None = None, addr: int | None = 
     for word in entries:
         if word != ENTRY_EMPTY and (word >> ADDR_BITS > TAG_LEAF or word & ADDR_MASK >= limit):
             check_entry(word, total_pages, addr)  # raises, naming the fault
+    return NodePage(level=page[1], entries=entries, self_list=node_self_list(page, total_pages, addr))
+
+
+def node_self_list(page: bytes, total_pages: int | None = None, addr: int | None = None) -> int:
+    """A node page's self_list word, checked: Empty, or a leaf-list entry in range."""
     self_list = int.from_bytes(page[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3], "big")
     if self_list != ENTRY_EMPTY:
         check_entry(self_list, total_pages, addr)
         if not entry_is_leaf(self_list):
             raise FormatError(f"node self_list is not a leaf-list entry{_at(addr)}")
-    return NodePage(level=page[1], entries=entries, self_list=self_list)
+    return self_list
 
 
 def node_entry_word(page: bytes, i: int, j: int) -> int:

@@ -356,8 +356,9 @@ class Store:
         """Build ``_refs``, ``_held``, ``_dedup`` and ``_damage`` unless they are built.
 
         Mount and ``rollback_to`` leave them unbuilt.  Each write calls this
-        first, so a query never pays the count; the count checks every page
-        it reads and records the damage ``_refuse_damaged`` refuses.
+        before it reads the tree, so a query never pays the count, nor does
+        a package or version number refused on sight; the count checks every
+        page it reads and records the damage ``_refuse_damaged`` refuses.
         """
         if self._refs is None:
             self._count_versions()
@@ -686,7 +687,6 @@ class Store:
     # -- update packages --
 
     def make_update(self, base_version: int, new_version: int) -> bytes:
-        self._ensure_counted()
         base = self._versions.get(base_version)
         new = self._versions.get(new_version)
         if base is None:
@@ -695,6 +695,7 @@ class Store:
             raise NotFoundError(f"version {new_version} is not live")
         if new_version <= base_version:
             raise DomainError("an update package must move to a newer version")
+        self._ensure_counted()  # after the checks that need no count: bad input is refused without it
         for vno in (base_version, new_version, self.current_version):
             if vno in self._damage:
                 raise IntegrityError(f"version {vno} is damaged ({self._damage[vno]})")
@@ -723,10 +724,8 @@ class Store:
         return bytes(out)
 
     def apply_update(self, pkg: bytes) -> int:
-        self._ensure_counted()
         if self._session is not None:
             raise SessionError("close the open session before applying an update")
-        self._refuse_damaged()
         base_v, new_v, pages, new_root = _parse_update(pkg)
         if not DATA_START <= new_root < self.total_pages:
             raise FormatError(f"package new root {new_root} is outside the data area")
@@ -736,20 +735,25 @@ class Store:
             )
         if new_v <= self.current_version:
             raise VersionConflictError(f"package target version {new_v} is not newer")
+        for addr, _ in pages:
+            if not DATA_START <= addr < self.total_pages:
+                raise FormatError(f"package page {addr} outside the data area")
+        # a package refused above costs no count; a damaged version is refused after it
+        self._ensure_counted()
+        self._refuse_damaged()
         present: set[int] = set()
         need_erase: set[int] = set()
         for addr, data in pages:
-            if not DATA_START <= addr < self.total_pages:
-                raise FormatError(f"package page {addr} outside the data area")
             raw = self.device.read_page(addr)
             if raw == data:
                 present.add(addr)  # shared page or an interrupted earlier apply
                 continue
             if self._is_live(addr):
                 raise RelocationError(f"package wants page {addr}, which is still live here")
-            if any(d & ~r for d, r in zip(data, raw)):
-                # needs at least one 0->1 transition, so the page must be erased first;
-                # a torn prefix of the same data falls through and is simply reprogrammed
+            if int.from_bytes(data, "big") & ~int.from_bytes(raw, "big"):
+                # a bit the package sets is 0 here (the whole page as one integer AND, as
+                # the device's program check): the subsector must be erased first; a torn
+                # prefix of the same data clears no such bit and is simply reprogrammed
                 need_erase.add(addr - addr % PAGES_PER_SUBSECTOR)
         for first in sorted(need_erase):
             for p in range(first, first + PAGES_PER_SUBSECTOR):

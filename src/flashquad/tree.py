@@ -49,6 +49,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import codec
 from .codec import (
+    ADDR_BITS,
     ADDR_MASK,
     ENTRY_EMPTY,
     KIND_POINT,
@@ -56,12 +57,15 @@ from .codec import (
     KIND_ZONE_INSIDE,
     LEAF_BYTES,
     NO_PAGE,
+    NODE_ENTRIES_OFF,
     NODE_FANOUT,
+    TAG_LEAF,
     GantryObject,
     LeafListPage,
     LeafRecord,
     NodePage,
     ZoneObject,
+    check_entry,
     decode_node,
     decode_object_page,
     encode_gantry,
@@ -76,6 +80,7 @@ from .codec import (
     make_child,
     make_leaf,
     node_entry_word,
+    node_self_list,
     node_with_entry,
     occupied_entries,
     record_bytes,
@@ -320,7 +325,11 @@ def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -
 
     This is the one statement of what a page may reference.  Raises
     ``FormatError`` or ``IntegrityError`` naming the page when the page is
-    damaged or its references break the tree's rules.
+    damaged or its references break the tree's rules.  A node is read
+    through its occupied-entry mask, kept in the codec's node-check memo:
+    only the words of occupied entries are read, each checked for its tag
+    and range in entry order before any rule on what they name, as
+    ``decode_node`` checks them.
     """
     if role == GANTRY:
         return {}
@@ -339,24 +348,48 @@ def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -
                     f"and a {_role_name(want)}"
                 )
         return refs
-    node = decode_node(page, total_pages, addr=addr)
-    if node.level != role:
-        raise IntegrityError(f"node {addr} has level {node.level}, expected {role}")
-    refs = {} if node.self_list == ENTRY_EMPTY else {entry_addr(node.self_list): LEAF}
-    uses = Counter(node.entries)  # entry word -> entries holding it (dedup shares leaf pages)
-    uses.pop(ENTRY_EMPTY, None)
-    for word, times in uses.items():
+    if len(page) != PAGE_SIZE:
+        raise FormatError(f"node page must be {PAGE_SIZE} bytes")
+    # the node check, memoized with the occupied-entry mask; only set bits are read
+    occupied = occupied_entries(page, addr)
+    limit = ADDR_MASK + 1 if total_pages is None else total_pages
+    words: list[int] = []  # the occupied entries' words, in entry order
+    while occupied:
+        low = occupied & -occupied
+        off = NODE_ENTRIES_OFF + 3 * (low.bit_length() - 1)
+        word = int.from_bytes(page[off : off + 3], "big")
+        if word >> ADDR_BITS > TAG_LEAF or word & ADDR_MASK >= limit:
+            check_entry(word, total_pages, addr)  # raises, naming the fault
+        words.append(word)
+        occupied ^= low
+    self_list = node_self_list(page, total_pages, addr)
+    if page[1] != role:
+        raise IntegrityError(f"node {addr} has level {page[1]}, expected {role}")
+    refs = {} if self_list == ENTRY_EMPTY else {self_list & ADDR_MASK: LEAF}
+    for k, word in enumerate(words):
         child = word & ADDR_MASK
-        if word > ADDR_MASK:  # a leaf-list entry (decode_node refused the reserved tags)
+        if word > ADDR_MASK:  # a leaf-list entry; dedup lets several entries share one
             if refs.setdefault(child, LEAF) != LEAF:
-                raise IntegrityError(f"node {addr} names page {child} as both a node and a leaf list")
+                raise _first_conflict(words, k, f"node {addr} names page {child} as both a node and a leaf list")
         elif role >= codec.MAX_NODE_LEVEL:
             raise IntegrityError(f"node {addr} at level {role} has a child entry")
-        elif times > 1 or child in refs:
-            raise IntegrityError(f"node page {child} reachable twice")
+        elif child in refs:
+            raise _first_conflict(words, k, f"node page {child} reachable twice")
         else:
             refs[child] = role + 1
     return refs
+
+
+def _first_conflict(words: list[int], k: int, problem: str) -> IntegrityError:
+    """The error for a node whose entry ``words[k]`` breaks a rule: ``problem``, or an earlier one.
+
+    A child word named by more than one entry is refused at its first
+    entry, so the first such word before ``k`` is reported instead.
+    """
+    for word in words[:k]:
+        if word <= ADDR_MASK and words.count(word) > 1:
+            return IntegrityError(f"node page {word} reachable twice")
+    return IntegrityError(problem)
 
 
 class CountDelta:
@@ -386,10 +419,6 @@ class CountDelta:
             raw = self.pages[addr] = self._read(addr)
         return raw
 
-    def count(self, addr: int) -> int:
-        c = self.counts.get(addr)
-        return self._refs.counts.get(addr, 0) if c is None else c
-
     def role(self, addr: int) -> Role:
         return self.born[addr] if addr in self.born else self._refs.roles[addr]
 
@@ -410,13 +439,13 @@ class CountDelta:
         stops the descent at the damaged page.
         """
         fresh: list[int] = []
-        counts, table = self.counts, self._refs.counts
+        counts, table, born, roles = self.counts, self._refs.counts, self.born, self._refs.roles
         open_: set[int] = set()  # leaf pages of the chain being followed
         listed: list[tuple[int, tuple[LeafRecord, ...]]] = []  # (page, records) of each leaf page with an appendix
-        stack: list[tuple[int, Role, bool]] = [(root, 0, False)]
+        stack: list[tuple[int, Optional[Role]]] = [(root, 0)]  # (page, role), or (leaf page, None) to close it
         while stack:
-            addr, role, done = stack.pop()
-            if done:
+            addr, role = stack.pop()
+            if role is None:
                 open_.discard(addr)
                 continue
             c = counts.get(addr)
@@ -424,13 +453,13 @@ class CountDelta:
                 c = table.get(addr, 0)
             counts[addr] = c + 1
             if c:
-                have = self.role(addr)
+                have = born[addr] if addr in born else roles[addr]
                 if have != role:
                     self.problems.append(f"page {addr} is a {_role_name(have)}, expected a {_role_name(role)}")
                 elif addr in open_:
                     self.problems.append(f"leaf chain loops at page {addr}")
                 continue
-            self.born[addr] = role
+            born[addr] = role
             fresh.append(addr)
             try:
                 if role in (GANTRY, ZONE):  # a zone reads and checks all its pages here
@@ -445,16 +474,16 @@ class CountDelta:
                 continue
             if role == LEAF:  # levels keep a node off its own path, and the reader checks zone chains
                 open_.add(addr)
-                stack.append((addr, role, True))
+                stack.append((addr, None))
                 if raw[codec.LEAF_COORDS_FLAG_OFF] == codec.LEAF_COORDS:
                     listed.append((addr, leaf_list_view(raw, self._total_pages)[0]))
-            stack.extend((ref, r, False) for ref, r in refs.items())
-        born, known = self.gantries, self._refs.gantries
+            stack.extend(refs.items())
+        new, known = self.gantries, self._refs.gantries
         for leaf, records in listed:  # every gantry page named is now read or known to the table
             for rec in records:
                 a = rec.gantry
                 if a is not None:
-                    g = born.get(rec.object_page) or known.get(rec.object_page)
+                    g = new.get(rec.object_page) or known.get(rec.object_page)
                     if g is not None and g != a:
                         self.problems.append(
                             f"leaf page {leaf} lists gantry {a.object_id} at ({a.x}, {a.y}) for page {rec.object_page}, "
@@ -469,10 +498,12 @@ class CountDelta:
         ``FormatError`` or ``IntegrityError`` naming a damaged page.
         """
         gone: list[int] = []
+        counts, table = self.counts, self._refs.counts
         work = [root]
         while work:
             addr = work.pop()
-            c = self.counts[addr] = self.count(addr) - 1
+            c = counts.get(addr)
+            c = counts[addr] = (table.get(addr, 0) if c is None else c) - 1
             if not c:
                 gone.append(addr)
                 work.extend(_page_refs(self._read_once(addr), self.role(addr), addr, self._total_pages))

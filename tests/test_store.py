@@ -687,6 +687,33 @@ def test_apply_refuses_a_new_root_outside_the_data_area_before_programming():
     assert clone.device.stats().programs == 0 and clone.current_version == 2
 
 
+def test_input_refused_on_sight_is_refused_before_the_count():
+    """On a fresh mount, a bad package or bad version numbers cost no read beyond the mount's."""
+    store = seeded_store(16, 300, 10, seed=8)
+    wrong_base = store.make_update(1, 2)
+    add_gantries(store, [9_001])
+    blob = store.device.to_bytes()
+    _, _, pages, root = _parse_update(wrong_base)
+    header = wrong_base[:4] + (3).to_bytes(4, "little") + (4).to_bytes(4, "little")
+    outside = resealed(header, [(addr + store.total_pages, page) for addr, page in pages], root)
+    refusals = [
+        (lambda st: st.apply_update(b"JUNKJUNK"), FormatError),
+        (lambda st: st.apply_update(wrong_base), VersionConflictError),
+        (lambda st: st.apply_update(outside), FormatError),
+        (lambda st: st.make_update(2, 9), NotFoundError),
+        (lambda st: st.make_update(3, 2), DomainError),
+    ]
+    for k, (refused, error) in enumerate(refusals):
+        dev = FlashDevice.from_bytes(blob)
+        mounted = Store(dev)
+        reads = dev.stats().reads
+        with pytest.raises(error):
+            refused(mounted)
+        assert dev.stats().reads == reads, k
+        assert mounted._refs is None, k
+    assert Store(FlashDevice.from_bytes(blob)).make_update(2, 3)  # a good request still counts and packages
+
+
 def test_apply_is_idempotent_after_interrupt():
     store, base_blob = two_version_store()
     pkg = store.make_update(2, 3)
@@ -696,8 +723,37 @@ def test_apply_is_idempotent_after_interrupt():
         clone.apply_update(pkg)
     back = Store(FlashDevice.from_bytes(clone.device.to_bytes()))
     assert back.current_version == 2  # the torn apply never registered
+    _, _, pages, _ = _parse_update(pkg)
+    torn = [addr for addr, data in pages if back.device.read_page(addr) not in (data, bytes([0xFF]) * PAGE_SIZE)]
+    assert len(torn) == 1 and back.device.read_page(torn[0])[:17] == dict(pages)[torn[0]][:17]
+    erases = back.device.stats().erases
     assert back.apply_update(pkg) == 3
+    assert back.device.stats().erases == erases  # a torn prefix of the same data is reprogrammed, not erased
     assert version_digest(back, 3) == version_digest(store, 3)
+
+
+@pytest.mark.parametrize("at", [0, PAGE_SIZE - 1])
+def test_apply_erases_a_target_missing_one_bit_of_its_package_page(at):
+    """A target that differs from its package page by a single 0 where the page has a 1 is erased first."""
+    store, base_blob = two_version_store()
+    pkg = store.make_update(2, 3)
+    _, _, pages, _ = _parse_update(pkg)
+    data = dict(pages)
+    clean = Store(FlashDevice.from_bytes(base_blob))
+    assert clean.apply_update(pkg) == 3 and clean.device.stats().erases == 0  # every target is blank
+    replica = Store(FlashDevice.from_bytes(base_blob))
+    live = replica.handle(1).reachable_pages() | replica.handle(2).reachable_pages()
+    addr = next(
+        a for a in sorted(data)
+        if data[a][at] and not live & set(range(a - a % SUB, a - a % SUB + SUB))
+    )
+    raw = bytearray(data[addr])
+    raw[at] &= raw[at] - 1  # clear the lowest set bit: the only 0 -> 1 the package page needs
+    replica.device.program_page(addr, bytes(raw))
+    assert replica.apply_update(pkg) == 3
+    assert replica.device.stats().erases == 1
+    assert replica.device.read_page(addr) == data[addr]
+    assert version_digest(replica, 3) == version_digest(store, 3)
 
 
 def test_apply_reads_each_target_once_and_programs_only_what_it_must():

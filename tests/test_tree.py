@@ -4,6 +4,7 @@ import math
 import random
 import signal
 import zlib
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -11,16 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from flashquad.codec import (
+    ADDR_MASK,
+    ENTRY_EMPTY,
     KIND_POINT,
     KIND_ZONE_EDGE,
     LEAF_COORDS,
     LEAF_COORDS_FLAG_OFF,
     LEAF_CRC_OFF,
     LEAF_MAGIC,
+    MAX_NODE_LEVEL,
     NO_PAGE,
+    NODE_CRC_OFF,
+    NODE_ENTRIES_OFF,
     NODE_MAGIC,
     NODE_RESERVED_OFF,
     NODE_SELF_CHECK_OFF,
+    NODE_SELF_CRC_OFF,
+    NODE_SELF_LIST_OFF,
     PAGE_SIZE,
     OBJ_GANTRY,
     OBJ_MAGIC,
@@ -38,9 +46,9 @@ from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.geometry import TOP_CELL, CellClass, classify_cell
 from flashquad.geometry import WORLD_SIZE as W
 from flashquad.store import Store
-from flashquad.tree import BuildParams
+from flashquad.tree import LEAF, BuildParams, _page_refs, walk_version
 
-from helpers import count_kind_programs, pip_oracle_one, random_simple_polygon
+from helpers import count_kind_programs, pip_oracle_one, random_simple_polygon, seeded_store
 
 
 def fresh(params=None, sectors=4):
@@ -1048,3 +1056,127 @@ def test_an_update_whose_appendix_disagrees_is_refused_without_reading_the_gantr
     with pytest.raises(IntegrityError, match=f"leaf page {leaf} lists gantry 1 at \\(1000, 1002\\) for page {page}"):
         replica.apply_update(bytes(pkg))
     assert page not in reads
+
+
+# -- node references from the occupied-entry mask --------------------------------------
+
+
+def reference_node_refs(page, role, addr, total_pages):
+    """A node's references as ``_page_refs`` found them with ``decode_node`` and a ``Counter``."""
+    node = decode_node(page, total_pages, addr=addr)
+    if node.level != role:
+        raise IntegrityError(f"node {addr} has level {node.level}, expected {role}")
+    refs = {} if node.self_list == ENTRY_EMPTY else {node.self_list & ADDR_MASK: LEAF}
+    uses = Counter(node.entries)
+    uses.pop(ENTRY_EMPTY, None)
+    for word, times in uses.items():
+        child = word & ADDR_MASK
+        if word > ADDR_MASK:
+            if refs.setdefault(child, LEAF) != LEAF:
+                raise IntegrityError(f"node {addr} names page {child} as both a node and a leaf list")
+        elif role >= MAX_NODE_LEVEL:
+            raise IntegrityError(f"node {addr} at level {role} has a child entry")
+        elif times > 1 or child in refs:
+            raise IntegrityError(f"node page {child} reachable twice")
+        else:
+            refs[child] = role + 1
+    return refs
+
+
+def refs_outcome(fn, page, role, addr, total_pages):
+    """What ``fn`` gives for a node page: its refs in order, or its exception's class and message."""
+    try:
+        return list(fn(page, role, addr, total_pages).items())
+    except (FormatError, IntegrityError) as e:
+        return type(e), str(e)
+
+
+def node_bytes(level, entries, self_list=0xFFFFFF):
+    """A node page with any entry words and self list, both checks resealed: damage only the rules see."""
+    buf = bytearray(b"\xff" * PAGE_SIZE)
+    buf[0], buf[1] = NODE_MAGIC, level
+    for k, word in enumerate(entries):
+        buf[NODE_ENTRIES_OFF + 3 * k : NODE_ENTRIES_OFF + 3 * k + 3] = word.to_bytes(3, "big")
+    if self_list != 0xFFFFFF:
+        word = self_list.to_bytes(3, "big")
+        buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = word
+        buf[NODE_SELF_CHECK_OFF] = SELF_CHECKED
+        buf[NODE_SELF_CRC_OFF : NODE_SELF_CRC_OFF + 2] = crc16(word).to_bytes(2, "big")
+    buf[NODE_CRC_OFF : NODE_CRC_OFF + 2] = crc16(bytes(buf[NODE_ENTRIES_OFF:])).to_bytes(2, "big")
+    return bytes(buf)
+
+
+def assert_refs_agree(page, role, addr=77, total_pages=4096):
+    for pages in (total_pages, None):
+        want = refs_outcome(reference_node_refs, page, role, addr, pages)
+        assert refs_outcome(_page_refs, page, role, addr, pages) == want, (page.hex(), role, pages)
+
+
+def test_node_refs_from_the_mask_agree_with_a_full_decode_on_seeded_trees():
+    rng = random.Random(5)
+    for seed in (1, 8):
+        store = seeded_store(16, 300, 10, seed=seed)
+        nodes = walk_version(store.read_page, store.handle().root_page, store.total_pages).nodes
+        assert len(nodes) > 20
+        for addr, level in sorted(nodes.items()):
+            page = store.read_page(addr)
+            assert_refs_agree(page, level, addr, store.total_pages)
+            assert_refs_agree(page, level + 1, addr, store.total_pages)  # a wrong level
+            assert_refs_agree(page[:-1], level, addr, store.total_pages)  # a short page
+            for _ in range(8):  # single-bit flips, as read and with the entry-area check resealed
+                at = rng.randrange(PAGE_SIZE)
+                flipped = bytearray(page)
+                flipped[at] ^= 1 << rng.randrange(8)
+                assert_refs_agree(bytes(flipped), level, addr, store.total_pages)
+                words = [int.from_bytes(flipped[13 + 3 * k : 16 + 3 * k], "big") for k in range(81)]
+                self_list = int.from_bytes(flipped[2:5], "big")
+                assert_refs_agree(node_bytes(flipped[1], words, self_list), level, addr, store.total_pages)
+
+
+EMPTY, LEAF_TAG, RESERVED = 0xFFFFFF, 1 << 22, 3 << 22
+
+
+@pytest.mark.parametrize(
+    "level, entries, self_list",
+    [
+        (1, {3: RESERVED | 40}, EMPTY),  # a reserved tag
+        (1, {3: 2 << 22 | 40, 9: 5000}, EMPTY),  # another, before an address past the end
+        (1, {3: 40, 9: 5000}, EMPTY),  # an address >= total_pages
+        (1, {3: 40, 9: LEAF_TAG | 4096}, EMPTY),  # a leaf list past the end
+        (1, {3: 40, 9: 41, 20: 40}, EMPTY),  # a duplicate child
+        (1, {3: 40, 9: LEAF_TAG | 40}, EMPTY),  # a page named as a child, then as a leaf list
+        (1, {3: LEAF_TAG | 40, 9: 40}, EMPTY),  # ... as a leaf list, then as a child
+        (1, {3: 40}, LEAF_TAG | 40),  # ... as the self list and as a child
+        (1, {3: 40, 9: LEAF_TAG | 40, 20: 40}, EMPTY),  # a duplicate child is refused at its first entry
+        (1, {3: 40, 9: 41, 10: LEAF_TAG | 41, 20: 40}, EMPTY),
+        (1, {3: 40, 9: 41, 10: 41, 20: 40}, EMPTY),
+        (1, {3: LEAF_TAG | 41, 4: 42, 9: 41, 20: 42}, EMPTY),
+        (1, {3: LEAF_TAG | 40, 9: LEAF_TAG | 40, 20: 41}, LEAF_TAG | 40),  # dedup: one leaf list, many entries
+        (5, {3: LEAF_TAG | 40, 9: 41}, EMPTY),  # a child entry at MAX_NODE_LEVEL
+        (5, {3: LEAF_TAG | 40, 9: LEAF_TAG | 40}, EMPTY),
+        (1, {3: 40}, 41),  # a self list naming a node
+        (1, {3: RESERVED | 40}, 41),  # an entry's fault is found before the self list's
+        (1, {3: 40}, LEAF_TAG | 5000),  # a self list past the end
+        (6, {3: 40}, EMPTY),  # a level out of range
+    ],
+)
+def test_node_refs_from_the_mask_agree_with_a_full_decode_on_damage(level, entries, self_list):
+    words = [entries.get(k, EMPTY) for k in range(81)]
+    page = node_bytes(level, words, self_list)
+    for role in {level, 0, 5}:
+        assert_refs_agree(page, role)
+
+
+def test_node_refs_from_the_mask_agree_with_a_full_decode_on_random_entries():
+    """Entries drawn from a few words that clash, so every rule and its order is met."""
+    rng = random.Random(14)
+    pool = [40, 41, 42, LEAF_TAG | 40, LEAF_TAG | 41, LEAF_TAG | 43, LEAF_TAG | 44, 5000, RESERVED | 42]
+    for _ in range(3000):
+        words = [EMPTY] * 81
+        for k in rng.sample(range(81), rng.randint(0, 6)):
+            words[k] = rng.choice(pool[:7] if rng.random() < 0.8 else pool)
+        self_list = rng.choice([EMPTY, EMPTY, LEAF_TAG | 40, LEAF_TAG | 43, 41])
+        level = rng.choice([0, 1, 4, 5])
+        page = node_bytes(level, words, self_list)
+        assert_refs_agree(page, level)
+        assert_refs_agree(page, rng.choice([0, 1, 4, 5]))
