@@ -3,6 +3,8 @@
 from collections import OrderedDict
 from typing import Optional
 
+from .errors import DomainError
+
 
 class PageCache:
     """LRU cache of page images keyed by page address.
@@ -15,7 +17,7 @@ class PageCache:
 
     def __init__(self, capacity: int = 15):
         if capacity < 1:
-            raise ValueError("capacity must be positive")
+            raise DomainError(f"cache_pages must be at least 1, got {capacity}")
         self.capacity = capacity
         self._pages: "OrderedDict[int, bytes]" = OrderedDict()
         self.hits = 0

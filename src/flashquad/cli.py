@@ -98,6 +98,9 @@ def _load_store(args, params: Optional[BuildParams] = None) -> Store:
 
 
 def _params_from(args) -> BuildParams:
+    """An edit's parameters; ``rm`` has no tree-shape flags, since a delete never reads them."""
+    if not hasattr(args, "split_threshold"):
+        return BuildParams(dedup=not args.no_dedup)
     return BuildParams(
         leaf_split_threshold=args.split_threshold,
         max_depth=args.max_depth,
@@ -220,6 +223,10 @@ def _add_tree_params(p: argparse.ArgumentParser) -> None:
                    help="deepest cell level for point records, 0..6 (default 5)")
     p.add_argument("--zone-max-depth", type=int, default=3, metavar="L",
                    help="deepest cell level for zone boundary records (default 3)")
+    _add_edit_flags(p)
+
+
+def _add_edit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-dedup", action="store_true",
                    help="do not share identical leaf pages")
     p.add_argument("--stage", action="store_true",
@@ -525,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", type=int)
     p.add_argument("--kind", choices=["gantry", "zone"],
                    help="required when a gantry and a zone share the id")
-    _add_tree_params(p)
+    _add_edit_flags(p)
 
     p = add("commit", cmd_commit, "commit the staged session")
 

@@ -109,11 +109,6 @@ NODE_ENTRIES_OFF = 13
 MAX_NODE_LEVEL = 5
 
 
-def node_entry_offset(i: int, j: int) -> int:
-    """Byte offset of the entry for subcell row ``i``, column ``j``."""
-    return NODE_ENTRIES_OFF + NODE_ENTRY_SIZE * (9 * i + j)
-
-
 @dataclass
 class NodePage:
     level: int
@@ -149,17 +144,29 @@ def encode_node(node: NodePage) -> bytes:
 
 # -- decode memos ------------------------------------------------------------
 #
-# What a node check or a leaf-list decode finds depends only on the page
-# bytes (and, for leaf lists, the device size used for range checks), so the
-# results are memoized by content, and one memo can serve every store in the
-# process.  A failure is never stored: it raises again, naming its page, on
-# every call.  The memos sit above the store's page reads, so device reads
-# and cache hits are counted as without them.
+# What a node or leaf-list decode finds depends only on the page bytes and
+# the device size used for range checks, so the checked results are
+# memoized by (bytes, device size), and one memo can serve every store in
+# the process.  Each memo keeps at most MEMO_ENTRIES results, dropping the
+# oldest first.  A failure is never stored: it raises again, naming its
+# page, on every call.  The memos sit above the store's page reads, so
+# device reads and cache hits are counted as without them.
 
 MEMO_ENTRIES = 4096
 
-# a valid node page -> its occupied-entry mask, once asked for
-_VALID_NODES: OrderedDict[bytes, int | None] = OrderedDict()
+
+class NodeView(namedtuple("NodeView", "page level self_list entries occupied")):
+    """A checked node page: its bytes, its level, its self_list word, its 81
+    entry words (a tuple, entry (i, j) at ``9*i + j``) and its occupied-entry
+    mask, in which bit ``9*i + j`` is set when entry (i, j) is not Empty.
+    Immutable, so the memo hands the same one to every caller;
+    ``decode_node`` gives a mutable copy.
+    """
+
+    __slots__ = ()
+
+
+_NODES: OrderedDict[tuple[bytes, int | None], NodeView] = OrderedDict()
 _LEAF_LISTS: OrderedDict[tuple[bytes, int | None], tuple[tuple["LeafRecord", ...], int]] = OrderedDict()
 
 
@@ -178,12 +185,32 @@ def _self_list_crc(page: bytes | bytearray) -> int:
     return crc16(bytes(page[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3]))
 
 
-def validate_node(page: bytes, addr: int | None = None) -> None:
-    """Cheap integrity check used on every node read (memoized by content)."""
+def node_view(page: bytes, total_pages: int | None = None, addr: int | None = None) -> NodeView:
+    """The checked view of a node page (of the node at ``addr``), memoized by content.
+
+    This is the one way to read a node.  The checks, in order: length,
+    magic, level, entry-area CRC, the self_list check flag and CRC, each
+    entry's tag and range in entry order, then the self_list word, which
+    must be Empty or a leaf-list entry in range.  Ranges are checked
+    against ``total_pages`` when it is given.
+    """
     if type(page) is not bytes:
         page = bytes(page)
-    if page in _VALID_NODES:
-        return
+    key = (page, total_pages)
+    view = _NODES.get(key)
+    if view is None:
+        view = _parse_node(page, total_pages, addr)
+        _remember(_NODES, key, view)
+    return view
+
+
+# the entry area as 81 (high byte, low 16 bits) pairs: one C call instead of 81 slices
+_NODE_ENTRY_HALVES = struct.Struct(">" + "BH" * NODE_FANOUT)
+
+
+def _parse_node(page: bytes, total_pages: int | None, addr: int | None) -> NodeView:
+    if len(page) != PAGE_SIZE:
+        raise FormatError(f"node page must be {PAGE_SIZE} bytes")
     if page[0] != NODE_MAGIC:
         raise FormatError(f"bad node magic 0x{page[0]:02x}{_at(addr)}")
     if page[1] > MAX_NODE_LEVEL:
@@ -197,70 +224,33 @@ def validate_node(page: bytes, addr: int | None = None) -> None:
             raise FormatError(f"node self_list CRC mismatch{_at(addr)}")
     elif flag != 0xFF:  # 0xFF: no check stored (an empty self_list, or a node written before the check)
         raise FormatError(f"node self_list check flag 0x{flag:02x} is neither 0x00 nor 0xff{_at(addr)}")
-    _remember(_VALID_NODES, page, None)
-
-
-_NOT_FF = bytes([1] * 255 + [0])  # byte -> 1, but 0xFF -> 0
-_DIGIT = bytes([ord("0"), ord("1")] + [0] * 254)
-
-
-def occupied_entries(page: bytes, addr: int | None = None) -> int:
-    """Check a node page as ``validate_node`` does and return its occupied-entry mask.
-
-    Bit ``9*i + j`` is set when entry (i, j) is not Empty.  The mask is
-    kept in the node check's memo entry, computed on first need.
-    """
-    if type(page) is not bytes:
-        page = bytes(page)
-    occupied = _VALID_NODES.get(page)
-    if occupied is None:
-        validate_node(page, addr)
-        # an entry is Empty when its three bytes are 0xFF: OR each entry's bytes, as 0/1, into one flag
-        flags = page[NODE_ENTRIES_OFF : NODE_ENTRIES_OFF + NODE_ENTRY_AREA].translate(_NOT_FF)
-        any_set = int.from_bytes(flags[0::3], "big") | int.from_bytes(flags[1::3], "big")
-        any_set |= int.from_bytes(flags[2::3], "big")
-        occupied = int(any_set.to_bytes(NODE_FANOUT, "big").translate(_DIGIT)[::-1], 2)
-        _VALID_NODES[page] = occupied
-    return occupied
-
-
-# the entry area as 81 (high byte, low 16 bits) pairs: one C call instead of 81 slices
-_NODE_ENTRY_HALVES = struct.Struct(">" + "BH" * NODE_FANOUT)
-
-
-def decode_node(page: bytes, total_pages: int | None = None, addr: int | None = None) -> NodePage:
-    if len(page) != PAGE_SIZE:
-        raise FormatError(f"node page must be {PAGE_SIZE} bytes")
-    validate_node(page, addr)
     halves = _NODE_ENTRY_HALVES.unpack_from(page, NODE_ENTRIES_OFF)
-    entries = [hi << 16 | lo for hi, lo in zip(halves[::2], halves[1::2])]
+    entries = tuple([hi << 16 | lo for hi, lo in zip(halves[::2], halves[1::2])])
     limit = ADDR_MASK + 1 if total_pages is None else total_pages
-    for word in entries:
-        if word != ENTRY_EMPTY and (word >> ADDR_BITS > TAG_LEAF or word & ADDR_MASK >= limit):
-            check_entry(word, total_pages, addr)  # raises, naming the fault
-    return NodePage(level=page[1], entries=entries, self_list=node_self_list(page, total_pages, addr))
-
-
-def node_self_list(page: bytes, total_pages: int | None = None, addr: int | None = None) -> int:
-    """A node page's self_list word, checked: Empty, or a leaf-list entry in range."""
+    occupied = 0
+    for k, word in enumerate(entries):
+        if word != ENTRY_EMPTY:
+            if word >> ADDR_BITS > TAG_LEAF or word & ADDR_MASK >= limit:
+                check_entry(word, total_pages, addr)  # raises, naming the fault
+            occupied |= 1 << k
     self_list = int.from_bytes(page[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3], "big")
     if self_list != ENTRY_EMPTY:
         check_entry(self_list, total_pages, addr)
         if not entry_is_leaf(self_list):
             raise FormatError(f"node self_list is not a leaf-list entry{_at(addr)}")
-    return self_list
+    return NodeView(page, page[1], self_list, entries, occupied)
 
 
-def node_entry_word(page: bytes, i: int, j: int) -> int:
-    """Fetch one entry from a validated node page without a full decode."""
-    off = node_entry_offset(i, j)
-    return int.from_bytes(page[off : off + 3], "big")
+def decode_node(page: bytes, total_pages: int | None = None, addr: int | None = None) -> NodePage:
+    """Decode a node page into a fresh ``NodePage`` the caller may edit."""
+    view = node_view(page, total_pages, addr)
+    return NodePage(view.level, list(view.entries), view.self_list)
 
 
 def node_with_entry(page: bytes, i: int, j: int, word: int) -> bytes:
     """Copy of a node page with one entry replaced and the CRC rebuilt."""
     buf = bytearray(page)
-    off = node_entry_offset(i, j)
+    off = NODE_ENTRIES_OFF + NODE_ENTRY_SIZE * (9 * i + j)
     buf[off : off + 3] = check_entry(word).to_bytes(3, "big")
     crc = crc16(bytes(buf[NODE_ENTRIES_OFF:]))
     buf[NODE_CRC_OFF : NODE_CRC_OFF + 2] = crc.to_bytes(2, "big")

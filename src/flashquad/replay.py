@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 from .cache import PageCache
 from .dataset import TraceStep
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,6 @@ def replay(
     version: Optional[int] = None,
     cache_pages: int = 15,
 ) -> ReplayReport:
-    if cache_pages < 1:
-        raise DomainError(f"cache_pages must be at least 1, got {cache_pages}")
     handle = store.handle(version)
     old_cache = store.swap_cache(PageCache(cache_pages))
     clock0 = store.device.stats().sim_clock_us

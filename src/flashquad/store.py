@@ -43,7 +43,7 @@ from __future__ import annotations
 import zlib
 from typing import Iterable, Optional, Sequence
 
-from . import codec, tree
+from . import tree
 from .cache import PageCache
 from .codec import (
     PAGE_SIZE,

@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import codec
 from .codec import (
-    ADDR_BITS,
     ADDR_MASK,
     ENTRY_EMPTY,
     KIND_POINT,
@@ -57,16 +56,13 @@ from .codec import (
     KIND_ZONE_INSIDE,
     LEAF_BYTES,
     NO_PAGE,
-    NODE_ENTRIES_OFF,
     NODE_FANOUT,
-    TAG_LEAF,
     GantryObject,
     LeafListPage,
     LeafRecord,
     NodePage,
+    NodeView,
     ZoneObject,
-    check_entry,
-    decode_node,
     decode_object_page,
     encode_gantry,
     encode_leaf_list,
@@ -79,12 +75,9 @@ from .codec import (
     leaf_list_view,
     make_child,
     make_leaf,
-    node_entry_word,
-    node_self_list,
+    node_view,
     node_with_entry,
-    occupied_entries,
     record_bytes,
-    validate_node,
     zone_page_count,
 )
 from .errors import (
@@ -223,9 +216,9 @@ class PageReader:
     """The one way to read tree pages: nodes, leaf chains and objects.
 
     Every page comes from ``read(addr)``, so a store's cache counts each
-    request.  Node checks and leaf-list decodes are memoized by content in
-    the codec; objects are memoized here by address for the reader's life,
-    so an operation reads each object once.  Damage raises ``FormatError``
+    request.  Node and leaf-list decodes are checked and memoized by
+    content in the codec; objects are memoized here by address for the
+    reader's life, so an operation reads each object once.  Damage raises ``FormatError``
     or ``IntegrityError`` naming the page.
     """
 
@@ -234,16 +227,9 @@ class PageReader:
         self._total_pages = total_pages
         self._objects: dict[int, GantryObject | ZoneObject] = {}
 
-    def node(self, addr: int) -> bytes:
-        """The validated node page at ``addr``."""
-        page = self._read(addr)
-        validate_node(page, addr)
-        return page
-
-    def node_entries(self, addr: int) -> tuple[bytes, int]:
-        """The validated node page at ``addr`` and its occupied-entry mask."""
-        page = self._read(addr)
-        return page, occupied_entries(page, addr)
+    def node(self, addr: int) -> NodeView:
+        """The checked view of the node page at ``addr``."""
+        return node_view(self._read(addr), self._total_pages, addr)
 
     def chain(self, head: int) -> Iterator[tuple[tuple[LeafRecord, ...], int]]:
         """(records, next) of each page of the leaf chain at ``head``, read one at a time."""
@@ -325,11 +311,9 @@ def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -
 
     This is the one statement of what a page may reference.  Raises
     ``FormatError`` or ``IntegrityError`` naming the page when the page is
-    damaged or its references break the tree's rules.  A node is read
-    through its occupied-entry mask, kept in the codec's node-check memo:
-    only the words of occupied entries are read, each checked for its tag
-    and range in entry order before any rule on what they name, as
-    ``decode_node`` checks them.
+    damaged or its references break the tree's rules.  A node's view is
+    checked in full (every word's tag and range, in entry order) before
+    any rule on what its words name.
     """
     if role == GANTRY:
         return {}
@@ -348,24 +332,11 @@ def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -
                     f"and a {_role_name(want)}"
                 )
         return refs
-    if len(page) != PAGE_SIZE:
-        raise FormatError(f"node page must be {PAGE_SIZE} bytes")
-    # the node check, memoized with the occupied-entry mask; only set bits are read
-    occupied = occupied_entries(page, addr)
-    limit = ADDR_MASK + 1 if total_pages is None else total_pages
-    words: list[int] = []  # the occupied entries' words, in entry order
-    while occupied:
-        low = occupied & -occupied
-        off = NODE_ENTRIES_OFF + 3 * (low.bit_length() - 1)
-        word = int.from_bytes(page[off : off + 3], "big")
-        if word >> ADDR_BITS > TAG_LEAF or word & ADDR_MASK >= limit:
-            check_entry(word, total_pages, addr)  # raises, naming the fault
-        words.append(word)
-        occupied ^= low
-    self_list = node_self_list(page, total_pages, addr)
-    if page[1] != role:
-        raise IntegrityError(f"node {addr} has level {page[1]}, expected {role}")
-    refs = {} if self_list == ENTRY_EMPTY else {self_list & ADDR_MASK: LEAF}
+    view = node_view(page, total_pages, addr)
+    if view.level != role:
+        raise IntegrityError(f"node {addr} has level {view.level}, expected {role}")
+    refs = {} if view.self_list == ENTRY_EMPTY else {view.self_list & ADDR_MASK: LEAF}
+    words = [word for word in view.entries if word != ENTRY_EMPTY]  # the occupied entries' words, in entry order
     for k, word in enumerate(words):
         child = word & ADDR_MASK
         if word > ADDR_MASK:  # a leaf-list entry; dedup lets several entries share one
@@ -441,7 +412,7 @@ class CountDelta:
         fresh: list[int] = []
         counts, table, born, roles = self.counts, self._refs.counts, self.born, self._refs.roles
         open_: set[int] = set()  # leaf pages of the chain being followed
-        listed: list[tuple[int, tuple[LeafRecord, ...]]] = []  # (page, records) of each leaf page with an appendix
+        listed: list[tuple[int, tuple[LeafRecord, ...]]] = []  # (page, records) of each leaf page
         stack: list[tuple[int, Optional[Role]]] = [(root, 0)]  # (page, role), or (leaf page, None) to close it
         while stack:
             addr, role = stack.pop()
@@ -475,13 +446,12 @@ class CountDelta:
             if role == LEAF:  # levels keep a node off its own path, and the reader checks zone chains
                 open_.add(addr)
                 stack.append((addr, None))
-                if raw[codec.LEAF_COORDS_FLAG_OFF] == codec.LEAF_COORDS:
-                    listed.append((addr, leaf_list_view(raw, self._total_pages)[0]))
+                listed.append((addr, leaf_list_view(raw, self._total_pages)[0]))
             stack.extend(refs.items())
         new, known = self.gantries, self._refs.gantries
         for leaf, records in listed:  # every gantry page named is now read or known to the table
             for rec in records:
-                a = rec.gantry
+                a = rec.gantry  # a point record read from a page with the appendix
                 if a is not None:
                     g = new.get(rec.object_page) or known.get(rec.object_page)
                     if g is not None and g != a:
@@ -612,6 +582,7 @@ class WalkReport:
     roles: dict[int, Role]  # what each page reached is
     objects: dict[int, tuple[str, int]]  # head -> (kind, id) of every object loaded
     problems: list[str]
+    total_pages: Optional[int]  # the device size the pages were checked against
 
     @property
     def reachable(self) -> frozenset[int]:
@@ -653,17 +624,18 @@ def walk_version(
     """
     d = CountDelta(RefCounts(), read, total_pages)
     d.add(root_page)
-    return WalkReport(root_page, d.pages, d.born, d.new_objects, d.problems + d.nodes_named_twice())
+    return WalkReport(root_page, d.pages, d.born, d.new_objects, d.problems + d.nodes_named_twice(), total_pages)
 
 
 def stats_from_walk(rep: WalkReport) -> StatsReport:
     if rep.problems:
         raise IntegrityError("; ".join(rep.problems[:8]))
-    nodes, pages = rep.nodes, rep.pages
+    nodes = rep.nodes
+    reader = PageReader(rep.pages.__getitem__, rep.total_pages)
     heads: Counter = Counter()  # leaf chain head -> entries and self lists naming it
     empty = attach = 0
     for addr, level in nodes.items():
-        node = decode_node(pages[addr])
+        node = reader.node(addr)
         uses = Counter(node.entries)  # dedup lets entries share a chain; each counts
         empty += uses.pop(ENTRY_EMPTY, 0)
         for word, times in uses.items():
@@ -674,9 +646,8 @@ def stats_from_walk(rep: WalkReport) -> StatsReport:
             heads[entry_addr(node.self_list)] += 1
             attach = max(attach, level)
     m = leaf_refs = inside = edge = 0  # leaf pages, records, inside and edge records, per reference
-    for addr, times in heads.items():
-        while addr != NO_PAGE:
-            records, addr = leaf_list_view(pages[addr])
+    for head, times in heads.items():
+        for records, _ in reader.chain(head):
             m += times
             leaf_refs += len(records) * times
             inside += sum(rec.kind == KIND_ZONE_INSIDE for rec in records) * times
@@ -710,10 +681,7 @@ def stats_from_walk(rep: WalkReport) -> StatsReport:
 
 
 # ---------------------------------------------------------------------------
-# node page fields
-
-
-_NO_ENTRIES = b"\xff" * codec.NODE_ENTRY_AREA  # the entry area of a node whose 81 entries are Empty
+# query answers
 
 
 def _zone_hits(met: Sequence[tuple[int, Optional[tuple]]], x: int, y: int) -> dict[int, QueryHit]:
@@ -735,18 +703,6 @@ def _gantry_hits(candidates: Sequence[GantryObject], x: int, y: int, radius: int
         for g in candidates
         if (g.x - x) * (g.x - x) + (g.y - y) * (g.y - y) <= r2
     }
-
-
-def _self_list(page: bytes) -> int:
-    """A validated node page's self_list word."""
-    return int.from_bytes(page[codec.NODE_SELF_LIST_OFF : codec.NODE_SELF_LIST_OFF + 3], "big")
-
-
-def _with_self_list(page: bytes, word: int) -> bytes:
-    """Copy of a node page with its self_list replaced (and its check rebuilt)."""
-    node = decode_node(page)
-    node.self_list = word
-    return encode_node(node)
 
 
 # ---------------------------------------------------------------------------
@@ -856,12 +812,11 @@ class Handle:
         cell = TOP_CELL
         addr = self.root_page
         while True:
-            page = reader.node(addr)
-            self_list = _self_list(page)
-            if self_list != ENTRY_EMPTY:
-                collect(entry_addr(self_list))
+            node = reader.node(addr)
+            if node.self_list != ENTRY_EMPTY:
+                collect(entry_addr(node.self_list))
             idx = cell_index(cell, x, y)
-            word = node_entry_word(page, idx // 9, idx % 9)
+            word = node.entries[idx]
             if entry_is_empty(word):
                 break
             if entry_is_leaf(word):
@@ -899,15 +854,14 @@ class Handle:
         stack: list[tuple[Cell, int]] = [(TOP_CELL, self.root_page)]
         while stack:
             cell, addr = stack.pop()
-            page, occupied = reader.node_entries(addr)
-            mask = disc_mask(cell, x, y, radius) & occupied
-            nodes.append((cell, occupied, mask))
+            node = reader.node(addr)
+            mask = disc_mask(cell, x, y, radius) & node.occupied
+            nodes.append((cell, node.occupied, mask))
             while mask:  # occupied subcells meeting the disc, in index order
                 low = mask & -mask
                 mask ^= low
                 idx = low.bit_length() - 1
-                off = codec.NODE_ENTRIES_OFF + 3 * idx
-                word = int.from_bytes(page[off : off + 3], "big")
+                word = node.entries[idx]
                 if entry_is_child(word):
                     stack.append((subcell(cell, idx), entry_addr(word)))
                     continue
@@ -933,6 +887,14 @@ class Handle:
 
 # ---------------------------------------------------------------------------
 # copy-on-write editor
+
+
+def _with_self_list(node: NodeView, page: bytes, entries: list[int], word: int) -> bytes:
+    """``page``, which ``_patch_node`` made of ``node`` and whose entry words are ``entries``, with self_list ``word``.
+
+    A new self_list is written with its check: the node is encoded again.
+    """
+    return page if word == node.self_list else encode_node(NodePage(node.level, entries, word))
 
 
 class TreeEditor:
@@ -1124,38 +1086,43 @@ class TreeEditor:
             else:
                 top_records.append(rec)
 
-        page = self._reader.node(root)
+        node = self._reader.node(root)
+        self_list = node.self_list
         if top_records:  # records for the top cell itself live in the root's self_list
-            word = _self_list(page)
-            if word == ENTRY_EMPTY:
+            if self_list == ENTRY_EMPTY:
                 head = self._write_chain(top_records)
             else:
-                head = self._append(entry_addr(word), top_records)
-            page = _with_self_list(page, make_leaf(head))
-        return self._io.write_page(self._patch_node(page, TOP_CELL, pts, zitems, self._merge_entry)), heads
+                head = self._append(entry_addr(self_list), top_records)
+            self_list = make_leaf(head)
+        page, entries = self._patch_node(node, TOP_CELL, pts, zitems, self._merge_entry)
+        return self._io.write_page(_with_self_list(node, page, entries, self_list)), heads
 
-    def _patch_node(self, page: bytes, cell: Cell, pts: list, zitems: list, edit: Callable) -> bytes:
-        """The node ``page`` with ``edit(word, subcell, pts, zitems)`` applied to each entry items land in.
+    def _patch_node(
+        self, node: NodeView, cell: Cell, pts: list, zitems: list, edit: Callable
+    ) -> tuple[bytes, list[int]]:
+        """The node with ``edit(word, subcell, pts, zitems)`` applied to each entry items land in.
 
         This is the one edit descent: a load merges items in, a delete
-        filters them out.  Only the entry words that change are patched;
-        ``page`` itself comes back when none does.
+        filters them out.  Returns the new page and its entry words.  Only
+        the entry words that change are patched; ``node.page`` itself comes
+        back when none does.
         """
+        page, entries = node.page, list(node.entries)
         for idx, (sub_pts, sub_zitems) in sorted(self._buckets(cell, pts, zitems).items()):
-            i, j = divmod(idx, 9)
-            word = node_entry_word(page, i, j)
+            word = entries[idx]
             new = edit(word, subcell(cell, idx), sub_pts, sub_zitems)
             if new != word:
-                page = node_with_entry(page, i, j, new)
-        return page
+                entries[idx] = new
+                page = node_with_entry(page, *divmod(idx, 9), new)
+        return page, entries
 
     def _merge_entry(self, word: int, cell: Cell, pts: list, zitems: list) -> int:
         if entry_is_empty(word):
             return self._build_cell(cell, pts, zitems)
         if entry_is_child(word):
-            page = self._reader.node(entry_addr(word))
-            merged = self._patch_node(page, cell, pts, zitems, self._merge_entry)
-            return word if merged is page else make_child(self._io.write_page(merged))
+            node = self._reader.node(entry_addr(word))
+            merged, _ = self._patch_node(node, cell, pts, zitems, self._merge_entry)
+            return word if merged is node.page else make_child(self._io.write_page(merged))
         # a leaf: only new points can take it over the split threshold, so only they need its records
         old = self._records(word) if pts else []
         if not self._splits(cell, len(pts) + sum(r.kind == KIND_POINT for r in old), zitems):
@@ -1263,25 +1230,21 @@ class TreeEditor:
             else:
                 zitems.append((_EDGE, head, obj.vertices))
         drop = set(targets)
-        page = self._filter_self_list(self._reader.node(root), drop)  # the root's self list before its entries
-        return self._io.write_page(self._patch_node(page, TOP_CELL, pts, zitems, partial(self._delete_entry, drop)))
+        node = self._reader.node(root)
+        self_list = self._filter_chain(node.self_list, drop)  # the root's self list before its entries
+        page, entries = self._patch_node(node, TOP_CELL, pts, zitems, partial(self._delete_entry, drop))
+        return self._io.write_page(_with_self_list(node, page, entries, self_list))
 
     def _delete_entry(self, drop: set[int], word: int, cell: Cell, pts: list, zitems: list) -> int:
         if entry_is_empty(word):
             return word
         if entry_is_leaf(word):
             return self._filter_chain(word, drop)
-        page = self._reader.node(entry_addr(word))
-        patched = self._patch_node(page, cell, pts, zitems, partial(self._delete_entry, drop))
-        new = self._filter_self_list(patched, drop)  # a node's entries before its self list
-        if new is page:
+        node = self._reader.node(entry_addr(word))
+        page, entries = self._patch_node(node, cell, pts, zitems, partial(self._delete_entry, drop))
+        self_list = self._filter_chain(node.self_list, drop)  # a node's entries before its self list
+        if page is node.page and self_list == node.self_list:
             return word  # untouched subtree stays shared
-        if _self_list(new) == ENTRY_EMPTY and new[codec.NODE_ENTRIES_OFF :] == _NO_ENTRIES:
+        if self_list == ENTRY_EMPTY and all(w == ENTRY_EMPTY for w in entries):
             return ENTRY_EMPTY  # node emptied out: collapse into the parent
-        return make_child(self._io.write_page(new))
-
-    def _filter_self_list(self, page: bytes, drop: set[int]) -> bytes:
-        """The node ``page`` with records naming ``drop`` pages filtered out of its self list."""
-        word = _self_list(page)
-        new = self._filter_chain(word, drop)
-        return page if new == word else _with_self_list(page, new)
+        return make_child(self._io.write_page(_with_self_list(node, page, entries, self_list)))

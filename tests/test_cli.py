@@ -257,6 +257,18 @@ def test_verify_reports_ok_and_damage(ws, capsys):
     assert code == 1 and "PROBLEM" in out
 
 
+def test_rm_takes_no_tree_shape_flags(ws, capsys):
+    """A delete never reads the split threshold or the depths, so ``rm`` refuses them as usage errors."""
+    run(capsys, "format", "db.img", "--sectors", "4")
+    run(capsys, "insert", "db.img", "--gantry", 7, 150_000, 150_000)
+    for flag in ("--split-threshold", "--max-depth", "--zone-max-depth"):
+        with pytest.raises(SystemExit) as exc:
+            main(["rm", "db.img", "7", flag, "0"])
+        assert exc.value.code == 2 and flag in capsys.readouterr().err
+    code, out, _ = run(capsys, "rm", "db.img", "7", "--kind", "gantry", "--no-dedup")
+    assert code == 0 and "committed version 3" in out
+
+
 def test_gc_runs(ws, capsys):
     run(capsys, "format", "db.img", "--sectors", "4")
     run(capsys, "insert", "db.img", "--gantry", 1, 5_000, 5_000)

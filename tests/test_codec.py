@@ -31,7 +31,7 @@ from flashquad.codec import (
     entry_is_leaf,
     make_child,
     make_leaf,
-    node_entry_word,
+    node_view,
     node_with_entry,
     page_kind,
     revoke_version_slot,
@@ -81,9 +81,11 @@ def test_node_round_trip_every_position():
 def test_node_entry_word_matches_decode():
     entries = [make_leaf(n) if n % 3 else ENTRY_EMPTY for n in range(81)]
     page = encode_node(NodePage(2, entries))
+    view, node = node_view(page), decode_node(page)
+    assert view.page is page and view.level == 2 and view.self_list == ENTRY_EMPTY
     for pos in range(81):
         i, j = divmod(pos, 9)
-        assert node_entry_word(page, i, j) == entries[pos]
+        assert view.entries[pos] == node.entry(i, j) == entries[pos]
 
 
 def test_node_with_entry_rebuilds_crc():
@@ -267,12 +269,13 @@ def test_decode_memo_never_stores_failures():
         with pytest.raises(FormatError, match="at page 8"):
             decode_leaf_list(bytes(bad), addr=8)
     node = encode_node(NodePage(2))
-    codec.validate_node(node, 4)
+    node_view(node, addr=4)
     broken = bytearray(node)
     broken[40] ^= 0x10
-    for _ in range(2):
-        with pytest.raises(FormatError, match="at page 9"):
-            codec.validate_node(bytes(broken), 9)
+    for addr in (9, 9, 10):
+        with pytest.raises(FormatError, match=f"at page {addr}$"):
+            node_view(bytes(broken), addr=addr)
+    assert (bytes(broken), None) not in codec._NODES
 
 
 def test_decode_memo_results_cannot_be_changed_by_callers():
@@ -290,28 +293,33 @@ def test_decode_memo_is_bounded():
     for k in range(codec.MEMO_ENTRIES + 50):
         decode_leaf_list(encode_leaf_list(LeafListPage([LeafRecord(0, k)])))
     assert len(codec._LEAF_LISTS) <= codec.MEMO_ENTRIES
-    # a node check's memo entry also keeps the page's occupied-entry mask, once asked for
+    # a node's view keeps its occupied-entry mask, and a second read is the same view
     for k in range(codec.MEMO_ENTRIES + 50):
         entries = [ENTRY_EMPTY] * 81
         entries[k % 81] = make_leaf(k)
         entries[(k + 40) % 81] = make_child(k)
         mask = 1 << k % 81 | 1 << (k + 40) % 81
         page = encode_node(NodePage(1, entries))
-        if k % 2:
-            codec.validate_node(page)
-        assert codec.occupied_entries(page) == mask == codec.occupied_entries(page)
-        assert codec._VALID_NODES[page] == mask
-    assert len(codec._VALID_NODES) <= codec.MEMO_ENTRIES
-    assert codec.occupied_entries(encode_node(NodePage(0))) == 0
+        view = node_view(page)
+        assert view.occupied == mask and node_view(page) is view
+        assert codec._NODES[page, None] is view
+    assert len(codec._NODES) <= codec.MEMO_ENTRIES
+    assert node_view(encode_node(NodePage(0))).occupied == 0
     full = [make_child(n) if n % 2 else make_leaf(n) for n in range(81)]
     full[5], full[6] = make_child(codec.ADDR_MASK), make_leaf(codec.ADDR_MASK)  # one byte short of Empty
-    assert codec.occupied_entries(encode_node(NodePage(2, full))) == (1 << 81) - 1
+    assert node_view(encode_node(NodePage(2, full))).occupied == (1 << 81) - 1
     # a device-size range check is part of the key: the same bytes can pass
     # for a large device and fail for a small one
     page = encode_leaf_list(LeafListPage([LeafRecord(0, 700)]))
     decode_leaf_list(page, total_pages=1000)
     with pytest.raises(FormatError, match="past end of device"):
         decode_leaf_list(page, total_pages=500)
+    page = encode_node(NodePage(1, [make_child(700)] + [ENTRY_EMPTY] * 80, self_list=make_leaf(600)))
+    assert node_view(page, total_pages=1000).occupied == 1
+    with pytest.raises(FormatError, match="cell entry 0x0002bc addresses past end of device at page 3"):
+        node_view(page, total_pages=550, addr=3)  # both are past the end: the entry is checked first
+    with pytest.raises(FormatError, match="cell entry 0x400258 addresses past end of device at page 3"):
+        node_view(encode_node(NodePage(1, self_list=make_leaf(600))), total_pages=600, addr=3)
 
 
 # -- objects --------------------------------------------------------------------

@@ -1,0 +1,54 @@
+"""Layering: the byte layouts of node and leaf pages are known to the codec alone.
+
+Every other module reads a node through ``codec.node_view`` and a leaf page
+through ``codec.leaf_list_view``, so a layout change touches one module.
+This is an AST check over the package's sources: no module but
+``codec.py`` may import or name an offset, the entry area, the address
+width or a tag value.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import flashquad
+
+LAYOUT = re.compile(r"NODE_\w+_OFF|NODE_ENTRY_AREA|LEAF_\w+_OFF|ADDR_BITS|TAG_\w+")
+
+
+def layout_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each layout constant a module imports or names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if LAYOUT.fullmatch(alias.name)]
+        elif isinstance(node, ast.Name) and LAYOUT.fullmatch(node.id):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and LAYOUT.fullmatch(node.attr):
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_the_check_sees_every_way_to_reach_a_layout_constant():
+    source = (
+        "from .codec import ADDR_BITS, ENTRY_EMPTY\n"
+        "from . import codec\n"
+        "x = codec.NODE_ENTRIES_OFF + codec.NODE_FANOUT\n"
+        "y = page[LEAF_CRC_OFF] == TAG_LEAF or codec.NODE_ENTRY_AREA\n"
+    )
+    assert sorted(layout_names(source)) == [
+        (1, "ADDR_BITS"), (3, "NODE_ENTRIES_OFF"), (4, "LEAF_CRC_OFF"), (4, "NODE_ENTRY_AREA"), (4, "TAG_LEAF")
+    ]
+
+
+def test_only_the_codec_knows_the_page_layouts():
+    package = Path(flashquad.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert any(m.name == "codec.py" for m in modules) and len(modules) > 5
+    offenders = [
+        f"{m.name}:{line} {name}"
+        for m in modules
+        if m.name != "codec.py"
+        for line, name in layout_names(m.read_text())
+    ]
+    assert offenders == []

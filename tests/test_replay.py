@@ -6,6 +6,7 @@ import pytest
 
 from flashquad.cache import PageCache
 from flashquad.dataset import TraceStep, build_database, generate_dataset, generate_trace
+from flashquad.errors import DomainError
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.replay import replay, write_replay_csv
 from flashquad.store import Store
@@ -109,5 +110,5 @@ def test_lru_cache_basics():
     assert c.get(1) is None and c.get(3) == b"c"
     c.clear()
     assert c.get(3) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="cache_pages must be at least 1, got 0"):
         PageCache(0)

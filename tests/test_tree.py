@@ -39,6 +39,9 @@ from flashquad.codec import (
     decode_leaf_list,
     decode_node,
     encode_leaf_list,
+    make_child,
+    make_leaf,
+    node_with_entry,
 )
 from flashquad.dataset import build_database, generate_dataset
 from flashquad.errors import ConflictError, DomainError, FormatError, IntegrityError, NotFoundError
@@ -576,6 +579,32 @@ def test_a_flipped_self_list_is_refused_not_answered(byte, bit):
     with pytest.raises(FormatError, match=problem):
         damaged.handle().query_zones_at(*PROBES[1])
     assert all(store.handle().query_zones_at(x, y).ids == {777} for x, y in PROBES)
+
+
+@pytest.mark.parametrize("damage", ["unchecked self list", "child entry"])
+def test_a_query_names_the_node_that_points_past_the_device(damage):
+    """Both queries refuse a node with a word past the end of the device as ``verify`` does, naming it."""
+    store = world_zone_store()
+    root = store.handle().root_page
+    page = store.read_page(root)
+    past = store.total_pages + 5
+    if damage == "unchecked self list":  # the layout written before the self_list check: no CRC to catch it
+        buf = bytearray(page)
+        buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = make_leaf(past).to_bytes(3, "big")
+        buf[NODE_SELF_CHECK_OFF : NODE_RESERVED_OFF] = b"\xff" * 3
+        page, word, idx = bytes(buf), make_leaf(past), 40
+    else:  # the entry-area CRC resealed over the damaged entry
+        idx = next(k for k, w in enumerate(decode_node(page).entries) if w != ENTRY_EMPTY)
+        page, word = node_with_entry(page, *divmod(idx, 9), make_child(past)), make_child(past)
+    damaged = remount_with_page(store, root, page)
+    problem = f"cell entry 0x{word:06x} addresses past end of device at page {root}"
+    assert damaged.verify()["problems"] == [f"version 3: {problem}"]
+    i, j = divmod(idx, 9)
+    x, y = (2 * j + 1) * W // 18, (2 * i + 1) * W // 18  # in the damaged entry's cell: the descent meets it
+    for query in (lambda h: h.query_zones_at(x, y), lambda h: h.query_gantries_within(x, y, 1_000)):
+        with pytest.raises(FormatError) as err:
+            query(damaged.handle())
+        assert str(err.value) == problem
 
 
 def test_an_image_without_self_list_checks_mounts_and_answers_alike():
