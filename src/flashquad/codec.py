@@ -580,18 +580,19 @@ def revoke_version_slot(slot: bytes) -> bytes:
 def decode_version_slot(slot: bytes) -> tuple[str, VersionRecord | None]:
     """Classify a 16-byte directory slot.
 
-    Returns one of ``("blank", None)``, ``("live", rec)``, ``("revoked", rec)``
-    or ``("invalid", None)`` for slots that fail magic/CRC (e.g. torn writes).
+    Returns one of ``("blank", None)``, ``("live", rec)``, ``("revoked", rec)``,
+    ``("torn", None)`` or ``("invalid", None)``.  A slot that fails magic or
+    CRC is torn when its last two bytes are still 0xFF: an append cut short
+    programs a prefix of the record, and the CRC's second byte is the last
+    one written.  Any other failing slot is invalid: damage.
     """
     if len(slot) != VERSION_RECORD_SIZE:
         raise FormatError("version slot must be 16 bytes")
     if slot == _BLANK_SLOT:
         return "blank", None
-    if slot[0:2] != VERSION_MAGIC:
-        return "invalid", None
     stored = int.from_bytes(slot[VERSION_CRC_OFF : VERSION_CRC_OFF + 2], "big")
-    if stored != crc16(slot[:VERSION_FLAGS_OFF]):
-        return "invalid", None
+    if slot[0:2] != VERSION_MAGIC or stored != crc16(slot[:VERSION_FLAGS_OFF]):
+        return ("torn" if slot[VERSION_CRC_OFF + 1 :] == b"\xff\xff" else "invalid"), None
     rec = VersionRecord(
         version_no=int.from_bytes(slot[2:6], "big"),
         root_page=int.from_bytes(slot[6:9], "big"),

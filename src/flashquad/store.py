@@ -27,15 +27,25 @@ writes bytes it already has, provided that page is still live or pending
 (a dead page could be erased underneath the reference).
 
 The store keeps reference counts for the current version
-(``tree.RefCounts``), so a commit or an applied update diffs the base root
-against the new one and reads only the pages that changed.  Each page the
-current version no longer holds but an older retained version does is kept
-in one map, with the newest such version; a page is live when it is
-counted or in that map.  Mount reads only the version directory: queries
-need a root, and check each page they read.  The first write after mount
-or ``rollback_to`` counts the current version from an empty table, then
-adds each older retained root on top, newest first, so an older version
-reads only the pages no newer one holds (``Store._ensure_counted``).
+(``tree.RefCounts``), so a commit diffs the base root against the new one
+and reads only the pages that changed.  Each page the current version no
+longer holds but an older retained version does is kept in one map, with
+the newest such version; a page is live when it is counted or in that map.
+Mount reads only the version directory: queries need a root, and check
+each page they read.  The first write that needs the counts after mount,
+``rollback_to`` or an applied update counts the current version from an
+empty table, then adds each older retained root on top, newest first, so
+an older version reads only the pages no newer one holds
+(``Store._ensure_counted``).
+
+An applied update does not count.  It checks the package's tree in
+lockstep with the current version's (``tree.lockstep_check``), reading
+only the package and the base pages at the cells the package changes, and
+leaves the counts unbuilt.  It counts only when a target page is neither
+blank nor already the package's page.  So a damaged retained version that
+lies off the package's path is refused at the next write that counts
+(``begin``, ``make_update``, ``resume_session``, ``gc``), not by the apply;
+a query still names any damaged page it meets.
 """
 
 from __future__ import annotations
@@ -594,32 +604,32 @@ class Store:
         except (FormatError, IntegrityError) as e:
             raise IntegrityError(f"{refusal}: {e}") from e
 
-    def _install(self, rec: VersionRecord, delta: tree.CountDelta) -> None:
-        """Make ``rec`` current once its record is programmed: counts, held pages, retention."""
-        held, base = self._held, self.current_version
+    def _make_current(self, rec: VersionRecord) -> None:
+        """Append ``rec`` to the directory, make it current and revoke the versions beyond the retention window."""
+        self._append_record(rec)
         self._versions[rec.version_no] = rec
         self.current_version = rec.version_no
+        while len(self._versions) > self.max_versions:
+            self._revoke(min(self._versions))
+
+    def _commit(self, session: Session) -> int:
+        """Append the session's version, then bring the counts, held pages and dedup map to it."""
+        delta = self._diff(session.root, "refusing to commit a damaged tree")
+        held, base = self._held, self.current_version
+        self._make_current(VersionRecord(base + 1, session.root, self._cursor))
         self._refs.install(delta)
         for addr in delta.born:
             held.pop(addr, None)
         held.update((addr, (base, delta.pages[addr])) for addr, c in delta.counts.items() if not c)
         self._learn(delta.leaf_pages)
-        while len(self._versions) > self.max_versions:
-            self._revoke(min(self._versions))
         oldest = min(self._versions)
         for addr, (vno, page) in list(held.items()):
             if vno < oldest:  # no retained version holds it any more
                 del held[addr]
                 if self._dedup.get(page) == addr:
                     del self._dedup[page]
-
-    def _commit(self, session: Session) -> int:
-        delta = self._diff(session.root, "refusing to commit a damaged tree")
-        rec = VersionRecord(self.current_version + 1, session.root, self._cursor)
-        self._append_record(rec)
-        self._install(rec, delta)
         self._drop_session(session)
-        return rec.version_no
+        return base + 1
 
     def rollback_to(self, vno: int) -> None:
         """Make ``vno`` current again by revoking every newer version."""
@@ -668,11 +678,8 @@ class Store:
         """Walk every live version and re-check directory slots."""
         problems: list[str] = []
         for sub in range(DIR_SUBSECTORS):
-            scan = self._scan_dir(sub)
-            for idx, (p, s, state, _) in enumerate(scan):
-                # a torn slot at the tail is the residue of an interrupted
-                # append; mount skips it and the next append moves past it
-                if state == "invalid" and idx != len(scan) - 1:
+            for p, s, state, _ in self._scan_dir(sub):
+                if state == "invalid":  # damage; a torn slot is what an interrupted append leaves
                     problems.append(f"directory subsector {sub} page {p} slot {s} is damaged")
         per_version: dict[int, tree.StatsReport] = {}
         for vno in sorted(self._versions):
@@ -724,6 +731,22 @@ class Store:
         return bytes(out)
 
     def apply_update(self, pkg: bytes) -> int:
+        """Apply an update package made by ``make_update`` at this store's current version.
+
+        The package is refused on sight when it is malformed or made for
+        another version.  Each target page is read once, then the package's
+        tree is checked in lockstep with the current version's
+        (``tree.lockstep_check``): only the package pages and the base pages
+        at the cells it changes are read, and a tree that does not check is
+        refused before any page is programmed.  The reference counts are
+        built only when a target is neither blank nor already equal (a torn
+        earlier apply, or a page another tree holds): such a target is
+        refused if a retained version reaches it, and its subsector erased
+        otherwise.  Then the targets are programmed and the version record
+        appended.  The counts are left unbuilt, as after ``rollback_to``, so
+        a damaged retained version off the package's path is refused at the
+        next write that counts, not here.
+        """
         if self._session is not None:
             raise SessionError("close the open session before applying an update")
         base_v, new_v, pages, new_root = _parse_update(pkg)
@@ -738,39 +761,40 @@ class Store:
         for addr, _ in pages:
             if not DATA_START <= addr < self.total_pages:
                 raise FormatError(f"package page {addr} outside the data area")
-        # a package refused above costs no count; a damaged version is refused after it
-        self._ensure_counted()
-        self._refuse_damaged()
-        present: set[int] = set()
+        found = {addr: self.device.read_page(addr) for addr, _ in pages}  # each target, once
+        try:
+            named = tree.lockstep_check(
+                self.read_page, dict(pages), self._versions[base_v].root_page, new_root, self.total_pages
+            )
+        except (FormatError, IntegrityError) as e:
+            raise IntegrityError(f"package tree refused: {e}") from e
         need_erase: set[int] = set()
+        dirty = [(addr, data) for addr, data in pages if found[addr] not in (data, _BLANK)]
+        if dirty:  # only the count can say whether such a target is live
+            self._ensure_counted()
+            self._refuse_damaged()
+            for addr, data in dirty:
+                if self._is_live(addr):
+                    raise RelocationError(f"package wants page {addr}, which is still live here")
+                if int.from_bytes(data, "big") & ~int.from_bytes(found[addr], "big"):
+                    # a bit the package sets is 0 here (the whole page as one integer AND, as
+                    # the device's program check): the subsector must be erased first; a torn
+                    # prefix of the same data clears no such bit and is simply reprogrammed
+                    need_erase.add(addr - addr % PAGES_PER_SUBSECTOR)
+            for first in sorted(need_erase):
+                for p in range(first, first + PAGES_PER_SUBSECTOR):
+                    if self._is_live(p) or p in named:
+                        raise RelocationError(
+                            f"page {p} is live or named by the package's tree, "
+                            "and shares a subsector with package pages"
+                        )
+                self._erase_subsector(first)
+        # a target found equal is programmed again only when its subsector has just been erased
         for addr, data in pages:
-            raw = self.device.read_page(addr)
-            if raw == data:
-                present.add(addr)  # shared page or an interrupted earlier apply
-                continue
-            if self._is_live(addr):
-                raise RelocationError(f"package wants page {addr}, which is still live here")
-            if int.from_bytes(data, "big") & ~int.from_bytes(raw, "big"):
-                # a bit the package sets is 0 here (the whole page as one integer AND, as
-                # the device's program check): the subsector must be erased first; a torn
-                # prefix of the same data clears no such bit and is simply reprogrammed
-                need_erase.add(addr - addr % PAGES_PER_SUBSECTOR)
-        for first in sorted(need_erase):
-            for p in range(first, first + PAGES_PER_SUBSECTOR):
-                if self._is_live(p):
-                    raise RelocationError(
-                        f"page {p} is live but shares a subsector with package pages"
-                    )
-            self._erase_subsector(first)
-        # each target was read once above: a page found present is programmed
-        # again only when its subsector has just been erased
-        for addr, data in pages:
-            if addr not in present or addr - addr % PAGES_PER_SUBSECTOR in need_erase:
+            if found[addr] != data or addr - addr % PAGES_PER_SUBSECTOR in need_erase:
                 self._program(addr, data)
-        delta = self._diff(new_root, "package left a damaged tree")
-        rec = VersionRecord(new_v, new_root, self._cursor)
-        self._append_record(rec)
-        self._install(rec, delta)
+        self._make_current(VersionRecord(new_v, new_root, self._cursor))
+        self._refs = None  # the next write that needs the counts builds them
         return new_v
 
 

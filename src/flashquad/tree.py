@@ -398,12 +398,12 @@ class CountDelta:
         """The bytes of every leaf page that became reachable."""
         return {addr: self.pages[addr] for addr, role in self.born.items() if role == LEAF}
 
-    def add(self, root: int) -> list[int]:
-        """Count one more reference to the root node ``root``; returns the pages that became reachable.
+    def add(self, root: int, role: Role = 0) -> list[int]:
+        """Count one more reference to ``root``, a page in ``role`` (the root node by default).
 
-        A page is read only when its count goes from 0 to 1, and then gets
-        every check: ``_page_refs`` on its bytes, and the object reader's on
-        an object's pages.  A page already counted is not read; the role it
+        Returns the pages that became reachable.  A page is read only when
+        its count goes from 0 to 1, and then gets every check: ``_page_refs``
+        on its bytes, and the object reader's on an object's pages.  A page already counted is not read; the role it
         is referenced in must be the one it has.  A leaf page's coordinates
         appendix must agree with the gantry pages it names, which this delta
         read or the table already holds.  Damage goes to ``problems`` and
@@ -413,7 +413,7 @@ class CountDelta:
         counts, table, born, roles = self.counts, self._refs.counts, self.born, self._refs.roles
         open_: set[int] = set()  # leaf pages of the chain being followed
         listed: list[tuple[int, tuple[LeafRecord, ...]]] = []  # (page, records) of each leaf page
-        stack: list[tuple[int, Optional[Role]]] = [(root, 0)]  # (page, role), or (leaf page, None) to close it
+        stack: list[tuple[int, Optional[Role]]] = [(root, role)]  # (page, role), or (leaf page, None) to close it
         while stack:
             addr, role = stack.pop()
             if role is None:
@@ -567,6 +567,92 @@ class RefCounts:
                 objects[oid] = heads
             else:
                 del objects[oid]
+
+
+_NO_WORDS = (ENTRY_EMPTY,) * (NODE_FANOUT + 1)
+
+
+def _checked_node(page: bytes, level: int, addr: int, total_pages: Optional[int]) -> NodeView:
+    """The view of the level-``level`` node at ``addr``, given every check ``_page_refs`` makes of a node."""
+    _page_refs(page, level, addr, total_pages)
+    return node_view(page, total_pages, addr)
+
+
+def lockstep_check(
+    read: Callable[[int], bytes], package: dict[int, bytes], base_root: int, new_root: int, total_pages: int
+) -> set[int]:
+    """Check the tree at ``new_root``, whose new pages are ``package``, in lockstep with the tree at ``base_root``.
+
+    Both trees are descended together; ``read`` gives the base pages, and
+    only the path nodes and the leaf chains the package replaces are read.
+    At each package node, every occupied entry and the self list is
+    compared with the base word at the same index.  An equal word is shared
+    and not descended.  A differing node entry must name a package page,
+    which is checked against the base child at that index, or against
+    nothing.  A differing leaf-list word is counted by ``CountDelta.add``
+    against a table holding the replaced chains and the objects their
+    records name, so only other pages are read, each once and checked in
+    the role it is named in.  A new root equal to the base root is accepted.
+
+    Returns the pages outside the package that the check read.  Raises
+    ``FormatError`` or ``IntegrityError`` naming the first page that does
+    not check: damage on either side, a package node reached twice, a node
+    outside the package, a chain loop, a page named in two roles, or an
+    appendix entry that disagrees with its gantry.
+    """
+    if new_root == base_root:
+        return set()
+    known = RefCounts()
+    d = CountDelta(known, lambda addr: package.get(addr) or read(addr), total_pages)
+    base_reader = PageReader(read, total_pages)
+    nodes: set[int] = set()
+    stack: list[tuple[int, Optional[int], int]] = [(new_root, base_root, 0)]  # (package node, base node or None, level)
+    while stack:
+        addr, base, level = stack.pop()
+        if addr not in package:
+            raise IntegrityError(f"the new tree names node page {addr}, which the package does not hold")
+        if addr in nodes:
+            raise IntegrityError(f"node page {addr} reachable twice")
+        nodes.add(addr)
+        new = _checked_node(package[addr], level, addr, total_pages)
+        if base is None:
+            old_words = _NO_WORDS
+        else:
+            old = _checked_node(read(base), level, base, total_pages)
+            old_words = (*old.entries, old.self_list)
+        for word, was in zip((*new.entries, new.self_list), old_words):
+            if word == was or word == ENTRY_EMPTY:
+                continue
+            if entry_is_leaf(was):
+                _learn_chain(base_reader, entry_addr(was), known)
+            if entry_is_child(word):
+                stack.append((entry_addr(word), entry_addr(was) if entry_is_child(was) else None, level + 1))
+                continue
+            d.add(entry_addr(word), LEAF)
+            if d.problems:
+                raise IntegrityError(d.problems[0])
+    return {addr for addr in d.pages if addr not in package}
+
+
+def _learn_chain(reader: PageReader, head: int, known: RefCounts) -> None:
+    """Enter the base leaf chain at ``head`` in ``known``: its pages, and the objects its records name.
+
+    A gantry is entered only with the coordinates its record carries, so a
+    gantry named without them is read when the new tree names it.  A chain
+    entered already (dedup lets several entries share one) is not read again.
+    """
+    if head in known.counts:
+        return
+    addr = head
+    for records, nxt in reader.chain(head):
+        known.counts[addr], known.roles[addr] = 1, LEAF
+        for rec in records:
+            if rec.kind != KIND_POINT:
+                known.counts[rec.object_page], known.roles[rec.object_page] = 1, ZONE
+            elif rec.gantry is not None:
+                known.counts[rec.object_page], known.roles[rec.object_page] = 1, GANTRY
+                known.gantries[rec.object_page] = rec.gantry
+        addr = nxt
 
 
 # ---------------------------------------------------------------------------

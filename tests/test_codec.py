@@ -392,9 +392,12 @@ def test_version_slot_lifecycle():
 def test_version_slot_blank_and_invalid():
     assert decode_version_slot(b"\xff" * 16) == ("blank", None)
     assert decode_version_slot(b"XX" + b"\x00" * 14) == ("invalid", None)
-    torn = bytearray(encode_version_record(VersionRecord(1, 32, 33)))
-    torn[10] ^= 0x02  # payload damage breaks the CRC
-    assert decode_version_slot(bytes(torn)) == ("invalid", None)
+    record = encode_version_record(VersionRecord(1, 32, 33))
+    damaged = bytearray(record)
+    damaged[10] ^= 0x02  # payload damage breaks the CRC
+    assert decode_version_slot(bytes(damaged)) == ("invalid", None)
+    for n in range(1, 15):  # an append cut short after n bytes: the CRC's second byte is still blank
+        assert decode_version_slot(record[:n] + b"\xff" * (16 - n)) == ("torn", None), n
 
 
 def test_version_record_range_checks():

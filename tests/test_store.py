@@ -1,6 +1,7 @@
 """Store behavior: directory, retention, gc, dedup, updates, crash recovery."""
 
 import random
+import tracemalloc
 import zlib
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flashquad import codec
 from flashquad.cache import PageCache
 from flashquad.codec import (
     ENTRY_EMPTY,
@@ -16,9 +18,11 @@ from flashquad.codec import (
     NODE_MAGIC,
     OBJ_MAGIC,
     PAGE_SIZE,
+    GantryObject,
     LeafListPage,
     LeafRecord,
     NodePage,
+    decode_leaf_list,
     decode_node,
     encode_leaf_list,
     encode_node,
@@ -133,7 +137,7 @@ def write_once(image, write, cache_pages, counted_first):
 
 
 def test_mount_plus_the_first_write_reads_no_more_than_an_eager_mount():
-    """The first commit, and the first apply, pay the count mount no longer makes, and nothing more.
+    """The first commit pays the count mount no longer makes, and nothing more; the first apply pays no count.
 
     With a cache that holds the image, each data page is read at most once.
     """
@@ -550,11 +554,10 @@ def test_dedup_map_holds_exactly_the_leaf_pages_of_live_versions():
         s.commit()
         replica.apply_update(source.make_update(base, source.current_version))
     remount = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
-    for store in (source, replica):
-        assert set(store._dedup.values()) <= set().union(*live_reach(store).values())
-        again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=2)
-        again._ensure_counted()
-        assert store._dedup.keys() == again._dedup.keys()
+    assert set(source._dedup.values()) <= set().union(*live_reach(source).values())
+    remount._ensure_counted()
+    assert source._dedup.keys() == remount._dedup.keys()
+    assert replica._refs is None  # an apply leaves the counts, and the map, to the next write that counts
     # what the map holds changes no device cost: the same edit programs alike
     programs = []
     for store in (source, replica, remount):
@@ -775,13 +778,6 @@ def test_apply_reads_each_target_once_and_programs_only_what_it_must():
     reads, programs = [], []
     replica.device.on_read = reads.append
     replica.device.on_program = lambda addr, _: programs.append(addr)
-    diff = replica._diff
-
-    def diff_unobserved(*args):  # what follows the package pages reads the new tree
-        replica.device.on_read = None
-        return diff(*args)
-
-    replica._diff = diff_unobserved
     erases = replica.device.stats().erases
     assert replica.apply_update(store.make_update(2, 3)) == 3
     assert sorted(a for a in reads if a in data) == sorted(data)
@@ -1041,6 +1037,191 @@ def test_edits_commits_and_applies_read_what_changed():
     assert reads(store, edit(lambda s: s.delete(5, "gantry"))) <= 60
     assert reads(store, edit(lambda s: s.delete(99, "zone"))) <= 60
     assert version_digest(replica, base + 1) == version_digest(store, base + 1)
+
+
+# -- applies checked in lockstep with the base tree --------------------------------------
+
+
+def small_packages():
+    """(base image, package, digest of the new version) of a one-gantry insert and of a one-zone delete.
+
+    Both come from ``seeded_store(16, 300, 10, seed=77)``, about 1 100 reachable pages.
+    """
+    store = seeded_store(16, 300, 10, seed=77)
+    city = ((1_000_000, 1_000_000), (1_012_000, 1_000_000), (1_012_000, 1_009_000), (1_000_000, 1_009_000))
+    s = store.begin()
+    s.insert_zone(99, city)
+    s.commit()
+    out = []
+    for edit in (lambda s: s.insert_gantry(777_777, 1_500_000, 333_333), lambda s: s.delete(99, "zone")):
+        image = store.device.to_bytes()
+        s = store.begin()
+        edit(s)
+        vno = s.commit()
+        out.append((image, store.make_update(vno - 1, vno), version_digest(store, vno)))
+    return out
+
+
+def traced_peak(op):
+    """The ``tracemalloc`` peak of ``op()``, run with the codec's memos emptied first."""
+    codec._NODES.clear()
+    codec._LEAF_LISTS.clear()
+    tracemalloc.start()
+    try:
+        op()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_fresh_mount_applies_a_small_package_reading_only_what_it_changes():
+    """A one-gantry and a one-zone-delete package each read at most 40 pages of a 1 100-page tree.
+
+    Neither builds the counts, and each peaks under a quarter of the memory
+    of the same apply made after counting the versions, as the first commit
+    after a mount does.
+    """
+    for image, pkg, digest in small_packages():
+        dev = FlashDevice.from_bytes(image)
+        replica = Store(dev)
+        reads = dev.stats().reads
+        lean = traced_peak(lambda: replica.apply_update(pkg))
+        assert dev.stats().reads - reads <= 40
+        assert replica._refs is None
+        assert version_digest(replica, replica.current_version) == digest
+        counted = Store(FlashDevice.from_bytes(image))
+
+        def count_then_apply():
+            counted._ensure_counted()
+            counted.apply_update(pkg)
+
+        assert 4 * lean < traced_peak(count_then_apply)
+
+
+def lockstep_case():
+    """A base image, the source store and the package inserting gantry 3 beside gantries 1 and 2.
+
+    Ten gantries crowd one top cell elsewhere, so the base tree has nodes down to level 2.
+    """
+    store = fresh(8)
+    crowd = [(10 + k, 1_500_000 + 300 * k, 1_500_000) for k in range(10)]
+    s = store.begin()
+    s.load([(1, 1_000, 1_000), (2, 5_000, 1_000), *crowd], [])
+    s.commit()
+    image = store.device.to_bytes()
+    s = store.begin()
+    s.insert_gantry(3, 3_000, 1_000)
+    s.commit()
+    return image, store, store.make_update(2, 3)
+
+
+@pytest.mark.parametrize("kind", ["blank-page", "bad-crc", "node-as-leaf", "non-package-node", "appendix"])
+def test_apply_refuses_a_package_tree_that_does_not_check_before_programming(kind):
+    """Each new page the package's tree names outside the shared base is checked in the role it is named in."""
+    image, store, pkg = lockstep_case()
+    _, _, pages, root = _parse_update(pkg)
+    pages = dict(pages)
+    replica = Store(FlashDevice.from_bytes(image))
+    base = store.handle(2).walk()
+    node2 = min(addr for addr, level in base.nodes.items() if level == 2)  # the root does not name it
+    if kind == "appendix":  # gantry 1's coordinates, as the package's leaf lists them, are wrong
+        (victim,) = [addr for addr, page in pages.items() if page[0] == LEAF_MAGIC]
+        listing = decode_leaf_list(pages[victim])
+        listing.records = [
+            LeafRecord(KIND_POINT, r.object_page, GantryObject(1, 1_000, 1_002)) if r.gantry.object_id == 1 else r
+            for r in listing.records
+        ]
+        pages[victim] = encode_leaf_list(listing)
+    else:
+        if kind in ("blank-page", "bad-crc"):
+            victim = replica.total_pages - 1
+            assert replica.device.read_page(victim) == b"\xff" * PAGE_SIZE
+            if kind == "bad-crc":  # a leaf page of the base, one bit cleared, programmed where nothing lives
+                leaf = bytearray(replica.device.read_page(min(base.leaf_pages)))
+                at = next(i for i in range(6, PAGE_SIZE) if leaf[i])
+                leaf[at] &= leaf[at] - 1
+                replica.device.program_page(victim, bytes(leaf))
+            word = make_leaf(victim)
+        else:
+            victim = node2
+            word = make_leaf(node2) if kind == "node-as-leaf" else make_child(node2)
+        node = decode_node(pages[root])
+        node.entries[node.entries.index(ENTRY_EMPTY)] = word
+        pages[root] = encode_node(node)
+    programs = replica.device.stats().programs
+    with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
+        replica.apply_update(resealed(pkg, sorted(pages.items()), root))
+    assert replica.device.stats().programs == programs and replica.current_version == 2
+
+
+def base_leaf(store, ids):
+    """The version-2 leaf page whose gantries' ids are all in ``ids``."""
+    return next(
+        addr for addr, page in store.handle(2).walk().leaf_pages.items()
+        if {r.gantry.object_id for r in decode_leaf_list(page).records} <= ids
+    )
+
+
+def test_damage_on_the_package_path_is_refused_by_the_apply():
+    """The base root and the leaf chain the package replaces are read, and checked, by the apply."""
+    image, store, pkg = lockstep_case()
+    for victim in (store.handle(2).root_page, base_leaf(store, {1, 2})):
+        replica = Store(FlashDevice.from_bytes(image))
+        damage(replica, victim)
+        programs = replica.device.stats().programs
+        with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
+            replica.apply_update(pkg)
+        assert replica.device.stats().programs == programs and replica.current_version == 2
+
+
+@pytest.mark.parametrize("where", ["older-version", "shared-leaf"])
+def test_damage_off_the_package_path_is_refused_at_the_next_write_that_counts(where):
+    """The apply reads no page off its path, so it goes through; the next ``begin`` counts and names the page."""
+    image, store, pkg = lockstep_case()
+    if where == "older-version":
+        victim = store.handle(1).root_page  # only version 1 holds it
+    else:  # a leaf of the crowded cell, which the new version shares
+        victim = base_leaf(store, set(range(10, 20)))
+    replica = Store(FlashDevice.from_bytes(image))
+    damage(replica, victim)
+    assert replica.apply_update(pkg) == 3
+    programs = replica.device.stats().programs
+    with pytest.raises(IntegrityError, match=rf"\b{victim}\b"):
+        replica.begin()
+    assert replica.device.stats().programs == programs
+
+
+def test_a_power_loss_at_every_mutation_of_a_fresh_mount_apply_recovers_by_applying_again():
+    """Remounted after a loss at each program of the apply, the package applies again and verifies.
+
+    A target torn by the loss is neither blank nor the package's page, so
+    the second apply counts the versions first.  The replica keeps two
+    versions, so the apply's last mutation revokes version 1.
+    """
+    image, store, pkg = lockstep_case()
+    want = version_digest(store, 3)
+    targets = dict(_parse_update(pkg)[2])
+    torn = 0
+    for prefix in (0, 40, PAGE_SIZE):  # 40 bytes reach into the new record's directory slot, 32..47
+        for k in range(1, 20):
+            replica = Store(FlashDevice.from_bytes(image), max_versions=2)
+            replica.device.arm_power_loss(after_ops=k, prefix=prefix)
+            try:
+                replica.apply_update(pkg)
+            except PowerLossError:
+                back = Store(FlashDevice.from_bytes(replica.device.to_bytes()), max_versions=2)
+                torn += any(back.device.read_page(a) not in (page, b"\xff" * PAGE_SIZE) for a, page in targets.items())
+                if back.current_version == 2:
+                    assert back.apply_update(pkg) == 3
+                assert back.current_version == 3 and back.verify()["ok"], (prefix, k, back.verify()["problems"])
+                assert version_digest(back, 3) == want
+                continue
+            replica.device.disarm_power_loss()
+            assert k > len(targets) + 1  # every target program and the record append were cut
+            break
+        else:
+            raise AssertionError("the apply never completed")
+    assert torn
 
 
 def live_reach(store):
