@@ -24,6 +24,7 @@ import sys
 from typing import Optional
 
 from . import __version__
+from .codec import parse_update
 from .dataset import (
     Gantry,
     Zone,
@@ -406,7 +407,7 @@ def cmd_diff(args) -> int:
     pkg = store.make_update(args.base, args.new)
     with open(args.output, "wb") as fh:
         fh.write(pkg)
-    n = int.from_bytes(pkg[12:16], "little")
+    n = len(parse_update(pkg).pages)
     print(f"wrote {args.output}: {n} pages, {len(pkg)} bytes "
           f"(version {args.base} -> {args.new})")
     return 0

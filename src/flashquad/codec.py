@@ -12,6 +12,9 @@ tables.  Page kinds, identified by their first byte:
         4 * records + 12 * points <= 248.
   0x4F  object record: gantry point or zone polygon (chained when large)
 
+An update package, the pages one version adds to another, is laid out here
+too (``encode_update``, ``parse_update``).
+
 A cell entry is a 24-bit word.  0xFFFFFF means Empty; otherwise the top two
 bits select the reference kind (00 = child node, 01 = leaf list) and the low
 22 bits are the page address.  Tag values 10 and 11 never occur in a valid
@@ -26,10 +29,12 @@ from __future__ import annotations
 
 import binascii
 import struct
+import zlib
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .errors import FormatError
+from .errors import FormatError, IntegrityError
 
 PAGE_SIZE = 256
 
@@ -147,10 +152,11 @@ def encode_node(node: NodePage) -> bytes:
 # What a node or leaf-list decode finds depends only on the page bytes and
 # the device size used for range checks, so the checked results are
 # memoized by (bytes, device size), and one memo can serve every store in
-# the process.  Each memo keeps at most MEMO_ENTRIES results, dropping the
-# oldest first.  A failure is never stored: it raises again, naming its
-# page, on every call.  The memos sit above the store's page reads, so
-# device reads and cache hits are counted as without them.
+# the process.  An object page's checks need no device size, so its memo
+# is keyed by the bytes alone.  Each memo keeps at most MEMO_ENTRIES
+# results, dropping the oldest first.  A failure is never stored: it raises
+# again, naming its page, on every call.  The memos sit above the store's
+# page reads, so device reads and cache hits are counted as without them.
 
 MEMO_ENTRIES = 4096
 
@@ -432,6 +438,12 @@ OBJ_GANTRY = 0
 OBJ_ZONE = 1
 OBJ_ZONE_CONT = 2
 
+# the object kinds, as views, the tree's page roles and error messages name them
+GANTRY = "gantry"
+ZONE = "zone"
+ZONE_CONT = "zone_cont"
+_OBJECT_KINDS = {OBJ_GANTRY: GANTRY, OBJ_ZONE: ZONE, OBJ_ZONE_CONT: ZONE_CONT}
+
 ZONE_VERTS_OFF = 12
 ZONE_VERTS_PER_PAGE = (LEAF_CRC_OFF - ZONE_VERTS_OFF) // 8  # 30
 
@@ -460,11 +472,7 @@ def encode_gantry(g: GantryObject) -> bytes:
     if not 0 <= g.object_id < 1 << 32:
         raise FormatError(f"object id {g.object_id} does not fit in u32")
     buf = bytearray(b"\xff" * PAGE_SIZE)
-    buf[0] = OBJ_MAGIC
-    buf[1] = OBJ_GANTRY
-    buf[2:6] = g.object_id.to_bytes(4, "big")
-    buf[6:10] = _check_i32(g.x, "x").to_bytes(4, "big")
-    buf[10:14] = _check_i32(g.y, "y").to_bytes(4, "big")
+    struct.pack_into(">BBIII", buf, 0, OBJ_MAGIC, OBJ_GANTRY, g.object_id, _check_i32(g.x, "x"), _check_i32(g.y, "y"))
     _tail_crc(buf)
     return bytes(buf)
 
@@ -490,52 +498,105 @@ def encode_zone(z: ZoneObject, page_addrs: list[int]) -> list[bytes]:
     for pno in range(zone_page_count(n)):
         chunk = z.vertices[pno * ZONE_VERTS_PER_PAGE : (pno + 1) * ZONE_VERTS_PER_PAGE]
         buf = bytearray(b"\xff" * PAGE_SIZE)
-        buf[0] = OBJ_MAGIC
-        buf[1] = OBJ_ZONE if pno == 0 else OBJ_ZONE_CONT
-        buf[2:6] = z.object_id.to_bytes(4, "big")
-        if pno == 0:
-            buf[6:8] = n.to_bytes(2, "big")
-        buf[8] = len(chunk)
+        head = (OBJ_ZONE, n) if pno == 0 else (OBJ_ZONE_CONT, 0xFFFF)  # a continuation's total stays erased
         nxt = page_addrs[pno] if pno < len(page_addrs) else NO_PAGE
+        struct.pack_into(">BBIHB", buf, 0, OBJ_MAGIC, head[0], z.object_id, head[1], len(chunk))
         buf[9:12] = nxt.to_bytes(3, "big")
-        pos = ZONE_VERTS_OFF
-        for x, y in chunk:
-            buf[pos : pos + 4] = _check_i32(x, "vertex x").to_bytes(4, "big")
-            buf[pos + 4 : pos + 8] = _check_i32(y, "vertex y").to_bytes(4, "big")
-            pos += 8
+        coords = [_check_i32(v, f"vertex {axis}") for vertex in chunk for v, axis in zip(vertex, "xy")]
+        struct.pack_into(f">{len(coords)}I", buf, ZONE_VERTS_OFF, *coords)
         _tail_crc(buf)
         pages.append(bytes(buf))
     return pages
 
 
-def decode_object_page(page: bytes, addr: int | None = None) -> dict:
-    """Decode one object page into a dict with a ``kind`` discriminator."""
+class ObjectView(namedtuple("ObjectView", "kind object_id x y vertex_count vertices next")):
+    """A checked object page of ``kind`` GANTRY, ZONE (a zone's head) or ZONE_CONT:
+    a gantry's ``x`` and ``y``; a zone page's own ``vertices`` and ``next``
+    link; a head's ``vertex_count``, the zone's total.  Fields a kind lacks
+    are None.  Immutable, so the memo hands the same one to every caller.
+    """
+
+    __slots__ = ()
+
+
+_OBJECTS: OrderedDict[bytes, ObjectView] = OrderedDict()
+
+
+def object_view(page: bytes, addr: int | None = None) -> ObjectView:
+    """The checked view of an object page (the one at ``addr``), memoized by content.
+
+    This is the one way to read an object page.  The checks, in order:
+    length, magic, CRC, kind, a zone page's own vertex count (at most 30),
+    then a zone head's total, which must be 3..65535 as ``encode_zone``
+    requires.  What spans pages is checked where the pages are joined
+    (``tree.PageReader.object``).  No check needs the device size.
+    """
+    if type(page) is not bytes:
+        page = bytes(page)
+    view = _OBJECTS.get(page)
+    if view is None:
+        view = _parse_object(page, addr)
+        _remember(_OBJECTS, page, view)
+    return view
+
+
+def _parse_object(page: bytes, addr: int | None) -> ObjectView:
     if len(page) != PAGE_SIZE:
         raise FormatError(f"object page must be {PAGE_SIZE} bytes")
     if page[0] != OBJ_MAGIC:
         raise FormatError(f"bad object magic 0x{page[0]:02x}{_at(addr)}")
     _check_tail_crc(page, "object record", addr)
-    kind = page[1]
+    kind = _OBJECT_KINDS.get(page[1])
+    if kind is None:
+        raise FormatError(f"unknown object kind {page[1]}{_at(addr)}")
     object_id = int.from_bytes(page[2:6], "big")
-    if kind == OBJ_GANTRY:
-        x, y = struct.unpack_from(">ii", page, 6)
-        return {"kind": "gantry", "object_id": object_id, "x": x, "y": y}
-    if kind in (OBJ_ZONE, OBJ_ZONE_CONT):
-        count = page[8]
-        if count > ZONE_VERTS_PER_PAGE:
-            raise FormatError(f"zone page vertex count {count} exceeds capacity{_at(addr)}")
-        coords = struct.unpack_from(f">{2 * count}i", page, ZONE_VERTS_OFF)
-        verts = list(zip(coords[::2], coords[1::2]))
-        out = {
-            "kind": "zone" if kind == OBJ_ZONE else "zone_cont",
-            "object_id": object_id,
-            "vertices": verts,
-            "next": int.from_bytes(page[9:12], "big"),
-        }
-        if kind == OBJ_ZONE:
-            out["vertex_count"] = int.from_bytes(page[6:8], "big")
-        return out
-    raise FormatError(f"unknown object kind {kind}{_at(addr)}")
+    if kind == GANTRY:
+        return ObjectView(kind, object_id, *struct.unpack_from(">ii", page, 6), None, None, None)
+    count = page[8]
+    if count > ZONE_VERTS_PER_PAGE:
+        raise FormatError(f"zone page vertex count {count} exceeds capacity{_at(addr)}")
+    total = int.from_bytes(page[6:8], "big") if kind == ZONE else None
+    if kind == ZONE and total < 3:
+        raise FormatError(f"zone vertex count {total} is not in 3..65535{_at(addr)}")
+    coords = struct.unpack_from(f">{2 * count}i", page, ZONE_VERTS_OFF)
+    verts = tuple(zip(coords[::2], coords[1::2]))
+    return ObjectView(kind, object_id, None, None, total, verts, int.from_bytes(page[9:12], "big"))
+
+
+# -- update packages (FORMAT.md, "Update package") -----------------------------
+
+UPDATE_MAGIC = b"FQUP"
+_UPDATE_HEADER = struct.Struct("<III")  # base version, new version, page count
+_UPDATE_RECORD = 3 + PAGE_SIZE  # a page's address (u24) and its bytes
+UpdatePackage = namedtuple("UpdatePackage", "base_version new_version pages new_root")  # pages: [(addr, bytes)]
+
+
+def encode_update(base_version: int, new_version: int, pages: Sequence[tuple[int, bytes]], new_root: int) -> bytes:
+    """The package moving ``base_version`` to ``new_version``: ``pages`` (addr, bytes), then ``new_root``."""
+    out = bytearray(UPDATE_MAGIC + _UPDATE_HEADER.pack(base_version, new_version, len(pages)))
+    for addr, data in pages:
+        out += addr.to_bytes(3, "big") + data
+    out += new_root.to_bytes(3, "big")
+    return bytes(out + zlib.crc32(out).to_bytes(4, "little"))
+
+
+def parse_update(pkg: bytes) -> UpdatePackage:
+    """Parse an update package, refusing a bad magic, checksum or length and addresses that do not ascend."""
+    if len(pkg) < 23 or pkg[:4] != UPDATE_MAGIC:
+        raise FormatError("not an update package")
+    if int.from_bytes(pkg[-4:], "little") != zlib.crc32(pkg[:-4]):
+        raise IntegrityError("update package checksum mismatch")
+    base_v, new_v, count = _UPDATE_HEADER.unpack_from(pkg, 4)
+    expected = 16 + count * _UPDATE_RECORD + 3 + 4
+    if len(pkg) != expected:
+        raise FormatError(f"update package is {len(pkg)} bytes, header implies {expected}")
+    pages: list[tuple[int, bytes]] = []
+    for k, pos in enumerate(range(16, expected - 7, _UPDATE_RECORD)):
+        addr = int.from_bytes(pkg[pos : pos + 3], "big")
+        if pages and addr <= pages[-1][0]:
+            raise FormatError(f"package record {k} names page {addr} after {pages[-1][0]}: not ascending")
+        pages.append((addr, pkg[pos + 3 : pos + _UPDATE_RECORD]))
+    return UpdatePackage(base_v, new_v, pages, int.from_bytes(pkg[-7:-4], "big"))
 
 
 # -- version records ----------------------------------------------------------
@@ -603,14 +664,7 @@ def decode_version_slot(slot: bytes) -> tuple[str, VersionRecord | None]:
 
 
 def page_kind(page: bytes) -> str:
-    """Best-effort classification of a raw page by magic byte."""
-    b = page[0]
-    if b == NODE_MAGIC:
-        return "node"
-    if b == LEAF_MAGIC:
-        return "leaf"
-    if b == OBJ_MAGIC:
-        return "object"
+    """Best-effort classification of a raw page by magic byte: node, leaf, object, erased or unknown."""
     if page == b"\xff" * PAGE_SIZE:
         return "erased"
-    return "unknown"
+    return {NODE_MAGIC: "node", LEAF_MAGIC: "leaf", OBJ_MAGIC: "object"}.get(page[0], "unknown")

@@ -50,7 +50,6 @@ a query still names any damaged page it meets.
 
 from __future__ import annotations
 
-import zlib
 from typing import Iterable, Optional, Sequence
 
 from . import tree
@@ -62,7 +61,9 @@ from .codec import (
     VersionRecord,
     decode_version_slot,
     encode_node,
+    encode_update,
     encode_version_record,
+    parse_update,
     revoke_version_slot,
 )
 from .errors import (
@@ -84,8 +85,6 @@ DIR_PAGES = DIR_SUBSECTORS * PAGES_PER_SUBSECTOR
 DATA_START = DIR_PAGES  # first page available to the allocator (32)
 SLOTS_PER_PAGE = PAGE_SIZE // VERSION_RECORD_SIZE  # 16
 MAX_VERSIONS_DEFAULT = 4
-
-UPDATE_MAGIC = b"FQUP"
 
 _BLANK = b"\xff" * PAGE_SIZE
 
@@ -654,25 +653,20 @@ class Store:
 
     def versions(self) -> list[dict]:
         """Directory contents of the active subsector, revoked entries included."""
-        seen: dict[int, str] = {}
-        roots: dict[int, VersionRecord] = {}
+        seen: dict[int, tuple[str, VersionRecord]] = {}
         for _, _, state, rec in self._scan_dir(self._active_sub):
             if state in ("live", "revoked"):
-                seen[rec.version_no] = state
-                roots[rec.version_no] = rec
-        out = []
-        for vno in sorted(seen):
-            rec = roots[vno]
-            out.append(
-                {
-                    "version": vno,
-                    "state": seen[vno],
-                    "root_page": rec.root_page,
-                    "alloc_cursor": rec.alloc_cursor,
-                    "current": vno == self.current_version and seen[vno] == "live",
-                }
-            )
-        return out
+                seen[rec.version_no] = (state, rec)  # duplicate numbers: last wins
+        return [
+            {
+                "version": vno,
+                "state": state,
+                "root_page": rec.root_page,
+                "alloc_cursor": rec.alloc_cursor,
+                "current": vno == self.current_version and state == "live",
+            }
+            for vno, (state, rec) in sorted(seen.items())
+        ]
 
     def verify(self) -> dict:
         """Walk every live version and re-check directory slots."""
@@ -718,17 +712,7 @@ class Store:
             fresh = sorted(d.drop(new.root_page))
         except (FormatError, IntegrityError) as e:
             raise IntegrityError(f"cannot package version {new_version}: {e}") from e
-        out = bytearray()
-        out += UPDATE_MAGIC
-        out += base_version.to_bytes(4, "little")
-        out += new_version.to_bytes(4, "little")
-        out += len(fresh).to_bytes(4, "little")
-        for addr in fresh:
-            out += addr.to_bytes(3, "big")
-            out += d.pages[addr]
-        out += new.root_page.to_bytes(3, "big")
-        out += zlib.crc32(bytes(out)).to_bytes(4, "little")
-        return bytes(out)
+        return encode_update(base_version, new_version, [(addr, d.pages[addr]) for addr in fresh], new.root_page)
 
     def apply_update(self, pkg: bytes) -> int:
         """Apply an update package made by ``make_update`` at this store's current version.
@@ -749,7 +733,7 @@ class Store:
         """
         if self._session is not None:
             raise SessionError("close the open session before applying an update")
-        base_v, new_v, pages, new_root = _parse_update(pkg)
+        base_v, new_v, pages, new_root = parse_update(pkg)
         if not DATA_START <= new_root < self.total_pages:
             raise FormatError(f"package new root {new_root} is outside the data area")
         if self.current_version != base_v:
@@ -796,28 +780,3 @@ class Store:
         self._make_current(VersionRecord(new_v, new_root, self._cursor))
         self._refs = None  # the next write that needs the counts builds them
         return new_v
-
-
-def _parse_update(pkg: bytes) -> tuple[int, int, list[tuple[int, bytes]], int]:
-    if len(pkg) < 23 or pkg[:4] != UPDATE_MAGIC:
-        raise FormatError("not an update package")
-    if int.from_bytes(pkg[-4:], "little") != zlib.crc32(pkg[:-4]):
-        raise IntegrityError("update package checksum mismatch")
-    base_v = int.from_bytes(pkg[4:8], "little")
-    new_v = int.from_bytes(pkg[8:12], "little")
-    count = int.from_bytes(pkg[12:16], "little")
-    expected = 16 + count * (3 + PAGE_SIZE) + 3 + 4
-    if len(pkg) != expected:
-        raise FormatError(
-            f"update package is {len(pkg)} bytes, header implies {expected}"
-        )
-    pages = []
-    pos = 16
-    for k in range(count):
-        addr = int.from_bytes(pkg[pos : pos + 3], "big")
-        if pages and addr <= pages[-1][0]:
-            raise FormatError(f"package record {k} names page {addr} after {pages[-1][0]}: not ascending")
-        pages.append((addr, pkg[pos + 3 : pos + 3 + PAGE_SIZE]))
-        pos += 3 + PAGE_SIZE
-    new_root = int.from_bytes(pkg[pos : pos + 3], "big")
-    return base_v, new_v, pages, new_root

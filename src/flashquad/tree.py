@@ -51,19 +51,22 @@ from . import codec
 from .codec import (
     ADDR_MASK,
     ENTRY_EMPTY,
+    GANTRY,
     KIND_POINT,
     KIND_ZONE_EDGE,
     KIND_ZONE_INSIDE,
     LEAF_BYTES,
     NO_PAGE,
     NODE_FANOUT,
+    ZONE,
+    ZONE_CONT,
     GantryObject,
     LeafListPage,
     LeafRecord,
     NodePage,
     NodeView,
+    ObjectView,
     ZoneObject,
-    decode_object_page,
     encode_gantry,
     encode_leaf_list,
     encode_node,
@@ -77,6 +80,7 @@ from .codec import (
     make_leaf,
     node_view,
     node_with_entry,
+    object_view,
     record_bytes,
     zone_page_count,
 )
@@ -132,7 +136,7 @@ class BuildParams:
 @dataclass(frozen=True)
 class QueryHit:
     object_id: int
-    kind: str  # "gantry" | "zone"
+    kind: str  # GANTRY or ZONE
     basis: str  # "inside-entry" | "edge-test" | "distance"
     position: Optional[tuple[int, int]] = None  # gantry location
 
@@ -209,23 +213,30 @@ class StatsReport:
 # page reader
 
 
-_OBJECT_TYPES = {"gantry": GantryObject, "zone": ZoneObject}
+# What a reachable page is: a node's level (0..MAX_NODE_LEVEL), LEAF, or an object kind.
+Role = int | str
+LEAF = "leaf"
+
+
+def _role_name(role: Role) -> str:
+    """How every message names a page's role or an object page's kind."""
+    return f"level-{role} node" if isinstance(role, int) else role.replace("_", " ")
 
 
 class PageReader:
     """The one way to read tree pages: nodes, leaf chains and objects.
 
     Every page comes from ``read(addr)``, so a store's cache counts each
-    request.  Node and leaf-list decodes are checked and memoized by
-    content in the codec; objects are memoized here by address for the
-    reader's life, so an operation reads each object once.  Damage raises ``FormatError``
-    or ``IntegrityError`` naming the page.
+    request.  Page decodes are checked and memoized by content in the
+    codec; objects are memoized here by address and kind for the reader's
+    life, so an operation reads each object once.  Damage raises ``FormatError`` or
+    ``IntegrityError`` naming the page.
     """
 
     def __init__(self, read: Callable[[int], bytes], total_pages: Optional[int] = None):
         self._read = read
         self._total_pages = total_pages
-        self._objects: dict[int, GantryObject | ZoneObject] = {}
+        self._objects: dict[tuple[int, str], GantryObject | ZoneObject] = {}
 
     def node(self, addr: int) -> NodeView:
         """The checked view of the node page at ``addr``."""
@@ -244,66 +255,48 @@ class PageReader:
                 raise IntegrityError(f"leaf chain loops at page {addr}")
 
     def object(self, addr: int, kind: str) -> GantryObject | ZoneObject:
-        """The ``kind`` ("gantry" or "zone") object at ``addr``, a zone's pages joined."""
-        obj = self._objects.get(addr)
+        """The ``kind`` (GANTRY or ZONE) object at ``addr``, a zone's pages joined and checked."""
+        obj = self._objects.get((addr, kind))
         if obj is None:
-            page = decode_object_page(self._read(addr), addr=addr)
-            oid = page["object_id"]
-            if page["kind"] == "gantry":
-                obj = GantryObject(oid, page["x"], page["y"])
-            elif page["kind"] == "zone":
-                verts = list(page["vertices"])
-                seen = {addr}
-                at, nxt = addr, page["next"]
+            view = self._head(addr, kind)
+            if kind == GANTRY:
+                obj = GantryObject(view.object_id, view.x, view.y)
+            else:
+                oid, verts, seen = view.object_id, list(view.vertices), {addr}
+                at, nxt = addr, view.next
                 while nxt != NO_PAGE:
                     if nxt in seen:
                         raise IntegrityError(f"zone {oid} page chain loops at page {nxt}")
                     if self._total_pages is not None and nxt >= self._total_pages:
                         raise FormatError(f"zone {oid} next pointer past end of device at page {at}")
                     seen.add(nxt)
-                    cont = decode_object_page(self._read(nxt), addr=nxt)
-                    if cont["kind"] != "zone_cont" or cont["object_id"] != oid:
+                    cont = object_view(self._read(nxt), nxt)
+                    if cont.kind != ZONE_CONT or cont.object_id != oid:
                         raise IntegrityError(f"zone {oid} has a bad continuation at page {nxt}")
-                    verts += cont["vertices"]
-                    at, nxt = nxt, cont["next"]
-                if len(verts) != page["vertex_count"]:
+                    verts += cont.vertices
+                    at, nxt = nxt, cont.next
+                if len(verts) != view.vertex_count:
                     raise IntegrityError(
-                        f"zone {oid} at page {addr} stores {len(verts)} vertices, "
-                        f"header says {page['vertex_count']}"
+                        f"zone {oid} at page {addr} stores {len(verts)} vertices, header says {view.vertex_count}"
                     )
                 obj = ZoneObject(oid, tuple(verts))
-            else:
-                raise IntegrityError(f"object page {addr} is a {page['kind']}, expected {kind}")
-            self._objects[addr] = obj
-        if type(obj) is not _OBJECT_TYPES[kind]:
-            found = "gantry" if type(obj) is GantryObject else "zone"
-            raise IntegrityError(f"object page {addr} is a {found}, expected {kind}")
+            self._objects[addr, kind] = obj
         return obj
 
     def zone_id(self, addr: int) -> int:
         """The id of the zone whose head page is ``addr``, read from that page alone."""
-        obj = self._objects.get(addr)
-        if obj is not None:
-            return self.object(addr, "zone").object_id
-        page = decode_object_page(self._read(addr), addr=addr)
-        if page["kind"] != "zone":
-            raise IntegrityError(f"object page {addr} is a {page['kind'].replace('_', ' ')}, expected zone")
-        return page["object_id"]
+        return (self._objects.get((addr, ZONE)) or self._head(addr, ZONE)).object_id
+
+    def _head(self, addr: int, kind: str) -> ObjectView:
+        """The view of the page at ``addr``, which must be a ``kind`` page: a gantry's or a zone's head."""
+        view = object_view(self._read(addr), addr)
+        if view.kind != kind:
+            raise IntegrityError(f"object page {addr} is a {_role_name(view.kind)}, expected {_role_name(kind)}")
+        return view
 
 
 # ---------------------------------------------------------------------------
 # reference counts
-
-# What a reachable page is: a node's level (0..MAX_NODE_LEVEL), or one of these.
-Role = int | str
-LEAF = "leaf"
-GANTRY = "gantry"
-ZONE = "zone"
-ZONE_CONT = "zone_cont"
-
-
-def _role_name(role: Role) -> str:
-    return f"level-{role} node" if isinstance(role, int) else role.replace("_", " ")
 
 
 def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -> dict[int, Role]:
@@ -318,7 +311,7 @@ def _page_refs(page: bytes, role: Role, addr: int, total_pages: Optional[int]) -
     if role == GANTRY:
         return {}
     if role in (ZONE, ZONE_CONT):
-        nxt = decode_object_page(page, addr=addr)["next"]
+        nxt = object_view(page, addr).next
         return {} if nxt == NO_PAGE else {nxt: ZONE_CONT}
     if role == LEAF:
         records, nxt = leaf_list_view(page, total_pages, addr=addr)
@@ -502,7 +495,7 @@ class CountDelta:
 
         for addr, c in self.counts.items():
             if not c and self.role(addr) in (GANTRY, ZONE):
-                del heads(decode_object_page(self.pages[addr], addr=addr)["object_id"])[addr]
+                del heads(object_view(self.pages[addr], addr).object_id)[addr]
         for head, (kind, oid) in self.new_objects.items():
             heads(oid)[head] = kind
         return out
@@ -690,13 +683,6 @@ class WalkReport:
         """Pages read that are neither nodes nor leaf lists: objects and zone continuations."""
         return set(self.pages).difference(self.nodes, self.leaf_pages)
 
-    def object_heads(self) -> dict[int, dict[int, str]]:
-        """Object id -> {head page: kind} of every object the walk loaded."""
-        out: dict[int, dict[int, str]] = {}
-        for head, (kind, oid) in self.objects.items():
-            out.setdefault(oid, {})[head] = kind
-        return out
-
 
 def walk_version(
     read: Callable[[int], bytes], root_page: int, total_pages: Optional[int] = None
@@ -775,9 +761,9 @@ def _zone_hits(met: Sequence[tuple[int, Optional[tuple]]], x: int, y: int) -> di
     found: dict[int, QueryHit] = {}
     for zid, vertices in met:
         if vertices is None:
-            found[zid] = QueryHit(zid, "zone", "inside-entry")
+            found[zid] = QueryHit(zid, ZONE, "inside-entry")
         elif zid not in found and point_in_polygon(x, y, vertices):
-            found[zid] = QueryHit(zid, "zone", "edge-test")
+            found[zid] = QueryHit(zid, ZONE, "edge-test")
     return found
 
 
@@ -785,7 +771,7 @@ def _gantry_hits(candidates: Sequence[GantryObject], x: int, y: int, radius: int
     """The candidate gantries within ``radius`` of (x, y)."""
     r2 = radius * radius
     return {
-        g.object_id: QueryHit(g.object_id, "gantry", "distance", (g.x, g.y))
+        g.object_id: QueryHit(g.object_id, GANTRY, "distance", (g.x, g.y))
         for g in candidates
         if (g.x - x) * (g.x - x) + (g.y - y) * (g.y - y) <= r2
     }
@@ -892,7 +878,7 @@ class Handle:
                     if rec.kind == KIND_ZONE_INSIDE:  # the head page's id is the answer
                         met.append((reader.zone_id(rec.object_page), None))
                     elif rec.kind == KIND_ZONE_EDGE:
-                        zone = reader.object(rec.object_page, "zone")
+                        zone = reader.object(rec.object_page, ZONE)
                         met.append((zone.object_id, zone.vertices))
 
         cell = TOP_CELL
@@ -954,7 +940,7 @@ class Handle:
                 for records, _ in reader.chain(entry_addr(word)):
                     for rec in records:
                         if rec.kind == KIND_POINT:
-                            candidates.append(rec.gantry or reader.object(rec.object_page, "gantry"))
+                            candidates.append(rec.gantry or reader.object(rec.object_page, GANTRY))
         self._disc_memo = (radius, nodes, log, candidates)
         return self._result(_gantry_hits(candidates, x, y, radius), before)
 
@@ -1014,7 +1000,7 @@ class TreeEditor:
         """
         return [
             rec if rec.gantry or rec.kind != KIND_POINT
-            else LeafRecord(KIND_POINT, rec.object_page, self._reader.object(rec.object_page, "gantry"))
+            else LeafRecord(KIND_POINT, rec.object_page, self._reader.object(rec.object_page, GANTRY))
             for rec in records
         ]
 
@@ -1146,7 +1132,7 @@ class TreeEditor:
         for gid, x, y in gantries:
             self._check_gantry(gid, x, y)
         checked_zones = [(zid, *self._check_zone(zid, verts)) for zid, verts in zones]
-        for kind, ids in (("gantry", [g[0] for g in gantries]), ("zone", [z[0] for z in checked_zones])):
+        for kind, ids in ((GANTRY, [g[0] for g in gantries]), (ZONE, [z[0] for z in checked_zones])):
             if len(set(ids)) < len(ids):
                 repeated = next(oid for oid, n in Counter(ids).items() if n > 1)
                 raise ConflictError(f"{kind} id {repeated} appears twice in the load")
@@ -1159,13 +1145,13 @@ class TreeEditor:
         for gid, x, y in gantries:
             g = GantryObject(gid, x, y)
             addr = self._io.write_page(encode_gantry(g))
-            heads.append((gid, addr, "gantry"))
+            heads.append((gid, addr, GANTRY))
             pts.append((LeafRecord(KIND_POINT, addr, g), x, y, gid))
         top_records: list[LeafRecord] = []
         zitems: list[tuple[int, int, Optional[tuple]]] = []
         for zid, verts, top in checked_zones:
             addr = self._write_zone(ZoneObject(zid, verts))
-            heads.append((zid, addr, "zone"))
+            heads.append((zid, addr, ZONE))
             rec = self._top_record(top, addr)
             if rec is None:
                 zitems.append((_DESCEND, addr, verts))
@@ -1229,7 +1215,7 @@ class TreeEditor:
                 g = rec.gantry
                 pts.append((rec, g.x, g.y, g.object_id))
                 continue
-            zone = self._reader.object(rec.object_page, "zone")
+            zone = self._reader.object(rec.object_page, ZONE)
             if rec.kind == KIND_ZONE_INSIDE:
                 zitems.append((_INSIDE, rec.object_page, None))
             else:
@@ -1311,7 +1297,7 @@ class TreeEditor:
         zitems: list[tuple[int, int, tuple]] = []
         for head, kind in targets.items():
             obj = self._reader.object(head, kind)
-            if kind == "gantry":
+            if kind == GANTRY:
                 pts.append((None, obj.x, obj.y, obj.object_id))
             else:
                 zitems.append((_EDGE, head, obj.vertices))

@@ -38,13 +38,14 @@ from flashquad.codec import (
     entry_is_leaf,
     make_child,
     make_leaf,
+    parse_update,
 )
 from flashquad.dataset import build_database, generate_trace
 from flashquad.errors import DomainError, PowerLossError
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.geometry import WORLD_SIZE
 from flashquad.replay import replay
-from flashquad.store import Store, _parse_update
+from flashquad.store import Store
 from flashquad.tree import BuildParams
 
 from helpers import (
@@ -304,7 +305,7 @@ def test_ac07_incremental_update():
     v2 = s.commit()
 
     pkg = store.make_update(v1, v2)
-    _, _, pages, _ = _parse_update(pkg)
+    _, _, pages, _ = parse_update(pkg)
     kinds = {"node": 0, "leaf": 0, "object": 0}
     for _, data in pages:
         kinds[{NODE_MAGIC: "node", LEAF_MAGIC: "leaf", OBJ_MAGIC: "object"}[data[0]]] += 1

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from flashquad.cli import main
+from flashquad.codec import parse_update
 from flashquad.flashsim import FlashDevice
 from flashquad.store import Store
 
@@ -129,7 +130,8 @@ def test_versions_rollback_diff_apply(ws, capsys):
     assert rows[-1]["current"] is True
 
     code, out, _ = run(capsys, "diff", "db.img", "2", "3", "-o", "pkg.bin")
-    assert code == 0 and "pkg.bin" in out
+    pkg = (ws / "pkg.bin").read_bytes()
+    assert code == 0 and f"wrote pkg.bin: {len(parse_update(pkg).pages)} pages, {len(pkg)} bytes (version 2 -> 3)" in out
 
     code, out, _ = run(capsys, "apply", "clone.img", "pkg.bin")
     assert code == 0 and "now at version 3" in out

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from flashquad import codec
 from flashquad.codec import (
     ENTRY_EMPTY,
+    GANTRY,
     LEAF_CAPACITY,
     NO_PAGE,
     NODE_ENTRY_AREA,
     PAGE_SIZE,
+    ZONE,
+    ZONE_CONT,
     GantryObject,
     LeafListPage,
     LeafRecord,
@@ -19,7 +22,6 @@ from flashquad.codec import (
     ZoneObject,
     decode_leaf_list,
     decode_node,
-    decode_object_page,
     decode_version_slot,
     encode_gantry,
     encode_leaf_list,
@@ -33,6 +35,7 @@ from flashquad.codec import (
     make_leaf,
     node_view,
     node_with_entry,
+    object_view,
     page_kind,
     revoke_version_slot,
     zone_page_count,
@@ -293,6 +296,9 @@ def test_decode_memo_is_bounded():
     for k in range(codec.MEMO_ENTRIES + 50):
         decode_leaf_list(encode_leaf_list(LeafListPage([LeafRecord(0, k)])))
     assert len(codec._LEAF_LISTS) <= codec.MEMO_ENTRIES
+    for k in range(codec.MEMO_ENTRIES + 50):
+        object_view(encode_gantry(GantryObject(k, k, -k)))
+    assert len(codec._OBJECTS) <= codec.MEMO_ENTRIES
     # a node's view keeps its occupied-entry mask, and a second read is the same view
     for k in range(codec.MEMO_ENTRIES + 50):
         entries = [ENTRY_EMPTY] * 81
@@ -326,8 +332,9 @@ def test_decode_memo_is_bounded():
 
 
 def test_gantry_round_trip():
-    out = decode_object_page(encode_gantry(GantryObject(7, -5, 1_999_999)))
-    assert out == {"kind": "gantry", "object_id": 7, "x": -5, "y": 1_999_999}
+    view = object_view(encode_gantry(GantryObject(7, -5, 1_999_999)))
+    assert (view.kind, view.object_id, view.x, view.y) == (GANTRY, 7, -5, 1_999_999)
+    assert view.vertices is None and view.next is None
 
 
 def test_gantry_coordinate_range():
@@ -340,26 +347,25 @@ def test_zone_single_page():
     verts = ((0, 0), (10, 0), (5, 8))
     assert zone_page_count(3) == 1
     (page,) = encode_zone(ZoneObject(3, verts), [])
-    out = decode_object_page(page)
-    assert out["kind"] == "zone"
-    assert out["object_id"] == 3
-    assert out["vertex_count"] == 3
-    assert tuple(out["vertices"]) == verts
-    assert out["next"] == NO_PAGE
+    out = object_view(page)
+    assert out.kind == ZONE
+    assert out.object_id == 3
+    assert out.vertex_count == 3
+    assert out.vertices == verts
+    assert out.next == NO_PAGE
 
 
 def test_zone_chain_spans_pages():
     verts = tuple((k, -k) for k in range(75))  # 30 + 30 + 15
     assert zone_page_count(75) == 3
     pages = encode_zone(ZoneObject(9, verts), [200, 300])
-    head = decode_object_page(pages[0])
-    assert head["vertex_count"] == 75 and head["next"] == 200
-    mid = decode_object_page(pages[1])
-    assert mid["kind"] == "zone_cont" and mid["next"] == 300
-    tail = decode_object_page(pages[2])
-    assert tail["next"] == NO_PAGE
-    joined = tuple(head["vertices"]) + tuple(mid["vertices"]) + tuple(tail["vertices"])
-    assert joined == verts
+    head = object_view(pages[0])
+    assert head.vertex_count == 75 and head.next == 200
+    mid = object_view(pages[1])
+    assert mid.kind == ZONE_CONT and mid.next == 300 and mid.vertex_count is None
+    tail = object_view(pages[2])
+    assert tail.next == NO_PAGE
+    assert head.vertices + mid.vertices + tail.vertices == verts
 
 
 def test_zone_addr_list_must_match():
@@ -372,7 +378,44 @@ def test_object_crc_catches_damage():
     page = bytearray(encode_gantry(GantryObject(1, 2, 3)))
     page[6] ^= 0x80
     with pytest.raises(FormatError):
-        decode_object_page(bytes(page))
+        object_view(bytes(page))
+
+
+def reseal_object(page):
+    page[codec.LEAF_CRC_OFF :] = codec.crc16(bytes(page[: codec.LEAF_CRC_OFF])).to_bytes(2, "big")
+    return bytes(page)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_a_zone_head_with_fewer_than_three_vertices_is_refused_naming_the_page(count):
+    (page,) = encode_zone(ZoneObject(3, ((0, 0), (10, 0), (5, 8))), [])
+    forged = bytearray(page)
+    forged[6:8] = count.to_bytes(2, "big")  # the zone's total
+    forged[8] = count  # and the page's own count, so the pages agree with the header
+    forged = reseal_object(forged)
+    for _ in range(2):  # a failure is never memoized
+        with pytest.raises(FormatError, match=f"zone vertex count {count} is not in 3..65535 at page 40$"):
+            object_view(forged, addr=40)
+    assert forged not in codec._OBJECTS
+
+
+def test_object_view_checks_each_page_in_order():
+    gantry = encode_gantry(GantryObject(1, 2, 3))
+    with pytest.raises(FormatError, match="object page must be 256 bytes"):
+        object_view(gantry[:-1], addr=5)
+    with pytest.raises(FormatError, match="bad object magic 0x4c at page 5"):
+        object_view(b"\x4c" + gantry[1:], addr=5)
+    with pytest.raises(FormatError, match="unknown object kind 3 at page 5"):
+        object_view(reseal_object(bytearray(gantry[:1] + b"\x03" + gantry[2:])), addr=5)
+    (head, cont) = encode_zone(ZoneObject(4, tuple((k, k * k) for k in range(31))), [70])
+    too_many = bytearray(cont)
+    too_many[8] = 31
+    with pytest.raises(FormatError, match="zone page vertex count 31 exceeds capacity at page 70"):
+        object_view(reseal_object(too_many), addr=70)
+    view = object_view(head)
+    assert object_view(bytearray(head)) is view  # memoized by content
+    with pytest.raises(AttributeError):
+        view.next = NO_PAGE
 
 
 # -- version slots ----------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Layering: the byte layouts of node and leaf pages are known to the codec alone.
+"""Layering: the byte layouts of pages and update packages are known to the codec alone.
 
-Every other module reads a node through ``codec.node_view`` and a leaf page
-through ``codec.leaf_list_view``, so a layout change touches one module.
+Every other module reads a node through ``codec.node_view``, a leaf page
+through ``codec.leaf_list_view``, an object page (gantry, zone head or
+zone continuation) through ``codec.object_view`` and an update package
+through ``codec.parse_update``, so a layout change touches one module.
 This is an AST check over the package's sources: no module but
 ``codec.py`` may import or name an offset, the entry area, the address
-width or a tag value.
+width, a tag value, an object page's magic, kind bytes or vertex layout,
+or the package magic.
 """
 
 import ast
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import flashquad
 
-LAYOUT = re.compile(r"NODE_\w+_OFF|NODE_ENTRY_AREA|LEAF_\w+_OFF|ADDR_BITS|TAG_\w+")
+LAYOUT = re.compile(r"NODE_\w+_OFF|NODE_ENTRY_AREA|LEAF_\w+_OFF|ADDR_BITS|TAG_\w+|OBJ_\w+|ZONE_VERTS_\w+|UPDATE_MAGIC")
 
 
 def layout_names(source: str) -> list[tuple[int, str]]:
@@ -35,9 +38,12 @@ def test_the_check_sees_every_way_to_reach_a_layout_constant():
         "from . import codec\n"
         "x = codec.NODE_ENTRIES_OFF + codec.NODE_FANOUT\n"
         "y = page[LEAF_CRC_OFF] == TAG_LEAF or codec.NODE_ENTRY_AREA\n"
+        "from .codec import OBJ_MAGIC, ZONE, GANTRY\n"
+        "z = page[1] == codec.OBJ_ZONE_CONT and codec.ZONE_VERTS_PER_PAGE or pkg[:4] == UPDATE_MAGIC\n"
     )
     assert sorted(layout_names(source)) == [
-        (1, "ADDR_BITS"), (3, "NODE_ENTRIES_OFF"), (4, "LEAF_CRC_OFF"), (4, "NODE_ENTRY_AREA"), (4, "TAG_LEAF")
+        (1, "ADDR_BITS"), (3, "NODE_ENTRIES_OFF"), (4, "LEAF_CRC_OFF"), (4, "NODE_ENTRY_AREA"), (4, "TAG_LEAF"),
+        (5, "OBJ_MAGIC"), (6, "OBJ_ZONE_CONT"), (6, "UPDATE_MAGIC"), (6, "ZONE_VERTS_PER_PAGE"),
     ]
 
 

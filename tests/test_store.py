@@ -28,6 +28,7 @@ from flashquad.codec import (
     encode_node,
     make_child,
     make_leaf,
+    parse_update,
 )
 from flashquad.dataset import build_database, generate_dataset, generate_trace
 from flashquad.errors import (
@@ -45,7 +46,7 @@ from flashquad.errors import (
 from flashquad.flashsim import PAGES_PER_SUBSECTOR as SUB
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.replay import replay
-from flashquad.store import DATA_START, Store, _parse_update
+from flashquad.store import DATA_START, Store
 from flashquad.tree import BuildParams, walk_version
 
 from helpers import random_simple_polygon, seeded_store, version_digest
@@ -618,7 +619,7 @@ def test_a_package_holds_the_pages_new_reaches_and_base_does_not():
     for base in range(2, 7):
         for new in range(base + 1, 7):
             pkg = store.make_update(base, new)
-            _, _, pages, root = _parse_update(pkg)
+            _, _, pages, root = parse_update(pkg)
             assert [addr for addr, _ in pages] == sorted(reach[new] - reach[base])
             assert all(data == store.device.read_page(addr) for addr, data in pages)
             assert root == store.handle(new).root_page
@@ -667,7 +668,7 @@ def resealed(pkg, pages, root):
 def test_apply_refuses_page_addresses_that_do_not_ascend_before_programming():
     store, base_blob = two_version_store()
     pkg = store.make_update(2, 3)
-    _, _, pages, root = _parse_update(pkg)
+    _, _, pages, root = parse_update(pkg)
     (a, da), (_, db) = pages[:2]
     twice = resealed(pkg, [(a, da), (a, db)] + pages[2:], root)  # page a listed twice
     clone = Store(FlashDevice.from_bytes(base_blob))
@@ -682,7 +683,7 @@ def test_apply_refuses_page_addresses_that_do_not_ascend_before_programming():
 def test_apply_refuses_a_new_root_outside_the_data_area_before_programming():
     store, base_blob = two_version_store()
     pkg = store.make_update(2, 3)
-    _, _, pages, _ = _parse_update(pkg)
+    _, _, pages, _ = parse_update(pkg)
     clone = Store(FlashDevice.from_bytes(base_blob))
     for root in (DATA_START - 1, clone.total_pages):
         with pytest.raises(FormatError, match=rf"new root {root} is outside the data area"):
@@ -696,7 +697,7 @@ def test_input_refused_on_sight_is_refused_before_the_count():
     wrong_base = store.make_update(1, 2)
     add_gantries(store, [9_001])
     blob = store.device.to_bytes()
-    _, _, pages, root = _parse_update(wrong_base)
+    _, _, pages, root = parse_update(wrong_base)
     header = wrong_base[:4] + (3).to_bytes(4, "little") + (4).to_bytes(4, "little")
     outside = resealed(header, [(addr + store.total_pages, page) for addr, page in pages], root)
     refusals = [
@@ -726,7 +727,7 @@ def test_apply_is_idempotent_after_interrupt():
         clone.apply_update(pkg)
     back = Store(FlashDevice.from_bytes(clone.device.to_bytes()))
     assert back.current_version == 2  # the torn apply never registered
-    _, _, pages, _ = _parse_update(pkg)
+    _, _, pages, _ = parse_update(pkg)
     torn = [addr for addr, data in pages if back.device.read_page(addr) not in (data, bytes([0xFF]) * PAGE_SIZE)]
     assert len(torn) == 1 and back.device.read_page(torn[0])[:17] == dict(pages)[torn[0]][:17]
     erases = back.device.stats().erases
@@ -740,7 +741,7 @@ def test_apply_erases_a_target_missing_one_bit_of_its_package_page(at):
     """A target that differs from its package page by a single 0 where the page has a 1 is erased first."""
     store, base_blob = two_version_store()
     pkg = store.make_update(2, 3)
-    _, _, pages, _ = _parse_update(pkg)
+    _, _, pages, _ = parse_update(pkg)
     data = dict(pages)
     clean = Store(FlashDevice.from_bytes(base_blob))
     assert clean.apply_update(pkg) == 3 and clean.device.stats().erases == 0  # every target is blank
@@ -767,7 +768,7 @@ def test_apply_reads_each_target_once_and_programs_only_what_it_must():
     s = store.begin()
     s.load([(gid, 10_000 * gid, 12_000 * gid) for gid in range(100, 140)], [])
     s.commit()
-    _, _, pages, _ = _parse_update(store.make_update(2, 3))
+    _, _, pages, _ = parse_update(store.make_update(2, 3))
     data = dict(pages)
     assert {48, 49, 64} <= set(data)  # subsectors 3 and 4 hold no page of version 2
 
@@ -952,7 +953,7 @@ def test_commit_refuses_a_damaged_page_and_names_it(magic):
 def test_apply_refuses_a_resealed_corrupt_package_and_names_the_page(magic):
     store, base_blob = two_version_store()
     pkg = bytearray(store.make_update(2, 3))
-    _, _, pages, _ = _parse_update(bytes(pkg))
+    _, _, pages, _ = parse_update(bytes(pkg))
     k, (victim, _) = next((k, p) for k, p in enumerate(pages) if p[1][0] == magic)
     pkg[16 + k * (3 + PAGE_SIZE) + 3 + 100] ^= 0x10  # one bit inside the page's checksummed bytes
     pkg[-4:] = zlib.crc32(bytes(pkg[:-4])).to_bytes(4, "little")  # resealed: only the page is wrong
@@ -1119,7 +1120,7 @@ def lockstep_case():
 def test_apply_refuses_a_package_tree_that_does_not_check_before_programming(kind):
     """Each new page the package's tree names outside the shared base is checked in the role it is named in."""
     image, store, pkg = lockstep_case()
-    _, _, pages, root = _parse_update(pkg)
+    _, _, pages, root = parse_update(pkg)
     pages = dict(pages)
     replica = Store(FlashDevice.from_bytes(image))
     base = store.handle(2).walk()
@@ -1200,7 +1201,7 @@ def test_a_power_loss_at_every_mutation_of_a_fresh_mount_apply_recovers_by_apply
     """
     image, store, pkg = lockstep_case()
     want = version_digest(store, 3)
-    targets = dict(_parse_update(pkg)[2])
+    targets = dict(parse_update(pkg)[2])
     torn = 0
     for prefix in (0, 40, PAGE_SIZE):  # 40 bytes reach into the new record's directory slot, 32..47
         for k in range(1, 20):
@@ -1333,7 +1334,7 @@ def test_counts_and_maps_follow_every_commit_and_apply(edits, window):
             session = None
             committed[vno] = frozenset(objects)
             pkg = source.make_update(base, vno)
-            shipped = {addr for addr, _ in _parse_update(pkg)[2]}
+            shipped = {addr for addr, _ in parse_update(pkg)[2]}
             assert shipped == source.handle(vno).reachable_pages() - source.handle(base).reachable_pages()
             replica.apply_update(pkg)
             check()

@@ -16,6 +16,7 @@ from flashquad.codec import (
     ENTRY_EMPTY,
     KIND_POINT,
     KIND_ZONE_EDGE,
+    KIND_ZONE_INSIDE,
     LEAF_COORDS,
     LEAF_COORDS_FLAG_OFF,
     LEAF_CRC_OFF,
@@ -32,19 +33,23 @@ from flashquad.codec import (
     PAGE_SIZE,
     OBJ_GANTRY,
     OBJ_MAGIC,
+    OBJ_ZONE,
     SELF_CHECKED,
+    ZONE_CONT,
     GantryObject,
     LeafRecord,
     crc16,
     decode_leaf_list,
     decode_node,
     encode_leaf_list,
+    encode_update,
     make_child,
     make_leaf,
     node_with_entry,
+    parse_update,
 )
 from flashquad.dataset import build_database, generate_dataset
-from flashquad.errors import ConflictError, DomainError, FormatError, IntegrityError, NotFoundError
+from flashquad.errors import ConflictError, DomainError, FlashQuadError, FormatError, IntegrityError, NotFoundError
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.geometry import TOP_CELL, CellClass, classify_cell
 from flashquad.geometry import WORLD_SIZE as W
@@ -553,6 +558,53 @@ def test_zone_page_link_past_the_device_end_is_reported():
         damaged.handle().query_zones_at(1_400_000, 1_000_000)  # a vertex: an edge cell joins the pages
 
 
+def test_a_continuation_page_is_named_alike_by_a_point_and_an_inside_record():
+    store = fresh()
+    committed(store, lambda s: s.load([(1, 1000, 1000)], [(77, CIRCLE_40)]))  # the zone takes two pages
+    cont = next(a for a, role in store.handle().walk().roles.items() if role == ZONE_CONT)
+    leaf, _ = leaf_holding(store, KIND_POINT)
+    phrase = f"object page {cont} is a zone cont, expected"
+    as_point = rewrite_leaf(store, leaf, records=[LeafRecord(KIND_POINT, cont)])  # no appendix: the page is read
+    with pytest.raises(IntegrityError, match=f"^{phrase} gantry$"):
+        as_point.handle().query_gantries_within(1000, 1000, 10)
+    as_inside = rewrite_leaf(store, leaf, records=[LeafRecord(KIND_ZONE_INSIDE, cont)])
+    with pytest.raises(IntegrityError, match=f"^{phrase} zone$"):
+        as_inside.handle().query_zones_at(1000, 1000)
+    for damaged in (as_point, as_inside):
+        (problem,) = damaged.verify()["problems"]
+        assert f"page {cont} is a zone cont, expected" in problem
+
+
+def test_a_zone_head_without_vertices_is_refused_naming_the_page():
+    """A package whose zone head says 0 vertices, and holds none, is refused; an image holding one is damaged."""
+    store = fresh()
+    replica = Store(FlashDevice.from_bytes(store.device.to_bytes()))
+    committed(store, lambda s: s.insert_zone(5, SQUARE))  # one object page
+    base_v, new_v, pages, root = parse_update(store.make_update(1, 2))
+    (head,) = [addr for addr, data in pages if data[0] == OBJ_MAGIC and data[1] == OBJ_ZONE]
+    forged = bytearray(dict(pages)[head])
+    forged[6:9] = bytes(3)  # the zone's total and the page's own count: both 0, so they agree
+    forged[LEAF_CRC_OFF:] = crc16(bytes(forged[:LEAF_CRC_OFF])).to_bytes(2, "big")
+    forged = bytes(forged)
+    pkg = encode_update(base_v, new_v, [(a, forged if a == head else d) for a, d in pages], root)
+    problem = f"zone vertex count 0 is not in 3..65535 at page {head}"
+    before = replica.device.to_bytes()
+    with pytest.raises(FlashQuadError, match=problem):
+        replica.apply_update(pkg)
+    assert replica.device.to_bytes() == before and replica.current_version == 1
+
+    damaged = remount_with_page(store, head, forged)
+    assert damaged.verify()["problems"] == [f"version 2: {problem}"]
+    for x, y in ((300_000, 600_000), (600_000, 600_000)):  # an edge record and an inside record
+        with pytest.raises(FormatError, match=f"^{problem}$"):
+            damaged.handle().query_zones_at(x, y)
+    assert damaged.handle().query_gantries_within(600_000, 600_000, 1_000).ids == frozenset()
+    with pytest.raises(FlashQuadError, match=problem):
+        damaged.handle().stats()
+    with pytest.raises(FlashQuadError, match=problem):
+        damaged.begin().delete(5)
+
+
 WORLD_ZONE = ((-10, -10), (W + 10, -10), (W + 10, W + 10), (-10, W + 10))
 PROBES = ((1_000, 1_000), (1_000_000, 1_000_000), (1_500_000, 400_000))
 
@@ -727,8 +779,7 @@ def assert_same_trees(a, b, gantries, zones, rng):
         assert store.verify()["ok"]
     want = {(gid, "gantry") for gid, _, _ in gantries} | {(zid, "zone") for zid, _ in zones}
     for h in (ha, hb):
-        heads = h.walk().object_heads()
-        assert {(oid, kind) for oid, kinds in heads.items() for kind in kinds.values()} == want
+        assert {(oid, kind) for kind, oid in h.walk().objects.values()} == want
     assert len(ha.reachable_pages()) == len(hb.reachable_pages())
     probes = [(x, y) for _, x, y in gantries] + [(rng.randrange(W), rng.randrange(W)) for _ in range(20)]
     probes += [(min(max(x, 0), W - 1), min(max(y, 0), W - 1)) for _, verts in zones for x, y in verts[:2]]
