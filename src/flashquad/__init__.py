@@ -3,7 +3,7 @@
 The pieces, bottom up:
 
 - ``flashsim``   bit-accurate serial NOR flash array simulator
-- ``codec``      256-byte page layouts (nodes, leaf lists, objects, versions)
+- ``codec``      256-byte page layouts (nodes, leaf lists, objects, versions) and update packages
 - ``geometry``   exact integer predicates on the 9x9 recursive grid
 - ``tree``       read handle, structure walker, copy-on-write editor
 - ``store``      version directory, allocator, gc, dedup, update packages

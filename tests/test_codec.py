@@ -399,7 +399,7 @@ def test_a_zone_head_with_fewer_than_three_vertices_is_refused_naming_the_page(c
     assert forged not in codec._OBJECTS
 
 
-def test_object_view_checks_each_page_in_order():
+def test_object_view_names_each_faulty_page_and_memoizes_good_ones():
     gantry = encode_gantry(GantryObject(1, 2, 3))
     with pytest.raises(FormatError, match="object page must be 256 bytes"):
         object_view(gantry[:-1], addr=5)
