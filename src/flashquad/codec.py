@@ -152,11 +152,10 @@ def encode_node(node: NodePage) -> bytes:
 # What a node or leaf-list decode finds depends only on the page bytes and
 # the device size used for range checks, so the checked results are
 # memoized by (bytes, device size), and one memo can serve every store in
-# the process.  An object page's checks need no device size, so its memo
-# is keyed by the bytes alone.  Each memo keeps at most MEMO_ENTRIES
-# results, dropping the oldest first.  A failure is never stored: it raises
-# again, naming its page, on every call.  The memos sit above the store's
-# page reads, so device reads and cache hits are counted as without them.
+# the process.  Each memo keeps at most MEMO_ENTRIES results, dropping the
+# oldest first.  A failure is never stored: it raises again, naming its
+# page, on every call.  The memos sit above the store's page reads, so
+# device reads and cache hits are counted as without them.
 
 MEMO_ENTRIES = 4096
 
@@ -472,7 +471,11 @@ def encode_gantry(g: GantryObject) -> bytes:
     if not 0 <= g.object_id < 1 << 32:
         raise FormatError(f"object id {g.object_id} does not fit in u32")
     buf = bytearray(b"\xff" * PAGE_SIZE)
-    struct.pack_into(">BBIII", buf, 0, OBJ_MAGIC, OBJ_GANTRY, g.object_id, _check_i32(g.x, "x"), _check_i32(g.y, "y"))
+    buf[0] = OBJ_MAGIC
+    buf[1] = OBJ_GANTRY
+    buf[2:6] = g.object_id.to_bytes(4, "big")
+    buf[6:10] = _check_i32(g.x, "x").to_bytes(4, "big")
+    buf[10:14] = _check_i32(g.y, "y").to_bytes(4, "big")
     _tail_crc(buf)
     return bytes(buf)
 
@@ -498,12 +501,19 @@ def encode_zone(z: ZoneObject, page_addrs: list[int]) -> list[bytes]:
     for pno in range(zone_page_count(n)):
         chunk = z.vertices[pno * ZONE_VERTS_PER_PAGE : (pno + 1) * ZONE_VERTS_PER_PAGE]
         buf = bytearray(b"\xff" * PAGE_SIZE)
-        head = (OBJ_ZONE, n) if pno == 0 else (OBJ_ZONE_CONT, 0xFFFF)  # a continuation's total stays erased
+        buf[0] = OBJ_MAGIC
+        buf[1] = OBJ_ZONE if pno == 0 else OBJ_ZONE_CONT
+        buf[2:6] = z.object_id.to_bytes(4, "big")
+        if pno == 0:
+            buf[6:8] = n.to_bytes(2, "big")
+        buf[8] = len(chunk)
         nxt = page_addrs[pno] if pno < len(page_addrs) else NO_PAGE
-        struct.pack_into(">BBIHB", buf, 0, OBJ_MAGIC, head[0], z.object_id, head[1], len(chunk))
         buf[9:12] = nxt.to_bytes(3, "big")
-        coords = [_check_i32(v, f"vertex {axis}") for vertex in chunk for v, axis in zip(vertex, "xy")]
-        struct.pack_into(f">{len(coords)}I", buf, ZONE_VERTS_OFF, *coords)
+        pos = ZONE_VERTS_OFF
+        for x, y in chunk:
+            buf[pos : pos + 4] = _check_i32(x, "vertex x").to_bytes(4, "big")
+            buf[pos + 4 : pos + 8] = _check_i32(y, "vertex y").to_bytes(4, "big")
+            pos += 8
         _tail_crc(buf)
         pages.append(bytes(buf))
     return pages
@@ -513,34 +523,18 @@ class ObjectView(namedtuple("ObjectView", "kind object_id x y vertex_count verti
     """A checked object page of ``kind`` GANTRY, ZONE (a zone's head) or ZONE_CONT:
     a gantry's ``x`` and ``y``; a zone page's own ``vertices`` and ``next``
     link; a head's ``vertex_count``, the zone's total.  Fields a kind lacks
-    are None.  Immutable, so the memo hands the same one to every caller.
+    are None.
     """
 
     __slots__ = ()
 
 
-_OBJECTS: OrderedDict[bytes, ObjectView] = OrderedDict()
-
-
 def object_view(page: bytes, addr: int | None = None) -> ObjectView:
-    """The checked view of an object page (the one at ``addr``), memoized by content.
+    """The checked view of an object page (the one at ``addr``), the one way to read one.
 
-    This is the one way to read an object page.  The checks, in order:
-    length, magic, CRC, kind, a zone page's own vertex count (at most 30),
-    then a zone head's total, which must be 3..65535 as ``encode_zone``
-    requires.  What spans pages is checked where the pages are joined
-    (``tree.PageReader.object``).  No check needs the device size.
+    It makes checks 1-6 of FORMAT.md "Reading an object", in that order;
+    ``tree.PageReader.object`` makes the checks that span a zone's pages.
     """
-    if type(page) is not bytes:
-        page = bytes(page)
-    view = _OBJECTS.get(page)
-    if view is None:
-        view = _parse_object(page, addr)
-        _remember(_OBJECTS, page, view)
-    return view
-
-
-def _parse_object(page: bytes, addr: int | None) -> ObjectView:
     if len(page) != PAGE_SIZE:
         raise FormatError(f"object page must be {PAGE_SIZE} bytes")
     if page[0] != OBJ_MAGIC:
@@ -664,7 +658,14 @@ def decode_version_slot(slot: bytes) -> tuple[str, VersionRecord | None]:
 
 
 def page_kind(page: bytes) -> str:
-    """Best-effort classification of a raw page by magic byte: node, leaf, object, erased or unknown."""
+    """Best-effort classification of a raw page by magic byte."""
+    b = page[0]
+    if b == NODE_MAGIC:
+        return "node"
+    if b == LEAF_MAGIC:
+        return "leaf"
+    if b == OBJ_MAGIC:
+        return "object"
     if page == b"\xff" * PAGE_SIZE:
         return "erased"
-    return {NODE_MAGIC: "node", LEAF_MAGIC: "leaf", OBJ_MAGIC: "object"}.get(page[0], "unknown")
+    return "unknown"

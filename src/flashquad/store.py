@@ -653,20 +653,25 @@ class Store:
 
     def versions(self) -> list[dict]:
         """Directory contents of the active subsector, revoked entries included."""
-        seen: dict[int, tuple[str, VersionRecord]] = {}
+        seen: dict[int, str] = {}
+        roots: dict[int, VersionRecord] = {}
         for _, _, state, rec in self._scan_dir(self._active_sub):
             if state in ("live", "revoked"):
-                seen[rec.version_no] = (state, rec)  # duplicate numbers: last wins
-        return [
-            {
-                "version": vno,
-                "state": state,
-                "root_page": rec.root_page,
-                "alloc_cursor": rec.alloc_cursor,
-                "current": vno == self.current_version and state == "live",
-            }
-            for vno, (state, rec) in sorted(seen.items())
-        ]
+                seen[rec.version_no] = state
+                roots[rec.version_no] = rec
+        out = []
+        for vno in sorted(seen):
+            rec = roots[vno]
+            out.append(
+                {
+                    "version": vno,
+                    "state": seen[vno],
+                    "root_page": rec.root_page,
+                    "alloc_cursor": rec.alloc_cursor,
+                    "current": vno == self.current_version and seen[vno] == "live",
+                }
+            )
+        return out
 
     def verify(self) -> dict:
         """Walk every live version and re-check directory slots."""

@@ -227,10 +227,10 @@ class PageReader:
     """The one way to read tree pages: nodes, leaf chains and objects.
 
     Every page comes from ``read(addr)``, so a store's cache counts each
-    request.  Page decodes are checked and memoized by content in the
-    codec; objects are memoized here by address and kind for the reader's
-    life, so an operation reads each object once.  Damage raises ``FormatError`` or
-    ``IntegrityError`` naming the page.
+    request.  Node and leaf decodes are checked and memoized by content in
+    the codec; objects are checked there and memoized here by address and
+    kind for the reader's life, so an operation reads each object once.
+    Damage raises ``FormatError`` or ``IntegrityError`` naming the page.
     """
 
     def __init__(self, read: Callable[[int], bytes], total_pages: Optional[int] = None):
