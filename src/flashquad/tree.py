@@ -985,6 +985,7 @@ class TreeEditor:
         self._io = io
         self.params = params
         self._reader = self._new_reader()
+        self._encoded: dict[tuple[tuple[LeafRecord, ...], int], bytes] = {}  # (records, next) -> leaf page, per edit
 
     # -- shared small helpers --
 
@@ -1009,7 +1010,9 @@ class TreeEditor:
 
         Pages fill in record order and each new page is chained in front of
         the last, so the head is the page still filling, as appending the
-        records one at a time (``_append``) leaves it.
+        records one at a time (``_append``) leaves it.  A page is encoded
+        once per edit; a repeat is written from the same bytes, so the
+        store's dedup check (and its read-back) runs as for a fresh encode.
         """
         chunks: list[list[LeafRecord]] = []
         room = 0
@@ -1022,7 +1025,11 @@ class TreeEditor:
             room -= size
         addr = tail
         for chunk in chunks:
-            addr = self._io.write_page(encode_leaf_list(LeafListPage(chunk, addr)), dedupable=True)
+            key = (tuple(chunk), addr)
+            page = self._encoded.get(key)
+            if page is None:
+                page = self._encoded[key] = encode_leaf_list(LeafListPage(chunk, addr))
+            addr = self._io.write_page(page, dedupable=True)
         return addr
 
     def _append(self, head: int, new: Sequence[LeafRecord]) -> int:
@@ -1140,7 +1147,13 @@ class TreeEditor:
         if not gantries and not checked_zones:
             return root, heads
         self._reader = self._new_reader()
+        try:
+            return self._load(root, gantries, checked_zones, heads)
+        finally:
+            self._encoded.clear()
 
+    def _load(self, root: int, gantries: list, checked_zones: list, heads: list) -> tuple[int, list]:
+        """``load`` from its checked input: write the objects, then descend once from ``root``."""
         pts: list[tuple[LeafRecord, int, int, int]] = []
         for gid, x, y in gantries:
             g = GantryObject(gid, x, y)
@@ -1197,7 +1210,7 @@ class TreeEditor:
             return word if merged is node.page else make_child(self._io.write_page(merged))
         # a leaf: only new points can take it over the split threshold, so only they need its records
         old = self._records(word) if pts else []
-        if not self._splits(cell, len(pts) + sum(r.kind == KIND_POINT for r in old), zitems):
+        if not self._splits(cell.level, len(pts) + sum(r.kind == KIND_POINT for r in old), zitems):
             return make_leaf(self._append(entry_addr(word), self._leaf_records(pts, zitems)))
         old_pts, old_zitems = self._partition(old or self._records(word))
         return self._build_cell(cell, old_pts + pts, old_zitems + zitems)
@@ -1215,11 +1228,10 @@ class TreeEditor:
                 g = rec.gantry
                 pts.append((rec, g.x, g.y, g.object_id))
                 continue
-            zone = self._reader.object(rec.object_page, ZONE)
-            if rec.kind == KIND_ZONE_INSIDE:
+            if rec.kind == KIND_ZONE_INSIDE:  # carries no vertices: its zone is not read
                 zitems.append((_INSIDE, rec.object_page, None))
             else:
-                zitems.append((_EDGE, rec.object_page, zone.vertices))
+                zitems.append((_EDGE, rec.object_page, self._reader.object(rec.object_page, ZONE).vertices))
         return pts, zitems
 
     def _child_modes81(self, mode: int, cell: Cell, verts: Optional[tuple]) -> list:
@@ -1253,9 +1265,9 @@ class TreeEditor:
                     (out.get(idx) or out.setdefault(idx, ([], [])))[1].append((m, addr, verts))
         return out
 
-    def _splits(self, cell: Cell, n_points: int, zitems: list) -> bool:
-        """The split rule: whether a cell holding ``n_points`` points and these zone items is a node."""
-        return cell.level < self.params.max_depth and (
+    def _splits(self, level: int, n_points: int, zitems: list) -> bool:
+        """The split rule: whether a cell at ``level`` holding ``n_points`` points and these zone items is a node."""
+        return level < self.params.max_depth and (
             n_points > self.params.leaf_split_threshold or any(mode == _DESCEND for mode, _, _ in zitems)
         )
 
@@ -1267,19 +1279,25 @@ class TreeEditor:
         ]
 
     def _build_cell(self, cell: Cell, pts: list, zitems: list) -> int:
-        """Materialize a cell from in-memory records; returns its entry word."""
+        """Materialize a cell from in-memory records; returns its entry word.
+
+        Subcells are built in index order; only one that splits needs its ``Cell``.
+        """
         if not pts and not zitems:
             return ENTRY_EMPTY
-        if self._splits(cell, len(pts), zitems):
-            buckets = self._buckets(cell, pts, zitems)
-            entries = [
-                self._build_cell(subcell(cell, idx), *buckets[idx]) if idx in buckets else ENTRY_EMPTY
-                for idx in range(NODE_FANOUT)
-            ]
-            if all(entry_is_empty(w) for w in entries):
-                return ENTRY_EMPTY
-            return make_child(self._io.write_page(encode_node(NodePage(cell.level, entries))))
-        return make_leaf(self._write_chain(self._leaf_records(pts, zitems)))
+        if not self._splits(cell.level, len(pts), zitems):
+            return make_leaf(self._write_chain(self._leaf_records(pts, zitems)))
+        buckets = self._buckets(cell, pts, zitems)
+        entries = [ENTRY_EMPTY] * NODE_FANOUT
+        for idx in sorted(buckets):
+            sub_pts, sub_zitems = buckets[idx]
+            if self._splits(cell.level + 1, len(sub_pts), sub_zitems):
+                entries[idx] = self._build_cell(subcell(cell, idx), sub_pts, sub_zitems)
+            else:
+                entries[idx] = make_leaf(self._write_chain(self._leaf_records(sub_pts, sub_zitems)))
+        if all(entry_is_empty(w) for w in entries):
+            return ENTRY_EMPTY
+        return make_child(self._io.write_page(encode_node(NodePage(cell.level, entries))))
 
     # -- deletion --
 
@@ -1293,6 +1311,12 @@ class TreeEditor:
         its parent.
         """
         self._reader = self._new_reader()
+        try:
+            return self._delete(root, targets)
+        finally:
+            self._encoded.clear()
+
+    def _delete(self, root: int, targets: dict[int, str]) -> int:
         pts: list[tuple[None, int, int, int]] = []
         zitems: list[tuple[int, int, tuple]] = []
         for head, kind in targets.items():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from flashquad import tree
 from flashquad.codec import (
     ADDR_MASK,
     ENTRY_EMPTY,
@@ -294,15 +295,16 @@ def test_overlapping_zones_both_reported():
     assert h.query_zones_at(1_100_000, 1_100_000).ids == {2}
 
 
-def test_zone_with_many_vertices_chains_pages():
-    import math
+RING_CX, RING_CY, RING_R = 1_000_000, 1_000_000, 400_000
+RING = tuple(  # 40 vertices: a head page and a continuation page
+    (int(RING_CX + RING_R * math.cos(2 * math.pi * k / 40)), int(RING_CY + RING_R * math.sin(2 * math.pi * k / 40)))
+    for k in range(40)
+)
 
+
+def test_zone_with_many_vertices_chains_pages():
     store = fresh()
-    cx, cy, r = 1_000_000, 1_000_000, 400_000
-    verts = tuple(
-        (int(cx + r * math.cos(2 * math.pi * k / 40)), int(cy + r * math.sin(2 * math.pi * k / 40)))
-        for k in range(40)
-    )
+    cx, cy, r, verts = RING_CX, RING_CY, RING_R, RING
     committed(store, lambda s: s.insert_zone(77, verts))  # 40 verts -> 2 object pages
     h = store.handle()
     assert h.query_zones_at(cx, cy).ids == {77}
@@ -924,6 +926,66 @@ def test_load_takes_an_id_deleted_in_the_session_or_held_by_the_other_kind():
     assert h.query_gantries_within(1_500_000, 1_500_000, 0).ids == {7}
     assert h.query_zones_at(320_000, 600_000).ids == {7}
     assert h.query_zones_at(920_000, 600_000).ids == {50}
+
+
+def test_splitting_a_cell_inside_a_zone_reads_no_zone_page():
+    """An inside record carries no vertices, so a leaf that splits under it leaves its zone unread.
+
+    The ring's level-1 cell round its centre (889..1111 km) is wholly
+    inside it: a one-record leaf, which twelve gantries split.
+    """
+    store = fresh()
+    committed(store, lambda s: s.insert_zone(1, RING))
+    zone_pages = {addr for addr, role in store.handle().walk().roles.items() if role in ("zone", "zone_cont")}
+    assert len(zone_pages) == 2
+    nodes = len(store.handle().walk().nodes)
+    gantries = [(10 + k, 900_000 + 15_000 * k, 1_000_000 + 7_000 * k) for k in range(12)]
+    reads = []
+    store.device.on_read = reads.append
+    store.cache.clear()
+    committed(store, lambda s: s.load(gantries, []))
+    store.device.on_read = None
+    assert not zone_pages.intersection(reads)
+    h = store.handle()
+    assert len(h.walk().nodes) > nodes  # the cell split into a node
+    for gid, x, y in gantries:
+        assert h.query_zones_at(x, y).ids == {1}
+        assert h.query_gantries_within(x, y, 0).ids == {gid}
+    assert store.verify()["ok"]
+
+
+@pytest.mark.parametrize("dedup", [True, False])
+def test_a_zone_load_encodes_each_leaf_page_once(monkeypatch, dedup):
+    """A load encodes each distinct leaf page once; with dedup off every chain is still its own page."""
+    encoded = []
+    monkeypatch.setattr(tree, "encode_leaf_list", lambda page: encoded.append(page) or encode_leaf_list(page))
+    store = fresh(BuildParams(zone_max_depth=2, dedup=dedup), sectors=8)
+    leaves = count_kind_programs(store.device, LEAF_MAGIC)
+    committed(store, lambda s: s.load([], [(1, RING), (2, SQUARE), (3, OTHER_SQUARE)]))
+    store.device.on_program = None
+    st = store.handle().stats()
+    assert st.leaf_pages > st.distinct_leaf_pages  # the zones' cells repeat leaf pages
+    if dedup:
+        assert len(encoded) == leaves[0] == st.distinct_leaf_pages
+    else:
+        assert leaves[0] == st.leaf_pages
+
+
+def test_a_session_reloads_a_zone_onto_pruned_and_reused_pages():
+    """Loads, deletes and reloads of one zone in one session, on a part the session overfills."""
+    store = fresh(sectors=1)
+    s = store.begin()
+    s.load([], [(1, RING)])
+    for _ in range(2):
+        s.delete(1)
+        s.load([], [(1, RING)])
+    s.commit()
+    assert store.device.stats().erases > 0  # staged pages were pruned, erased and programmed again
+    assert store.verify()["ok"]
+    h = store.handle()
+    rng = random.Random(3)
+    for x, y in [(RING_CX, RING_CY), *RING[:8], *((rng.randrange(W), rng.randrange(W)) for _ in range(40))]:
+        assert h.query_zones_at(x, y).ids == ({1} if pip_oracle_one(x, y, RING) else set())
 
 
 
