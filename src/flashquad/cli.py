@@ -90,24 +90,12 @@ def _save_image(device: FlashDevice, image: str) -> None:
     os.replace(tmp, image)
 
 
-def _load_store(args, params: Optional[BuildParams] = None) -> Store:
+def _load_store(args) -> Store:
     cache_pages = getattr(args, "cache_pages", 15)
     if cache_pages < 1:
         raise DomainError(f"--cache-pages must be at least 1, got {cache_pages}")
     device = FlashDevice.load(args.image)
-    return Store(device, params=params, cache_pages=cache_pages)
-
-
-def _params_from(args) -> BuildParams:
-    """An edit's parameters; ``rm`` has no tree-shape flags, since a delete never reads them."""
-    if not hasattr(args, "split_threshold"):
-        return BuildParams(dedup=not args.no_dedup)
-    return BuildParams(
-        leaf_split_threshold=args.split_threshold,
-        max_depth=args.max_depth,
-        zone_max_depth=args.zone_max_depth,
-        dedup=not args.no_dedup,
-    )
+    return Store(device, cache_pages=cache_pages)
 
 
 def _has_sidecar(image: str) -> bool:
@@ -200,7 +188,7 @@ def _run_edit(args, edit) -> int:
             raise SessionError(
                 "a staged session exists; use --stage to extend it, or commit it first"
             )
-        store = _load_store(args, params=_params_from(args))
+        store = _load_store(args)
         if sidecar is not None:
             session = _resume_staged(store, args.image, sidecar)
         else:
@@ -217,19 +205,7 @@ def _run_edit(args, edit) -> int:
     return 0
 
 
-def _add_tree_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--split-threshold", type=int, default=8, metavar="N",
-                   help="points a cell holds before it splits (default 8)")
-    p.add_argument("--max-depth", type=int, default=5, metavar="L",
-                   help="deepest cell level for point records, 0..6 (default 5)")
-    p.add_argument("--zone-max-depth", type=int, default=3, metavar="L",
-                   help="deepest cell level for zone boundary records (default 3)")
-    _add_edit_flags(p)
-
-
-def _add_edit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-dedup", action="store_true",
-                   help="do not share identical leaf pages")
+def _add_stage_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stage", action="store_true",
                    help="leave the session open instead of committing")
 
@@ -238,6 +214,7 @@ def _add_edit_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_format(args) -> int:
+    params = BuildParams(args.split_threshold, args.max_depth, args.zone_max_depth, not args.no_dedup)
     exists = os.path.exists(args.image)
     if exists and not args.force:
         raise ConflictError(f"{args.image} exists; pass --force to re-format it")
@@ -253,7 +230,7 @@ def cmd_format(args) -> int:
         device = FlashDevice(geometry)
     with _image_lock(args.image) if exists else contextlib.nullcontext():
         _drop_sidecar(args.image)
-        Store.format(device)
+        Store.format(device, params)
         _save_image(device, args.image)
     print(f"formatted {args.image}: {device.geometry.sector_count} sectors, "
           f"{device.total_pages} pages")
@@ -518,22 +495,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sectors", type=int,
                    help="64 KiB sectors on a new device (default 16 = 1 MiB); a re-format keeps the image's")
     p.add_argument("--force", action="store_true", help="re-format an existing image")
+    p.add_argument("--split-threshold", type=int, default=8, metavar="N",
+                   help="points a cell holds before it splits, 0..254 (default 8)")
+    p.add_argument("--max-depth", type=int, default=5, metavar="L",
+                   help="deepest cell level for point records, 0..6 (default 5)")
+    p.add_argument("--zone-max-depth", type=int, default=3, metavar="L",
+                   help="deepest cell level for zone boundary records (default 3)")
+    p.add_argument("--no-dedup", action="store_true",
+                   help="do not share identical leaf pages")
 
     p = add("build", cmd_build, "load a dataset file as one new version")
     p.add_argument("dataset", help="dataset text file (G/Z lines)")
-    _add_tree_params(p)
+    _add_stage_flag(p)
 
     p = add("insert", cmd_insert, "insert one object")
     p.add_argument("--gantry", nargs=3, type=int, metavar=("ID", "X", "Y"))
     p.add_argument("--zone", nargs="+", type=int, metavar="N",
                    help="ID X1 Y1 X2 Y2 X3 Y3 ...")
-    _add_tree_params(p)
+    _add_stage_flag(p)
 
     p = add("rm", cmd_rm, "remove an object by id")
     p.add_argument("id", type=int)
     p.add_argument("--kind", choices=["gantry", "zone"],
                    help="required when a gantry and a zone share the id")
-    _add_edit_flags(p)
+    _add_stage_flag(p)
 
     p = add("commit", cmd_commit, "commit the staged session")
 

@@ -34,7 +34,8 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import FormatError, IntegrityError
+from .errors import DomainError, FormatError, IntegrityError
+from .geometry import MAX_LEVEL
 
 PAGE_SIZE = 256
 
@@ -106,7 +107,7 @@ NODE_ENTRY_AREA = NODE_FANOUT * NODE_ENTRY_SIZE  # 243
 NODE_SELF_LIST_OFF = 2  # 3 bytes; list pointer for the node's own cell
 NODE_SELF_CHECK_OFF = 5  # 1 byte: SELF_CHECKED when the next 2 hold a CRC-16 of self_list, else 0xFF
 NODE_SELF_CRC_OFF = 6  # 2 bytes
-NODE_RESERVED_OFF = 8  # 3 bytes, 0xFF
+NODE_PARAMS_OFF = 8  # 3 bytes: the root's BuildParams; 0xFF 0xFF 0xFF: the defaults
 SELF_CHECKED = 0x00
 NODE_CRC_OFF = 11  # 2 bytes over the entry area
 NODE_ENTRIES_OFF = 13
@@ -114,11 +115,55 @@ NODE_ENTRIES_OFF = 13
 MAX_NODE_LEVEL = 5
 
 
+@dataclass(frozen=True)
+class BuildParams:
+    """The tree-shape parameters of an image, which its root node stores (FORMAT.md)."""
+
+    leaf_split_threshold: int = 8
+    max_depth: int = 5
+    zone_max_depth: int = 3
+    dedup: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.max_depth <= MAX_LEVEL:
+            raise DomainError(f"max_depth must be 0..{MAX_LEVEL}, got {self.max_depth}")
+        if not 0 <= self.zone_max_depth <= self.max_depth:
+            raise DomainError("zone_max_depth must be between 0 and max_depth")
+        if not 0 <= self.leaf_split_threshold <= 254:
+            raise DomainError(f"leaf_split_threshold must be 0..254, got {self.leaf_split_threshold}")
+
+
+_DEFAULT_PARAMS = BuildParams()
+_NO_PARAMS = b"\xff" * 3  # the defaults, as every image written before the parameters were stored holds
+_PARAMS_CHECK = 0x5A
+
+
+def _params_bytes(params: BuildParams) -> bytes:
+    """Bytes 8..10 of a node: threshold, packed depths and dedup, check byte; the defaults stay 0xFF."""
+    if params == _DEFAULT_PARAMS:
+        return _NO_PARAMS
+    packed = params.max_depth | params.zone_max_depth << 3 | (not params.dedup) << 6
+    return bytes((params.leaf_split_threshold, packed, params.leaf_split_threshold ^ packed ^ _PARAMS_CHECK))
+
+
+def _parse_params(raw: bytes, addr: int | None) -> BuildParams:
+    if raw == _NO_PARAMS:
+        return _DEFAULT_PARAMS
+    threshold, packed, check = raw
+    try:
+        if packed >> 7 or check != threshold ^ packed ^ _PARAMS_CHECK:
+            raise DomainError("the check byte or the unused bit is wrong")
+        return BuildParams(threshold, packed & 7, packed >> 3 & 7, not packed >> 6 & 1)
+    except DomainError as e:
+        raise FormatError(f"node parameters 0x{raw.hex()} refused: {e}{_at(addr)}") from None
+
+
 @dataclass
 class NodePage:
     level: int
     entries: list[int] = field(default_factory=lambda: [ENTRY_EMPTY] * NODE_FANOUT)
     self_list: int = ENTRY_EMPTY  # Empty or a leaf-list entry for the node's own cell
+    params: BuildParams = _DEFAULT_PARAMS  # a root's; other nodes keep the defaults
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[9 * i + j]
@@ -138,6 +183,7 @@ def encode_node(node: NodePage) -> bytes:
         buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = node.self_list.to_bytes(3, "big")
         buf[NODE_SELF_CHECK_OFF] = SELF_CHECKED
         buf[NODE_SELF_CRC_OFF : NODE_SELF_CRC_OFF + 2] = _self_list_crc(buf).to_bytes(2, "big")
+    buf[NODE_PARAMS_OFF : NODE_PARAMS_OFF + 3] = _params_bytes(node.params)
     pos = NODE_ENTRIES_OFF
     for word in node.entries:
         buf[pos : pos + 3] = check_entry(word).to_bytes(3, "big")
@@ -160,10 +206,11 @@ def encode_node(node: NodePage) -> bytes:
 MEMO_ENTRIES = 4096
 
 
-class NodeView(namedtuple("NodeView", "page level self_list entries occupied")):
+class NodeView(namedtuple("NodeView", "page level self_list entries occupied params")):
     """A checked node page: its bytes, its level, its self_list word, its 81
-    entry words (a tuple, entry (i, j) at ``9*i + j``) and its occupied-entry
-    mask, in which bit ``9*i + j`` is set when entry (i, j) is not Empty.
+    entry words (a tuple, entry (i, j) at ``9*i + j``), its occupied-entry
+    mask, in which bit ``9*i + j`` is set when entry (i, j) is not Empty,
+    and its ``BuildParams``, which only a root's carry.
     Immutable, so the memo hands the same one to every caller;
     ``decode_node`` gives a mutable copy.
     """
@@ -194,10 +241,10 @@ def node_view(page: bytes, total_pages: int | None = None, addr: int | None = No
     """The checked view of a node page (of the node at ``addr``), memoized by content.
 
     This is the one way to read a node.  The checks, in order: length,
-    magic, level, entry-area CRC, the self_list check flag and CRC, each
-    entry's tag and range in entry order, then the self_list word, which
-    must be Empty or a leaf-list entry in range.  Ranges are checked
-    against ``total_pages`` when it is given.
+    magic, level, entry-area CRC, the self_list check flag and CRC, the
+    parameters' check byte and ranges, each entry's tag and range in entry
+    order, then the self_list word, which must be Empty or a leaf-list
+    entry in range.  Ranges are checked against ``total_pages`` when given.
     """
     if type(page) is not bytes:
         page = bytes(page)
@@ -229,6 +276,7 @@ def _parse_node(page: bytes, total_pages: int | None, addr: int | None) -> NodeV
             raise FormatError(f"node self_list CRC mismatch{_at(addr)}")
     elif flag != 0xFF:  # 0xFF: no check stored (an empty self_list, or a node written before the check)
         raise FormatError(f"node self_list check flag 0x{flag:02x} is neither 0x00 nor 0xff{_at(addr)}")
+    params = _parse_params(page[NODE_PARAMS_OFF : NODE_PARAMS_OFF + 3], addr)
     halves = _NODE_ENTRY_HALVES.unpack_from(page, NODE_ENTRIES_OFF)
     entries = tuple([hi << 16 | lo for hi, lo in zip(halves[::2], halves[1::2])])
     limit = ADDR_MASK + 1 if total_pages is None else total_pages
@@ -243,13 +291,13 @@ def _parse_node(page: bytes, total_pages: int | None, addr: int | None) -> NodeV
         check_entry(self_list, total_pages, addr)
         if not entry_is_leaf(self_list):
             raise FormatError(f"node self_list is not a leaf-list entry{_at(addr)}")
-    return NodeView(page, page[1], self_list, entries, occupied)
+    return NodeView(page, page[1], self_list, entries, occupied, params)
 
 
 def decode_node(page: bytes, total_pages: int | None = None, addr: int | None = None) -> NodePage:
     """Decode a node page into a fresh ``NodePage`` the caller may edit."""
     view = node_view(page, total_pages, addr)
-    return NodePage(view.level, list(view.entries), view.self_list)
+    return NodePage(view.level, list(view.entries), view.self_list, view.params)
 
 
 def node_with_entry(page: bytes, i: int, j: int, word: int) -> bytes:

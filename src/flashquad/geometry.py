@@ -17,7 +17,6 @@ from .errors import DomainError
 
 WORLD_SIZE = 2_000_000
 MAX_LEVEL = 6
-FANOUT_SIDE = 9
 
 COORD_MIN = -(2**31)
 COORD_MAX = 2**31 - 1
@@ -60,11 +59,6 @@ class Cell(NamedTuple):
     def size(self) -> Fraction:
         """Side length in metres (exact; not an integer above level 0)."""
         return Fraction(WORLD_SIZE, 9**self.level)
-
-    @property
-    def origin(self) -> Tuple[Fraction, Fraction]:
-        scale = 9**self.level
-        return Fraction(self.sx, scale), Fraction(self.sy, scale)
 
 
 TOP_CELL = Cell(0, 0, 0)

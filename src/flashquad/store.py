@@ -63,6 +63,7 @@ from .codec import (
     encode_node,
     encode_update,
     encode_version_record,
+    node_view,
     parse_update,
     revoke_version_slot,
 )
@@ -227,7 +228,6 @@ class Store:
     def __init__(
         self,
         device: FlashDevice,
-        params: Optional[BuildParams] = None,
         cache_pages: int = 15,
         max_versions: int = MAX_VERSIONS_DEFAULT,
         _known: Optional[dict[int, bytes]] = None,
@@ -235,7 +235,7 @@ class Store:
         """Mount the database on ``device``, reading only the version directory.
 
         The reference counts are built by the first write (``_ensure_counted``),
-        which is refused if a retained version is damaged.
+        which is refused if a retained version is damaged, and reads ``params``.
 
         ``_known`` maps addresses to the bytes a caller has just read or
         programmed there (``format`` passes pages 0..32); the mount takes
@@ -243,7 +243,6 @@ class Store:
         """
         _check_settings(cache_pages, max_versions)
         self.device = device
-        self.params = params or BuildParams()
         self.max_versions = max_versions
         self.cache = PageCache(cache_pages)
         self._session: Optional[Session] = None
@@ -261,14 +260,15 @@ class Store:
     ) -> "Store":
         """Set up an empty database as version 1, erasing only pages 0..47, where dirty.
 
-        An earlier image's other pages are reclaimed lazily by the allocator, or at once by ``gc``.
+        The root stores ``params``; every later root carries them.  An earlier image's
+        other pages are reclaimed lazily by the allocator, or at once by ``gc``.
         """
         _check_settings(cache_pages, max_versions)
         if device.total_pages < DATA_START + 1:
             raise DomainError("device too small for directory plus one data page")
         for first in range(0, DATA_START + 1, PAGES_PER_SUBSECTOR):
             _erase_if_dirty(device, first)
-        root = encode_node(NodePage(0))
+        root = encode_node(NodePage(0, params=params or BuildParams()))
         device.program_page(DATA_START, root)
         rec = VersionRecord(1, DATA_START, DATA_START + 1)
         slot0 = bytearray(_BLANK)
@@ -276,7 +276,7 @@ class Store:
         device.program_page(0, bytes(slot0))
         # the directory is blank but for the first record: the mount reads none of it, nor the root
         known = dict.fromkeys(range(DIR_PAGES), _BLANK) | {0: bytes(slot0), DATA_START: root}
-        return cls(device, params=params, cache_pages=cache_pages, max_versions=max_versions, _known=known)
+        return cls(device, cache_pages=cache_pages, max_versions=max_versions, _known=known)
 
     # -- mount --
 
@@ -378,7 +378,8 @@ class Store:
         Older versions are added newest first into one temporary table, so each
         reads only the pages no newer version holds; those pages go into
         ``_held`` with the version that added them.  The first problem of
-        each damaged version goes into ``_damage``.
+        each damaged version goes into ``_damage``.  The parameters come from
+        the current root, before any leaf page is learned.
         """
         self._damage: dict[int, str] = {}
         self._dedup: dict[bytes, int] = {}
@@ -387,10 +388,12 @@ class Store:
         refs = tree.RefCounts()
         newest_first = sorted(self._versions, reverse=True)
         d = tree.CountDelta(refs, self.read_page, self.total_pages)
-        d.add(self._versions[newest_first[0]].root_page)
+        root = self._versions[newest_first[0]].root_page
+        d.add(root)
         problems = d.problems + d.nodes_named_twice()
         if problems:
             self._damage[newest_first[0]] = problems[0]
+        self._params = BuildParams() if problems else node_view(d.pages[root], self.total_pages, root).params
         refs.install(d)
         self._learn(d.leaf_pages)
         d = tree.CountDelta(refs, self.read_page, self.total_pages)
@@ -403,12 +406,19 @@ class Store:
         self._learn(d.leaf_pages)
         self._refs = refs  # last: a count cut short by an exception is made again
 
+    @property
+    def params(self) -> BuildParams:
+        """The image's tree-shape parameters, from its current root; refused while any version is damaged."""
+        self._ensure_counted()
+        self._refuse_damaged()
+        return self._params
+
     def _is_live(self, addr: int) -> bool:
         return addr in self._refs.counts or addr in self._held
 
     def _learn(self, leaf_pages: dict[int, bytes]) -> None:
         """Add leaf pages (address -> bytes already read) to the dedup map."""
-        if self.params.dedup:
+        if self._params.dedup:
             for addr, page in leaf_pages.items():
                 self._dedup[page] = addr
 

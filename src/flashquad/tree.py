@@ -60,6 +60,7 @@ from .codec import (
     NODE_FANOUT,
     ZONE,
     ZONE_CONT,
+    BuildParams,
     GantryObject,
     LeafListPage,
     LeafRecord,
@@ -91,7 +92,6 @@ from .errors import (
     IntegrityError,
 )
 from .geometry import (
-    MAX_LEVEL,
     TOP_CELL,
     Cell,
     CellClass,
@@ -113,24 +113,6 @@ _MIB = 1024 * 1024
 _INSIDE = 1  # attach an inside record at this cell
 _EDGE = 2  # attach an edge record at this cell
 _DESCEND = 3  # boundary cell above zone_max_depth: place records deeper
-
-
-@dataclass(frozen=True)
-class BuildParams:
-    """Tunables for tree construction."""
-
-    leaf_split_threshold: int = 8
-    max_depth: int = 5
-    zone_max_depth: int = 3
-    dedup: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.max_depth <= MAX_LEVEL:
-            raise DomainError(f"max_depth must be 0..{MAX_LEVEL}, got {self.max_depth}")
-        if not 0 <= self.zone_max_depth <= self.max_depth:
-            raise DomainError("zone_max_depth must be between 0 and max_depth")
-        if self.leaf_split_threshold < 0:
-            raise DomainError("leaf_split_threshold must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -966,7 +948,7 @@ def _with_self_list(node: NodeView, page: bytes, entries: list[int], word: int) 
 
     A new self_list is written with its check: the node is encoded again.
     """
-    return page if word == node.self_list else encode_node(NodePage(node.level, entries, word))
+    return page if word == node.self_list else encode_node(NodePage(node.level, entries, word, node.params))
 
 
 class TreeEditor:

@@ -260,15 +260,37 @@ def test_verify_reports_ok_and_damage(ws, capsys):
 
 
 def test_rm_takes_no_tree_shape_flags(ws, capsys):
-    """A delete never reads the split threshold or the depths, so ``rm`` refuses them as usage errors."""
+    """The image holds its tree-shape parameters, which ``format`` sets, so ``build``, ``insert`` and ``rm``
+    refuse them as usage errors."""
     run(capsys, "format", "db.img", "--sectors", "4")
     run(capsys, "insert", "db.img", "--gantry", 7, 150_000, 150_000)
-    for flag in ("--split-threshold", "--max-depth", "--zone-max-depth"):
-        with pytest.raises(SystemExit) as exc:
-            main(["rm", "db.img", "7", flag, "0"])
-        assert exc.value.code == 2 and flag in capsys.readouterr().err
-    code, out, _ = run(capsys, "rm", "db.img", "7", "--kind", "gantry", "--no-dedup")
+    (ws / "d.txt").write_text("G 8 20 20\n")
+    edits = (["build", "db.img", "d.txt"], ["insert", "db.img", "--gantry", "9", "30", "30"], ["rm", "db.img", "7"])
+    for edit in edits:
+        for flag in (["--split-threshold", "0"], ["--max-depth", "0"], ["--zone-max-depth", "0"], ["--no-dedup"]):
+            with pytest.raises(SystemExit) as exc:
+                main(edit + flag)
+            assert exc.value.code == 2 and flag[0] in capsys.readouterr().err, edit + flag
+    code, out, _ = run(capsys, "rm", "db.img", "7", "--kind", "gantry")
     assert code == 0 and "committed version 3" in out
+
+
+def test_edits_keep_the_parameters_the_image_was_formatted_with(ws, capsys):
+    """A build, then inserts, shape the tree as one build of every object does on a like-formatted image."""
+    shape = ("--split-threshold", 2, "--max-depth", 3)
+    run(capsys, "gen-dataset", "-o", "d.txt", "--seed", 3, "--gantries", 60, "--zones", 3)
+    points = [(1_000_000 + 10 * k, 1_000_000 + 10 * k) for k in range(3)]
+    with open(ws / "all.txt", "w") as fh:
+        fh.write((ws / "d.txt").read_text())
+        fh.writelines(f"G {900_000 + k} {x} {y}\n" for k, (x, y) in enumerate(points))
+    run(capsys, "format", "edited.img", *shape)
+    assert run(capsys, "build", "edited.img", "d.txt")[0] == 0
+    for k, (x, y) in enumerate(points):
+        assert run(capsys, "insert", "edited.img", "--gantry", 900_000 + k, x, y)[0] == 0
+    run(capsys, "format", "built.img", *shape)
+    assert run(capsys, "build", "built.img", "all.txt")[0] == 0
+    edited, built = [json.loads(run(capsys, "stats", img, "--format", "json")[1]) for img in ("edited.img", "built.img")]
+    assert edited["a"] == 66 and edited == built  # 63 gantries and 3 zones
 
 
 def test_gc_runs(ws, capsys):
@@ -296,6 +318,10 @@ def test_bad_option_values_are_clean_errors(ws, capsys):
     code, _, err = run(capsys, "format", "db.img", "--sectors", 0)
     assert code == 1 and err.startswith("error:") and "--sectors" in err
     assert not os.path.exists(ws / "db.img")
+    for shape in (["--split-threshold", 255], ["--max-depth", 7], ["--zone-max-depth", 4, "--max-depth", 3]):
+        code, out, err = run(capsys, "format", "db.img", *shape)
+        assert code == 1 and err.startswith("error:") and not out, shape
+        assert not os.path.exists(ws / "db.img")
     run(capsys, "format", "db.img", "--sectors", "4")
     (ws / "drive.txt").write_text("0 5 5\n")
     for argv in (

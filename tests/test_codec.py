@@ -12,6 +12,7 @@ from flashquad.codec import (
     NO_PAGE,
     NODE_ENTRY_AREA,
     PAGE_SIZE,
+    BuildParams,
     ZONE,
     ZONE_CONT,
     GantryObject,
@@ -40,7 +41,7 @@ from flashquad.codec import (
     revoke_version_slot,
     zone_page_count,
 )
-from flashquad.errors import FormatError
+from flashquad.errors import DomainError, FormatError
 
 addr_st = st.integers(min_value=0, max_value=(1 << 22) - 1)
 
@@ -118,7 +119,7 @@ def test_node_self_list_damage_names_the_page():
     """Every single-bit flip of a node's self_list word or its check fails, naming the page."""
     for self_list in (ENTRY_EMPTY, make_leaf(42)):
         clean = encode_node(NodePage(1, self_list=self_list))
-        for offset in range(codec.NODE_SELF_LIST_OFF, codec.NODE_RESERVED_OFF):
+        for offset in range(codec.NODE_SELF_LIST_OFF, codec.NODE_PARAMS_OFF):
             if self_list == ENTRY_EMPTY and offset >= codec.NODE_SELF_CRC_OFF:
                 continue  # no check is stored for an empty self_list, so these bytes are unused
             for bit in range(8):
@@ -131,12 +132,32 @@ def test_node_self_list_damage_names_the_page():
 def test_node_self_list_check_is_written_and_optional():
     page = encode_node(NodePage(0, self_list=make_leaf(42)))
     assert page[codec.NODE_SELF_CHECK_OFF] == codec.SELF_CHECKED
-    assert page[codec.NODE_RESERVED_OFF : codec.NODE_CRC_OFF] == b"\xff" * 3  # still reserved
+    assert page[codec.NODE_PARAMS_OFF : codec.NODE_CRC_OFF] == b"\xff" * 3  # the default parameters
     assert encode_node(NodePage(0))[codec.NODE_SELF_CHECK_OFF : codec.NODE_CRC_OFF] == b"\xff" * 6
     # a node written before the check (reserved bytes erased) still decodes, unchecked
     old = bytearray(page)
-    old[codec.NODE_SELF_CHECK_OFF : codec.NODE_RESERVED_OFF] = b"\xff" * 3
+    old[codec.NODE_SELF_CHECK_OFF : codec.NODE_PARAMS_OFF] = b"\xff" * 3
     assert decode_node(bytes(old)).self_list == make_leaf(42)
+
+
+def test_a_root_stores_its_parameters_and_every_flip_of_them_is_refused():
+    """Bytes 8..10 hold a root's ``BuildParams``: the defaults as 0xFF, others with a check byte.
+    No single-bit flip of either reads back as other parameters or as the defaults."""
+    shaped = BuildParams(leaf_split_threshold=2, max_depth=3, zone_max_depth=1, dedup=False)
+    for params in (BuildParams(0, 0, 0), BuildParams(254, 6, 6, False), BuildParams(8, 5, 3, False), shaped):
+        page = encode_node(NodePage(0, params=params))
+        assert node_view(page).params == params and decode_node(page).params == params
+    assert encode_node(NodePage(0, params=BuildParams()))[codec.NODE_PARAMS_OFF : codec.NODE_CRC_OFF] == b"\xff" * 3
+    for params in (shaped, BuildParams()):
+        clean = encode_node(NodePage(0, self_list=make_leaf(42), params=params))
+        for offset in range(codec.NODE_PARAMS_OFF, codec.NODE_CRC_OFF):
+            for bit in range(8):
+                page = bytearray(clean)
+                page[offset] ^= 1 << bit
+                with pytest.raises(FormatError, match=r"node parameters 0x\w{6} refused: .* at page 77$"):
+                    node_view(bytes(page), total_pages=500, addr=77)
+    with pytest.raises(DomainError, match="leaf_split_threshold"):
+        BuildParams(leaf_split_threshold=255)
 
 
 def test_node_rejects_bad_level_and_magic():

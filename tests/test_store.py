@@ -571,6 +571,57 @@ def test_dedup_map_holds_exactly_the_leaf_pages_of_live_versions():
     assert programs[0] == programs[1] == programs[2]
 
 
+# -- tree-shape parameters -----------------------------------------------------------
+
+SHAPED = BuildParams(leaf_split_threshold=2, max_depth=3, zone_max_depth=1, dedup=False)
+
+
+@pytest.mark.parametrize("params", [SHAPED, BuildParams()], ids=["shaped", "defaults"])
+def test_every_flip_of_the_root_parameters_is_refused_naming_the_root(params):
+    store = fresh(params=params)
+    add_gantries(store, range(1, 20))
+    root = store.handle().root_page
+    assert Store(FlashDevice.from_bytes(store.device.to_bytes())).params == params
+    for offset in range(codec.NODE_PARAMS_OFF, codec.NODE_PARAMS_OFF + 3):
+        for bit in range(8):
+            blob = bytearray(store.device.to_bytes())
+            blob[8 + root * PAGE_SIZE + offset] ^= 1 << bit
+            damaged = Store(FlashDevice.from_bytes(bytes(blob)))
+            with pytest.raises(FormatError, match=rf"node parameters .* at page {root}$"):
+                damaged.handle().query_gantries_within(5, 5, 10)
+            assert [p for p in damaged.verify()["problems"] if "parameters" in p and p.endswith(f"at page {root}")]
+            with pytest.raises(IntegrityError, match=rf"at page {root}\b"):
+                damaged.params  # never the defaults, nor other parameters
+
+
+def test_the_root_keeps_its_parameters_when_its_self_list_changes():
+    """With ``zone_max_depth`` 0 every zone is in the root's self list, so each edit encodes the root again."""
+    params = BuildParams(leaf_split_threshold=3, max_depth=4, zone_max_depth=0)
+    store = fresh(params=params)
+    s = store.begin()
+    for zid in (1, 2, 3):
+        s.insert_zone(zid, ((100_000 * zid, 100_000), (100_000 * zid + 50_000, 100_000), (100_000 * zid, 150_000)))
+    s.commit()
+    s = store.begin()
+    s.delete(2)
+    s.commit()
+    back = Store(FlashDevice.from_bytes(store.device.to_bytes()))
+    assert back.params == params and back.handle().stats().objects == 2
+    for vno in (2, 3):
+        root = decode_node(store.device.read_page(store.handle(vno).root_page))
+        assert root.self_list != ENTRY_EMPTY and root.params == params
+
+
+def test_an_applied_package_brings_its_parameters_to_the_replica():
+    source, replica = fresh(params=SHAPED), fresh()
+    add_gantries(source, [1])
+    replica.apply_update(source.make_update(1, 2))
+    assert replica.params == SHAPED
+    for store in (source, replica):  # the replica's next edit shapes the tree as the source's does
+        add_gantries(store, range(2, 12))
+    assert replica.handle().stats() == source.handle().stats()
+
+
 # -- update packages ------------------------------------------------------------------
 
 
@@ -1341,7 +1392,7 @@ def test_counts_and_maps_follow_every_commit_and_apply(edits, window):
         elif op == "stage" and session is not None:
             # a staged session, picked up after a remount as the CLI's --stage does
             staged = (session.base_version, session.root, set(session.pending))
-            source = Store(FlashDevice.from_bytes(source.device.to_bytes()), source.params, max_versions=window)
+            source = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=window)
             session = source.resume_session(*staged)
         elif op == "rollback":
             if session is not None:

@@ -27,7 +27,7 @@ from flashquad.codec import (
     NODE_CRC_OFF,
     NODE_ENTRIES_OFF,
     NODE_MAGIC,
-    NODE_RESERVED_OFF,
+    NODE_PARAMS_OFF,
     NODE_SELF_CHECK_OFF,
     NODE_SELF_CRC_OFF,
     NODE_SELF_LIST_OFF,
@@ -645,7 +645,7 @@ def test_a_query_names_the_node_that_points_past_the_device(damage):
     if damage == "unchecked self list":  # the layout written before the self_list check: no CRC to catch it
         buf = bytearray(page)
         buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = make_leaf(past).to_bytes(3, "big")
-        buf[NODE_SELF_CHECK_OFF : NODE_RESERVED_OFF] = b"\xff" * 3
+        buf[NODE_SELF_CHECK_OFF : NODE_PARAMS_OFF] = b"\xff" * 3
         page, word, idx = bytes(buf), make_leaf(past), 40
     else:  # the entry-area CRC resealed over the damaged entry
         idx = next(k for k, w in enumerate(decode_node(page).entries) if w != ENTRY_EMPTY)
@@ -669,7 +669,7 @@ def test_an_image_without_self_list_checks_mounts_and_answers_alike():
     for addr in range(32, store.total_pages):  # past the version directory
         off = 8 + addr * PAGE_SIZE
         if blob[off] == NODE_MAGIC and blob[off + NODE_SELF_CHECK_OFF] == SELF_CHECKED:
-            blob[off + NODE_SELF_CHECK_OFF : off + NODE_RESERVED_OFF] = b"\xff" * 3
+            blob[off + NODE_SELF_CHECK_OFF : off + NODE_PARAMS_OFF] = b"\xff" * 3
             unchecked += 1
     assert unchecked
     old = Store(FlashDevice.from_bytes(bytes(blob)))
@@ -823,7 +823,7 @@ def test_load_agrees_with_the_insert_loop(seed, params, world_cover):
     committed(looped, lambda s: insert_each(s, *first))
     assert_same_trees(loaded, looped, *first, rng)
 
-    inserted = Store(FlashDevice.from_bytes(loaded.device.to_bytes()), params=params)
+    inserted = Store(FlashDevice.from_bytes(loaded.device.to_bytes()))
     committed(inserted, lambda s: insert_each(s, *second))
     committed(loaded, lambda s: s.load(*second))
     committed(looped, lambda s: s.load(*second))
