@@ -22,7 +22,9 @@ page.
 
 Version records are 16-byte slots appended to directory pages; their valid
 flag sits alone in a byte so a record can be revoked by a 1 -> 0 program
-without touching anything else.
+without touching anything else.  A directory page is read with
+``directory_slots`` and written with ``directory_page_with`` and
+``revoke_directory_slot``, which address a slot by its number on the page.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import binascii
 import struct
 import zlib
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, FormatError, IntegrityError
@@ -158,34 +160,30 @@ def _parse_params(raw: bytes, addr: int | None) -> BuildParams:
         raise FormatError(f"node parameters 0x{raw.hex()} refused: {e}{_at(addr)}") from None
 
 
-@dataclass
-class NodePage:
-    level: int
-    entries: list[int] = field(default_factory=lambda: [ENTRY_EMPTY] * NODE_FANOUT)
-    self_list: int = ENTRY_EMPTY  # Empty or a leaf-list entry for the node's own cell
-    params: BuildParams = _DEFAULT_PARAMS  # a root's; other nodes keep the defaults
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[9 * i + j]
+_NO_ENTRIES = (ENTRY_EMPTY,) * NODE_FANOUT
 
 
-def encode_node(node: NodePage) -> bytes:
-    if not 0 <= node.level <= MAX_NODE_LEVEL:
-        raise FormatError(f"node level {node.level} out of range")
-    if len(node.entries) != NODE_FANOUT:
-        raise FormatError(f"node needs {NODE_FANOUT} entries, got {len(node.entries)}")
-    if node.self_list != ENTRY_EMPTY and not entry_is_leaf(node.self_list):
+def encode_node(
+    level: int, entries: Sequence[int] = _NO_ENTRIES, self_list: int = ENTRY_EMPTY, params: BuildParams = _DEFAULT_PARAMS
+) -> bytes:
+    """A node page: its 81 entry words (entry (i, j) at ``9*i + j``), its self_list (Empty or a
+    leaf-list entry for its own cell) and, for a root, its ``BuildParams`` (others keep the defaults)."""
+    if not 0 <= level <= MAX_NODE_LEVEL:
+        raise FormatError(f"node level {level} out of range")
+    if len(entries) != NODE_FANOUT:
+        raise FormatError(f"node needs {NODE_FANOUT} entries, got {len(entries)}")
+    if self_list != ENTRY_EMPTY and not entry_is_leaf(self_list):
         raise FormatError("self_list must be Empty or a leaf-list entry")
     buf = bytearray(b"\xff" * PAGE_SIZE)
     buf[0] = NODE_MAGIC
-    buf[1] = node.level
-    if node.self_list != ENTRY_EMPTY:
-        buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = node.self_list.to_bytes(3, "big")
+    buf[1] = level
+    if self_list != ENTRY_EMPTY:
+        buf[NODE_SELF_LIST_OFF : NODE_SELF_LIST_OFF + 3] = self_list.to_bytes(3, "big")
         buf[NODE_SELF_CHECK_OFF] = SELF_CHECKED
         buf[NODE_SELF_CRC_OFF : NODE_SELF_CRC_OFF + 2] = _self_list_crc(buf).to_bytes(2, "big")
-    buf[NODE_PARAMS_OFF : NODE_PARAMS_OFF + 3] = _params_bytes(node.params)
+    buf[NODE_PARAMS_OFF : NODE_PARAMS_OFF + 3] = _params_bytes(params)
     pos = NODE_ENTRIES_OFF
-    for word in node.entries:
+    for word in entries:
         buf[pos : pos + 3] = check_entry(word).to_bytes(3, "big")
         pos += 3
     crc = crc16(bytes(buf[NODE_ENTRIES_OFF:]))
@@ -211,8 +209,7 @@ class NodeView(namedtuple("NodeView", "page level self_list entries occupied par
     entry words (a tuple, entry (i, j) at ``9*i + j``), its occupied-entry
     mask, in which bit ``9*i + j`` is set when entry (i, j) is not Empty,
     and its ``BuildParams``, which only a root's carry.
-    Immutable, so the memo hands the same one to every caller;
-    ``decode_node`` gives a mutable copy.
+    Immutable, so the memo hands the same one to every caller.
     """
 
     __slots__ = ()
@@ -294,12 +291,6 @@ def _parse_node(page: bytes, total_pages: int | None, addr: int | None) -> NodeV
     return NodeView(page, page[1], self_list, entries, occupied, params)
 
 
-def decode_node(page: bytes, total_pages: int | None = None, addr: int | None = None) -> NodePage:
-    """Decode a node page into a fresh ``NodePage`` the caller may edit."""
-    view = node_view(page, total_pages, addr)
-    return NodePage(view.level, list(view.entries), view.self_list, view.params)
-
-
 def node_with_entry(page: bytes, i: int, j: int, word: int) -> bytes:
     """Copy of a node page with one entry replaced and the CRC rebuilt."""
     buf = bytearray(page)
@@ -350,12 +341,6 @@ def record_bytes(rec: LeafRecord) -> int:
     return LEAF_RECORD_SIZE + LEAF_COORDS_SIZE if rec.kind == KIND_POINT else LEAF_RECORD_SIZE
 
 
-@dataclass
-class LeafListPage:
-    records: list[LeafRecord]
-    next: int = NO_PAGE
-
-
 def _tail_crc(buf: bytearray) -> None:
     buf[LEAF_CRC_OFF : LEAF_CRC_OFF + 2] = crc16(bytes(buf[:LEAF_CRC_OFF])).to_bytes(2, "big")
 
@@ -366,24 +351,24 @@ def _check_tail_crc(page: bytes, what: str, addr: int | None) -> None:
         raise FormatError(f"{what} CRC mismatch{_at(addr)}")
 
 
-def encode_leaf_list(page: LeafListPage) -> bytes:
-    """Encode a leaf-list page, with the appendix when its point records carry their gantries.
+def encode_leaf_list(records: Sequence[LeafRecord], next: int = NO_PAGE) -> bytes:
+    """Encode a leaf-list page linked to ``next``, with the appendix when its point records carry their gantries.
 
     Point records must carry all of them or none (the layout without the
     appendix, as written before it); a page without point records has none.
     """
-    if not 0 <= len(page.records) <= LEAF_CAPACITY:
-        raise FormatError(f"leaf list holds at most {LEAF_CAPACITY} records, got {len(page.records)}")
-    if page.next != NO_PAGE and not 0 <= page.next <= ADDR_MASK:
-        raise FormatError(f"bad next pointer {page.next}")
+    if not 0 <= len(records) <= LEAF_CAPACITY:
+        raise FormatError(f"leaf list holds at most {LEAF_CAPACITY} records, got {len(records)}")
+    if next != NO_PAGE and not 0 <= next <= ADDR_MASK:
+        raise FormatError(f"bad next pointer {next}")
     buf = bytearray(b"\xff" * PAGE_SIZE)
     buf[0] = LEAF_MAGIC
-    buf[LEAF_COUNT_OFF] = len(page.records)
-    buf[LEAF_NEXT_OFF : LEAF_NEXT_OFF + 3] = page.next.to_bytes(3, "big")
+    buf[LEAF_COUNT_OFF] = len(records)
+    buf[LEAF_NEXT_OFF : LEAF_NEXT_OFF + 3] = next.to_bytes(3, "big")
     words = []
     coords: list[GantryObject] = []
     points = 0
-    for rec in page.records:
+    for rec in records:
         if rec.kind not in RECORD_KINDS:
             raise FormatError(f"bad leaf record kind {rec.kind}")
         if not 0 <= rec.object_page <= ADDR_MASK:
@@ -413,19 +398,13 @@ def encode_leaf_list(page: LeafListPage) -> bytes:
     return bytes(buf)
 
 
-def decode_leaf_list(page: bytes, total_pages: int | None = None, addr: int | None = None) -> LeafListPage:
-    """Decode a leaf-list page into a fresh ``LeafListPage`` the caller may edit."""
-    records, nxt = leaf_list_view(page, total_pages, addr)
-    return LeafListPage(list(records), nxt)
-
-
 def leaf_list_view(
     page: bytes, total_pages: int | None = None, addr: int | None = None
 ) -> tuple[tuple[LeafRecord, ...], int]:
-    """(records, next) of a leaf-list page, memoized by content.
+    """(records, next) of a leaf-list page, memoized by content: the one way to read one.
 
     The result is immutable, so the memo can hand the same one to every
-    caller; ``decode_leaf_list`` gives a mutable copy.
+    caller.
     """
     if type(page) is not bytes:
         page = bytes(page)
@@ -647,7 +626,9 @@ VERSION_MAGIC = b"FQ"
 VERSION_RECORD_SIZE = 16
 VERSION_FLAGS_OFF = 12
 VERSION_CRC_OFF = 13
+SLOTS_PER_PAGE = PAGE_SIZE // VERSION_RECORD_SIZE  # 16 version slots on a directory page
 _BLANK_SLOT = b"\xff" * VERSION_RECORD_SIZE
+_BLANK_PAGE = _BLANK_SLOT * SLOTS_PER_PAGE
 
 
 @dataclass(frozen=True)
@@ -670,13 +651,6 @@ def encode_version_record(rec: VersionRecord) -> bytes:
     buf[9:12] = rec.alloc_cursor.to_bytes(3, "big")
     # flags byte stays 0xFF (erased state == valid); bit0 is cleared to revoke
     buf[VERSION_CRC_OFF : VERSION_CRC_OFF + 2] = crc16(bytes(buf[:VERSION_FLAGS_OFF])).to_bytes(2, "big")
-    return bytes(buf)
-
-
-def revoke_version_slot(slot: bytes) -> bytes:
-    """Same slot bytes with the valid bit cleared (a pure 1 -> 0 change)."""
-    buf = bytearray(slot)
-    buf[VERSION_FLAGS_OFF] &= 0xFE
     return bytes(buf)
 
 
@@ -703,6 +677,28 @@ def decode_version_slot(slot: bytes) -> tuple[str, VersionRecord | None]:
     )
     state = "live" if slot[VERSION_FLAGS_OFF] & 0x01 else "revoked"
     return state, rec
+
+
+def directory_slots(page: bytes) -> list[tuple[str, VersionRecord | None]]:
+    """The ``SLOTS_PER_PAGE`` slots of a directory page in order, each classified by ``decode_version_slot``."""
+    if page == _BLANK_PAGE:  # most of a directory: nothing to decode
+        return [("blank", None)] * SLOTS_PER_PAGE
+    return [decode_version_slot(page[k : k + VERSION_RECORD_SIZE]) for k in range(0, PAGE_SIZE, VERSION_RECORD_SIZE)]
+
+
+def directory_page_with(page: bytes, slot: int, records: Sequence[VersionRecord]) -> bytes:
+    """Directory page ``page`` with ``records`` written into its slots from ``slot`` on."""
+    buf = bytearray(page)
+    for k, rec in enumerate(records, slot):
+        buf[k * VERSION_RECORD_SIZE : (k + 1) * VERSION_RECORD_SIZE] = encode_version_record(rec)
+    return bytes(buf)
+
+
+def revoke_directory_slot(page: bytes, slot: int) -> bytes:
+    """Directory page ``page`` with the valid bit of ``slot`` cleared (a pure 1 -> 0 change)."""
+    buf = bytearray(page)
+    buf[slot * VERSION_RECORD_SIZE + VERSION_FLAGS_OFF] &= 0xFE
+    return bytes(buf)
 
 
 def page_kind(page: bytes) -> str:

@@ -55,17 +55,15 @@ from typing import Iterable, Optional, Sequence
 from . import tree
 from .cache import PageCache
 from .codec import (
-    PAGE_SIZE,
-    VERSION_RECORD_SIZE,
-    NodePage,
+    SLOTS_PER_PAGE,
     VersionRecord,
-    decode_version_slot,
+    directory_page_with,
+    directory_slots,
     encode_node,
     encode_update,
-    encode_version_record,
     node_view,
     parse_update,
-    revoke_version_slot,
+    revoke_directory_slot,
 )
 from .errors import (
     ConflictError,
@@ -78,16 +76,14 @@ from .errors import (
     SessionError,
     VersionConflictError,
 )
-from .flashsim import PAGES_PER_SUBSECTOR, FlashDevice
+from .flashsim import ERASED_PAGE, PAGES_PER_SUBSECTOR, FlashDevice
 from .tree import BuildParams, Handle, TreeEditor
 
 DIR_SUBSECTORS = 2
 DIR_PAGES = DIR_SUBSECTORS * PAGES_PER_SUBSECTOR
 DATA_START = DIR_PAGES  # first page available to the allocator (32)
-SLOTS_PER_PAGE = PAGE_SIZE // VERSION_RECORD_SIZE  # 16
+DIR_SLOTS = PAGES_PER_SUBSECTOR * SLOTS_PER_PAGE  # version slots in a directory subsector (256)
 MAX_VERSIONS_DEFAULT = 4
-
-_BLANK = b"\xff" * PAGE_SIZE
 
 
 def _check_settings(cache_pages: int, max_versions: int) -> None:
@@ -95,10 +91,12 @@ def _check_settings(cache_pages: int, max_versions: int) -> None:
         raise DomainError(f"cache_pages must be at least 1, got {cache_pages}")
     if max_versions < 1:
         raise DomainError("max_versions must be at least 1")
+    if max_versions > DIR_SLOTS - 1:  # a compaction must leave a free slot for the record that caused it
+        raise DomainError(f"max_versions must be at most {DIR_SLOTS - 1}, got {max_versions}")
 
 
 def _erase_if_dirty(device: FlashDevice, first: int) -> None:
-    if any(device.read_page(p) != _BLANK for p in range(first, first + PAGES_PER_SUBSECTOR)):
+    if any(device.read_page(p) != ERASED_PAGE for p in range(first, first + PAGES_PER_SUBSECTOR)):
         device.erase_subsector(first)
 
 
@@ -144,14 +142,15 @@ class Session:
         self._assert_open()
         data = bytes(data)
         store = self._store
-        if dedupable and store.params.dedup:
+        dedupable = dedupable and self._editor.params.dedup  # fixed while the session is open
+        if dedupable:
             hit = store._dedup_lookup(data, self.pending)
             if hit is not None:
                 self.edit_pages.add(hit)
                 return hit
         addr = self.alloc_page()
         self.program_page(addr, data)
-        if dedupable and store.params.dedup:
+        if dedupable:
             store._dedup[data] = self.learned[data] = addr
         return addr
 
@@ -268,36 +267,33 @@ class Store:
             raise DomainError("device too small for directory plus one data page")
         for first in range(0, DATA_START + 1, PAGES_PER_SUBSECTOR):
             _erase_if_dirty(device, first)
-        root = encode_node(NodePage(0, params=params or BuildParams()))
+        root = encode_node(0, params=params or BuildParams())
         device.program_page(DATA_START, root)
-        rec = VersionRecord(1, DATA_START, DATA_START + 1)
-        slot0 = bytearray(_BLANK)
-        slot0[:VERSION_RECORD_SIZE] = encode_version_record(rec)
-        device.program_page(0, bytes(slot0))
+        slot0 = directory_page_with(ERASED_PAGE, 0, [VersionRecord(1, DATA_START, DATA_START + 1)])
+        device.program_page(0, slot0)
         # the directory is blank but for the first record: the mount reads none of it, nor the root
-        known = dict.fromkeys(range(DIR_PAGES), _BLANK) | {0: bytes(slot0), DATA_START: root}
+        known = dict.fromkeys(range(DIR_PAGES), ERASED_PAGE) | {0: slot0, DATA_START: root}
         return cls(device, cache_pages=cache_pages, max_versions=max_versions, _known=known)
 
     # -- mount --
 
     def _scan_dir(
         self, sub: int, known: Optional[dict[int, bytes]] = None
-    ) -> list[tuple[int, int, str, Optional[VersionRecord]]]:
+    ) -> list[tuple[int, str, Optional[VersionRecord]]]:
+        """(slot number, state, record) of each slot of subsector ``sub`` that is not blank."""
         out = []
         base = sub * PAGES_PER_SUBSECTOR
         for p in range(PAGES_PER_SUBSECTOR):
             raw = known[base + p] if known and base + p in known else self.device.read_page(base + p)
-            for s in range(SLOTS_PER_PAGE):
-                slot = raw[s * VERSION_RECORD_SIZE : (s + 1) * VERSION_RECORD_SIZE]
-                state, rec = decode_version_slot(slot)
+            for s, (state, rec) in enumerate(directory_slots(raw)):
                 if state != "blank":
-                    out.append((p, s, state, rec))
+                    out.append((p * SLOTS_PER_PAGE + s, state, rec))
         return out
 
     def _mount(self, known: dict[int, bytes]) -> None:
         scans = [self._scan_dir(0, known), self._scan_dir(1, known)]
         live_sets = [
-            {(r.version_no, r.root_page, r.alloc_cursor) for _, _, st, r in sc if st == "live"}
+            {(r.version_no, r.root_page, r.alloc_cursor) for _, st, r in sc if st == "live"}
             for sc in scans
         ]
         if not live_sets[0] and not live_sets[1]:
@@ -314,14 +310,13 @@ class Store:
         self._active_sub = active
 
         self._versions: dict[int, VersionRecord] = {}
-        self._slot_of: dict[int, tuple[int, int]] = {}
-        tail = (0, 0)
-        for p, s, state, rec in scans[active]:
-            tail = (p, s + 1) if s + 1 < SLOTS_PER_PAGE else (p + 1, 0)
+        self._slot_of: dict[int, int] = {}  # live version -> its slot number in the active subsector
+        self._dir_tail = 0  # the first slot after the last one written
+        for n, state, rec in scans[active]:
+            self._dir_tail = n + 1
             if state == "live":
                 self._versions[rec.version_no] = rec  # duplicate numbers: last wins
-                self._slot_of[rec.version_no] = (p, s)
-        self._dir_tail = tail
+                self._slot_of[rec.version_no] = n
         if not self._versions:
             raise IntegrityError("all version records are revoked or damaged")
         self.current_version = max(self._versions)
@@ -484,7 +479,7 @@ class Store:
     def _try_take(self, addr: int, pending: set[int]) -> bool:
         if addr in pending or self._is_live(addr):
             return False
-        if self.device.read_page(addr) == _BLANK:  # probe; not a query read
+        if self.device.read_page(addr) == ERASED_PAGE:  # probe; not a query read
             return True
         # dirty dead page: reclaim the subsector if nothing in it is live
         first = addr - addr % PAGES_PER_SUBSECTOR
@@ -512,7 +507,7 @@ class Store:
             pages = range(first, first + PAGES_PER_SUBSECTOR)
             if any(p in protect or p in counts or p in held for p in pages):
                 continue
-            dirty = sum(1 for p in pages if self.device.read_page(p) != _BLANK)
+            dirty = sum(1 for p in pages if self.device.read_page(p) != ERASED_PAGE)
             if not dirty:
                 continue
             self._erase_subsector(first)
@@ -522,27 +517,22 @@ class Store:
 
     # -- version directory --
 
+    def _dir_page(self, n: int) -> tuple[int, int]:
+        """(page address, slot on that page) of slot ``n`` of the active subsector."""
+        p, s = divmod(n, SLOTS_PER_PAGE)
+        return self._active_sub * PAGES_PER_SUBSECTOR + p, s
+
     def _append_record(self, rec: VersionRecord) -> None:
-        p, s = self._dir_tail
-        if p >= PAGES_PER_SUBSECTOR:
+        if self._dir_tail == DIR_SLOTS:
             self._compact_directory()
-            p, s = self._dir_tail
-        page_addr = self._active_sub * PAGES_PER_SUBSECTOR + p
-        buf = bytearray(self.device.read_page(page_addr))
-        buf[s * VERSION_RECORD_SIZE : (s + 1) * VERSION_RECORD_SIZE] = encode_version_record(rec)
-        self.device.program_page(page_addr, bytes(buf))
-        self._slot_of[rec.version_no] = (p, s)
-        self._dir_tail = (p, s + 1) if s + 1 < SLOTS_PER_PAGE else (p + 1, 0)
+        addr, s = self._dir_page(self._dir_tail)
+        self.device.program_page(addr, directory_page_with(self.device.read_page(addr), s, [rec]))
+        self._slot_of[rec.version_no] = self._dir_tail
+        self._dir_tail += 1
 
     def _revoke(self, vno: int) -> None:
-        p, s = self._slot_of.pop(vno)
-        page_addr = self._active_sub * PAGES_PER_SUBSECTOR + p
-        buf = bytearray(self.device.read_page(page_addr))
-        off = s * VERSION_RECORD_SIZE
-        buf[off : off + VERSION_RECORD_SIZE] = revoke_version_slot(
-            bytes(buf[off : off + VERSION_RECORD_SIZE])
-        )
-        self.device.program_page(page_addr, bytes(buf))
+        addr, s = self._dir_page(self._slot_of.pop(vno))
+        self.device.program_page(addr, revoke_directory_slot(self.device.read_page(addr), s))
         del self._versions[vno]
 
     def _compact_directory(self) -> None:
@@ -550,19 +540,13 @@ class Store:
         t_base = target * PAGES_PER_SUBSECTOR
         _erase_if_dirty(self.device, t_base)
         recs = [self._versions[v] for v in sorted(self._versions)]
-        self._slot_of = {}
-        for start in range(0, len(recs), SLOTS_PER_PAGE):
-            chunk = recs[start : start + SLOTS_PER_PAGE]
-            buf = bytearray(_BLANK)
-            for j, rec in enumerate(chunk):
-                buf[j * VERSION_RECORD_SIZE : (j + 1) * VERSION_RECORD_SIZE] = (
-                    encode_version_record(rec)
-                )
-                self._slot_of[rec.version_no] = (start // SLOTS_PER_PAGE, j)
-            self.device.program_page(t_base + start // SLOTS_PER_PAGE, bytes(buf))
+        for n in range(0, len(recs), SLOTS_PER_PAGE):
+            page = directory_page_with(ERASED_PAGE, 0, recs[n : n + SLOTS_PER_PAGE])
+            self.device.program_page(t_base + n // SLOTS_PER_PAGE, page)
         self.device.erase_subsector(self._active_sub * PAGES_PER_SUBSECTOR)
         self._active_sub = target
-        self._dir_tail = divmod(len(recs), SLOTS_PER_PAGE)
+        self._slot_of = {rec.version_no: n for n, rec in enumerate(recs)}
+        self._dir_tail = len(recs)
 
     # -- sessions --
 
@@ -665,7 +649,7 @@ class Store:
         """Directory contents of the active subsector, revoked entries included."""
         seen: dict[int, str] = {}
         roots: dict[int, VersionRecord] = {}
-        for _, _, state, rec in self._scan_dir(self._active_sub):
+        for _, state, rec in self._scan_dir(self._active_sub):
             if state in ("live", "revoked"):
                 seen[rec.version_no] = state
                 roots[rec.version_no] = rec
@@ -687,8 +671,9 @@ class Store:
         """Walk every live version and re-check directory slots."""
         problems: list[str] = []
         for sub in range(DIR_SUBSECTORS):
-            for p, s, state, _ in self._scan_dir(sub):
+            for n, state, _ in self._scan_dir(sub):
                 if state == "invalid":  # damage; a torn slot is what an interrupted append leaves
+                    p, s = divmod(n, SLOTS_PER_PAGE)
                     problems.append(f"directory subsector {sub} page {p} slot {s} is damaged")
         per_version: dict[int, tree.StatsReport] = {}
         for vno in sorted(self._versions):
@@ -768,7 +753,7 @@ class Store:
         except (FormatError, IntegrityError) as e:
             raise IntegrityError(f"package tree refused: {e}") from e
         need_erase: set[int] = set()
-        dirty = [(addr, data) for addr, data in pages if found[addr] not in (data, _BLANK)]
+        dirty = [(addr, data) for addr, data in pages if found[addr] not in (data, ERASED_PAGE)]
         if dirty:  # only the count can say whether such a target is live
             self._ensure_counted()
             self._refuse_damaged()

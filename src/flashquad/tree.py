@@ -62,9 +62,7 @@ from .codec import (
     ZONE_CONT,
     BuildParams,
     GantryObject,
-    LeafListPage,
     LeafRecord,
-    NodePage,
     NodeView,
     ObjectView,
     ZoneObject,
@@ -948,7 +946,7 @@ def _with_self_list(node: NodeView, page: bytes, entries: list[int], word: int) 
 
     A new self_list is written with its check: the node is encoded again.
     """
-    return page if word == node.self_list else encode_node(NodePage(node.level, entries, word, node.params))
+    return page if word == node.self_list else encode_node(node.level, entries, word, node.params)
 
 
 class TreeEditor:
@@ -1010,7 +1008,7 @@ class TreeEditor:
             key = (tuple(chunk), addr)
             page = self._encoded.get(key)
             if page is None:
-                page = self._encoded[key] = encode_leaf_list(LeafListPage(chunk, addr))
+                page = self._encoded[key] = encode_leaf_list(chunk, addr)
             addr = self._io.write_page(page, dedupable=True)
         return addr
 
@@ -1023,9 +1021,7 @@ class TreeEditor:
             room -= record_bytes(new[k])
             k += 1
         if k:
-            head = self._io.write_page(
-                encode_leaf_list(LeafListPage(self._with_coords([*records, *new[:k]]), nxt)), dedupable=True
-            )
+            head = self._io.write_page(encode_leaf_list(self._with_coords([*records, *new[:k]]), nxt), dedupable=True)
         return self._write_chain(new[k:], head)
 
     def _filter_chain(self, word: int, drop: set[int]) -> int:
@@ -1279,7 +1275,7 @@ class TreeEditor:
                 entries[idx] = make_leaf(self._write_chain(self._leaf_records(sub_pts, sub_zitems)))
         if all(entry_is_empty(w) for w in entries):
             return ENTRY_EMPTY
-        return make_child(self._io.write_page(encode_node(NodePage(cell.level, entries))))
+        return make_child(self._io.write_page(encode_node(cell.level, entries)))
 
     # -- deletion --
 

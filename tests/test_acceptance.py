@@ -29,15 +29,14 @@ from flashquad.codec import (
     NO_PAGE,
     OBJ_MAGIC,
     PAGE_SIZE,
-    NodePage,
-    decode_leaf_list,
-    decode_node,
     encode_node,
     entry_addr,
     entry_is_child,
     entry_is_leaf,
+    leaf_list_view,
     make_child,
     make_leaf,
+    node_view,
     parse_update,
 )
 from flashquad.dataset import build_database, generate_trace
@@ -97,9 +96,8 @@ def test_ac01_node_payload():
     for pos in range(NODE_FANOUT):
         entries = [ENTRY_EMPTY] * NODE_FANOUT
         entries[pos] = make_child(4000 + pos) if pos % 2 else make_leaf(9000 + pos)
-        back = decode_node(encode_node(NodePage(level=pos % 6, entries=entries)))
-        i, j = divmod(pos, 9)
-        assert back.entry(i, j) == entries[pos]
+        back = node_view(encode_node(pos % 6, entries))
+        assert back.entries[pos] == entries[pos]
         assert sum(1 for w in back.entries if w != ENTRY_EMPTY) == 1
     return "entries at bytes 13..255"
 
@@ -524,14 +522,14 @@ def _brute_force_leaf_census(store, root):
         addr = head
         while addr != NO_PAGE:
             page = store.read_page(addr)
-            lst = decode_leaf_list(page, total, addr=addr)
+            _, nxt = leaf_list_view(page, total, addr=addr)
             blob += page
-            addr = lst.next
+            addr = nxt
         return blob
 
     stack = [root]
     while stack:
-        node = decode_node(store.read_page(stack.pop()), total)
+        node = node_view(store.read_page(stack.pop()), total)
         words = list(node.entries) + [node.self_list]
         for w in words:
             if w == ENTRY_EMPTY:

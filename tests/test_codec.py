@@ -16,14 +16,12 @@ from flashquad.codec import (
     ZONE,
     ZONE_CONT,
     GantryObject,
-    LeafListPage,
     LeafRecord,
-    NodePage,
     VersionRecord,
     ZoneObject,
-    decode_leaf_list,
-    decode_node,
     decode_version_slot,
+    directory_page_with,
+    directory_slots,
     encode_gantry,
     encode_leaf_list,
     encode_node,
@@ -32,13 +30,14 @@ from flashquad.codec import (
     entry_addr,
     entry_is_child,
     entry_is_leaf,
+    leaf_list_view,
     make_child,
     make_leaf,
     node_view,
     node_with_entry,
     object_view,
     page_kind,
-    revoke_version_slot,
+    revoke_directory_slot,
     zone_page_count,
 )
 from flashquad.errors import DomainError, FormatError
@@ -73,52 +72,52 @@ def test_node_round_trip_every_position():
     for pos in range(81):
         entries = [ENTRY_EMPTY] * 81
         entries[pos] = make_child(100 + pos)
-        node = NodePage(level=pos % 6, entries=entries, self_list=make_leaf(7))
-        back = decode_node(encode_node(node))
+        back = node_view(encode_node(pos % 6, entries, make_leaf(7)))
         assert back.level == pos % 6
-        assert back.entries == entries
+        assert back.entries == tuple(entries)
         assert back.self_list == make_leaf(7)
-        i, j = divmod(pos, 9)
-        assert back.entry(i, j) == make_child(100 + pos)
+        assert back.occupied == 1 << pos
 
 
-def test_node_entry_word_matches_decode():
+def test_node_fields_round_trip_through_the_view():
     entries = [make_leaf(n) if n % 3 else ENTRY_EMPTY for n in range(81)]
-    page = encode_node(NodePage(2, entries))
-    view, node = node_view(page), decode_node(page)
-    assert view.page is page and view.level == 2 and view.self_list == ENTRY_EMPTY
+    params = BuildParams(leaf_split_threshold=3)
+    page = encode_node(2, entries, params=params)
+    view = node_view(page)
+    assert view.page is page and view.level == 2 and view.self_list == ENTRY_EMPTY and view.params == params
     for pos in range(81):
-        i, j = divmod(pos, 9)
-        assert view.entries[pos] == node.entry(i, j) == entries[pos]
+        assert view.entries[pos] == entries[pos]
+        assert (view.occupied >> pos & 1) == (entries[pos] != ENTRY_EMPTY)
+    assert encode_node(view.level, view.entries, view.self_list, view.params) == page
 
 
 def test_node_with_entry_rebuilds_crc():
-    page = encode_node(NodePage(0))
+    page = encode_node(0)
     out = node_with_entry(page, 4, 7, make_child(99))
-    back = decode_node(out)  # decode revalidates the CRC
-    assert back.entry(4, 7) == make_child(99)
+    back = node_view(out)  # the view revalidates the CRC
+    assert back.entries[9 * 4 + 7] == make_child(99)
     assert sum(1 for w in back.entries if w != ENTRY_EMPTY) == 1
 
 
 def test_node_crc_catches_entry_damage():
-    page = bytearray(encode_node(NodePage(1, [make_child(3)] + [ENTRY_EMPTY] * 80)))
+    page = bytearray(encode_node(1, [make_child(3)] + [ENTRY_EMPTY] * 80))
     page[codec.NODE_ENTRIES_OFF] ^= 0x01
     with pytest.raises(FormatError):
-        decode_node(bytes(page))
+        node_view(bytes(page))
 
 
 def test_node_self_list_outside_crc():
     """self_list can be rewritten without touching the entry-area CRC."""
-    page = bytearray(encode_node(NodePage(0)))
+    page = bytearray(encode_node(0))
     page[codec.NODE_SELF_LIST_OFF : codec.NODE_SELF_LIST_OFF + 3] = make_leaf(42).to_bytes(3, "big")
-    back = decode_node(bytes(page))
+    back = node_view(bytes(page))
     assert back.self_list == make_leaf(42)
 
 
 def test_node_self_list_damage_names_the_page():
     """Every single-bit flip of a node's self_list word or its check fails, naming the page."""
     for self_list in (ENTRY_EMPTY, make_leaf(42)):
-        clean = encode_node(NodePage(1, self_list=self_list))
+        clean = encode_node(1, self_list=self_list)
         for offset in range(codec.NODE_SELF_LIST_OFF, codec.NODE_PARAMS_OFF):
             if self_list == ENTRY_EMPTY and offset >= codec.NODE_SELF_CRC_OFF:
                 continue  # no check is stored for an empty self_list, so these bytes are unused
@@ -126,18 +125,18 @@ def test_node_self_list_damage_names_the_page():
                 page = bytearray(clean)
                 page[offset] ^= 1 << bit
                 with pytest.raises(FormatError, match=r"at page 77$"):
-                    decode_node(bytes(page), total_pages=500, addr=77)
+                    node_view(bytes(page), total_pages=500, addr=77)
 
 
 def test_node_self_list_check_is_written_and_optional():
-    page = encode_node(NodePage(0, self_list=make_leaf(42)))
+    page = encode_node(0, self_list=make_leaf(42))
     assert page[codec.NODE_SELF_CHECK_OFF] == codec.SELF_CHECKED
     assert page[codec.NODE_PARAMS_OFF : codec.NODE_CRC_OFF] == b"\xff" * 3  # the default parameters
-    assert encode_node(NodePage(0))[codec.NODE_SELF_CHECK_OFF : codec.NODE_CRC_OFF] == b"\xff" * 6
+    assert encode_node(0)[codec.NODE_SELF_CHECK_OFF : codec.NODE_CRC_OFF] == b"\xff" * 6
     # a node written before the check (reserved bytes erased) still decodes, unchecked
     old = bytearray(page)
     old[codec.NODE_SELF_CHECK_OFF : codec.NODE_PARAMS_OFF] = b"\xff" * 3
-    assert decode_node(bytes(old)).self_list == make_leaf(42)
+    assert node_view(bytes(old)).self_list == make_leaf(42)
 
 
 def test_a_root_stores_its_parameters_and_every_flip_of_them_is_refused():
@@ -145,11 +144,11 @@ def test_a_root_stores_its_parameters_and_every_flip_of_them_is_refused():
     No single-bit flip of either reads back as other parameters or as the defaults."""
     shaped = BuildParams(leaf_split_threshold=2, max_depth=3, zone_max_depth=1, dedup=False)
     for params in (BuildParams(0, 0, 0), BuildParams(254, 6, 6, False), BuildParams(8, 5, 3, False), shaped):
-        page = encode_node(NodePage(0, params=params))
-        assert node_view(page).params == params and decode_node(page).params == params
-    assert encode_node(NodePage(0, params=BuildParams()))[codec.NODE_PARAMS_OFF : codec.NODE_CRC_OFF] == b"\xff" * 3
+        page = encode_node(0, params=params)
+        assert node_view(page).params == params
+    assert encode_node(0, params=BuildParams())[codec.NODE_PARAMS_OFF : codec.NODE_CRC_OFF] == b"\xff" * 3
     for params in (shaped, BuildParams()):
-        clean = encode_node(NodePage(0, self_list=make_leaf(42), params=params))
+        clean = encode_node(0, self_list=make_leaf(42), params=params)
         for offset in range(codec.NODE_PARAMS_OFF, codec.NODE_CRC_OFF):
             for bit in range(8):
                 page = bytearray(clean)
@@ -162,18 +161,18 @@ def test_a_root_stores_its_parameters_and_every_flip_of_them_is_refused():
 
 def test_node_rejects_bad_level_and_magic():
     with pytest.raises(FormatError):
-        encode_node(NodePage(level=6))
-    page = bytearray(encode_node(NodePage(0)))
+        encode_node(6)
+    page = bytearray(encode_node(0))
     page[0] = 0x4C
     with pytest.raises(FormatError):
-        decode_node(bytes(page))
+        node_view(bytes(page))
 
 
 def test_node_entry_beyond_device_rejected():
-    page = encode_node(NodePage(0, [make_child(500)] + [ENTRY_EMPTY] * 80))
+    page = encode_node(0, [make_child(500)] + [ENTRY_EMPTY] * 80)
     with pytest.raises(FormatError):
-        decode_node(page, total_pages=500)
-    decode_node(page, total_pages=501)
+        node_view(page, total_pages=500)
+    node_view(page, total_pages=501)
 
 
 @given(
@@ -187,9 +186,8 @@ def test_node_entry_beyond_device_rejected():
 )
 @settings(max_examples=80, deadline=None)
 def test_node_round_trip_property(level, words, self_list):
-    node = NodePage(level, list(words), self_list)
-    back = decode_node(encode_node(node))
-    assert (back.level, back.entries, back.self_list) == (level, list(words), self_list)
+    back = node_view(encode_node(level, words, self_list))
+    assert (back.level, back.entries, back.self_list) == (level, tuple(words), self_list)
 
 
 # -- leaf lists ----------------------------------------------------------------
@@ -198,12 +196,10 @@ def test_node_round_trip_property(level, words, self_list):
 def test_leaf_capacity_is_62():
     assert LEAF_CAPACITY == 62
     records = [LeafRecord(k % 3, 1000 + k) for k in range(62)]
-    page = encode_leaf_list(LeafListPage(records, next=77))
-    back = decode_leaf_list(page)
-    assert back.records == records
-    assert back.next == 77
+    page = encode_leaf_list(records, next=77)
+    assert leaf_list_view(page) == (tuple(records), 77)
     with pytest.raises(FormatError):
-        encode_leaf_list(LeafListPage(records + [LeafRecord(0, 1)]))
+        encode_leaf_list(records + [LeafRecord(0, 1)])
 
 
 def _with_crc(page: bytearray) -> bytes:
@@ -218,58 +214,57 @@ def test_leaf_coordinates_appendix_round_trips():
         LeafRecord(2, 42),
         LeafRecord(0, 43, GantryObject(2**32 - 1, 0, -(2**31))),
     ]
-    page = encode_leaf_list(LeafListPage(records, next=9))
+    page = encode_leaf_list(records, next=9)
     assert page[codec.LEAF_COORDS_FLAG_OFF] == codec.LEAF_COORDS
     assert page[1] == 4 and page[5 + 4 * 3] == 0 and page[6 + 4 * 3 : 9 + 4 * 3] == (43).to_bytes(3, "big")
     assert page[21:33] == (7).to_bytes(4, "big") + (-5).to_bytes(4, "big", signed=True) + (1_999_999).to_bytes(4, "big")
-    back = decode_leaf_list(page)
-    assert back.records == records and back.next == 9
+    assert leaf_list_view(page) == (tuple(records), 9)
     # without coordinates (the layout written before the appendix) and with no point record: byte 253 stays 0xFF
     legacy = [LeafRecord(r.kind, r.object_page) for r in records]
     for plain in (legacy, [LeafRecord(1, 40), LeafRecord(2, 42)]):
-        page = encode_leaf_list(LeafListPage(plain))
+        page = encode_leaf_list(plain)
         assert page[codec.LEAF_COORDS_FLAG_OFF] == 0xFF and page[5 + 4 * len(plain) : 253] == b"\xff" * (248 - 4 * len(plain))
-        assert decode_leaf_list(page).records == plain
+        assert leaf_list_view(page) == (tuple(plain), NO_PAGE)
     with pytest.raises(FormatError, match="all its point records or of none"):
-        encode_leaf_list(LeafListPage([records[1], legacy[3]]))
+        encode_leaf_list([records[1], legacy[3]])
     # 4 bytes a record, 12 more a point: 15 points and 2 zone records fill the 248 bytes exactly
     full = [LeafRecord(0, k, GantryObject(k, k, k)) for k in range(15)] + [LeafRecord(1, 99)] * 2
-    assert decode_leaf_list(encode_leaf_list(LeafListPage(full))).records == full
+    assert leaf_list_view(encode_leaf_list(full)) == (tuple(full), NO_PAGE)
     with pytest.raises(FormatError, match="252 bytes"):
-        encode_leaf_list(LeafListPage(full + [LeafRecord(2, 98)]))
+        encode_leaf_list(full + [LeafRecord(2, 98)])
     eight_and_forty = [LeafRecord(0, k, GantryObject(k, k, k)) for k in range(8)] + [LeafRecord(2, 99)] * 40
     with pytest.raises(FormatError, match="288 bytes"):
-        encode_leaf_list(LeafListPage(eight_and_forty))
+        encode_leaf_list(eight_and_forty)
 
 
 def test_leaf_coordinates_flag_is_checked():
-    page = bytearray(encode_leaf_list(LeafListPage([LeafRecord(0, 5, GantryObject(1, 2, 3))])))
-    decode_leaf_list(bytes(page), addr=12)
+    page = bytearray(encode_leaf_list([LeafRecord(0, 5, GantryObject(1, 2, 3))]))
+    leaf_list_view(bytes(page), addr=12)
     for flag in (0x01, 0x7F, 0xFE):
         page[codec.LEAF_COORDS_FLAG_OFF] = flag
         with pytest.raises(FormatError, match="coordinates flag .* at page 12"):
-            decode_leaf_list(_with_crc(page), addr=12)
+            leaf_list_view(_with_crc(page), addr=12)
     # a flagged page whose records leave no room for one entry per point record
-    crowded = bytearray(encode_leaf_list(LeafListPage([LeafRecord(0, k) for k in range(60)])))
+    crowded = bytearray(encode_leaf_list([LeafRecord(0, k) for k in range(60)]))
     crowded[codec.LEAF_COORDS_FLAG_OFF] = codec.LEAF_COORDS
     with pytest.raises(FormatError, match="coordinates run past .* at page 13"):
-        decode_leaf_list(_with_crc(crowded), addr=13)
+        leaf_list_view(_with_crc(crowded), addr=13)
 
 
 def test_leaf_bad_kind_rejected():
     with pytest.raises(FormatError):
-        encode_leaf_list(LeafListPage([LeafRecord(3, 1)]))
-    page = bytearray(encode_leaf_list(LeafListPage([LeafRecord(0, 1)])))
+        encode_leaf_list([LeafRecord(3, 1)])
+    page = bytearray(encode_leaf_list([LeafRecord(0, 1)]))
     page[codec.LEAF_RECORDS_OFF] = 7
     with pytest.raises(FormatError):  # kind check fires before the CRC is even right
-        decode_leaf_list(bytes(page))
+        leaf_list_view(bytes(page))
 
 
 def test_leaf_crc_catches_damage():
-    page = bytearray(encode_leaf_list(LeafListPage([LeafRecord(1, 9)])))
+    page = bytearray(encode_leaf_list([LeafRecord(1, 9)]))
     page[8] ^= 0x40
     with pytest.raises(FormatError):
-        decode_leaf_list(bytes(page))
+        leaf_list_view(bytes(page))
 
 
 @given(
@@ -280,19 +275,18 @@ def test_leaf_crc_catches_damage():
 )
 @settings(max_examples=80, deadline=None)
 def test_leaf_round_trip_property(records, nxt):
-    back = decode_leaf_list(encode_leaf_list(LeafListPage(records, nxt)))
-    assert back.records == records and back.next == nxt
+    assert leaf_list_view(encode_leaf_list(records, nxt)) == (tuple(records), nxt)
 
 
 def test_decode_memo_never_stores_failures():
-    good = encode_leaf_list(LeafListPage([LeafRecord(0, 5)]))
+    good = encode_leaf_list([LeafRecord(0, 5)])
     bad = bytearray(good)
     bad[6] ^= 0x01  # same page, damaged after a good decode
-    decode_leaf_list(good, addr=3)
+    leaf_list_view(good, addr=3)
     for _ in range(2):
         with pytest.raises(FormatError, match="at page 8"):
-            decode_leaf_list(bytes(bad), addr=8)
-    node = encode_node(NodePage(2))
+            leaf_list_view(bytes(bad), addr=8)
+    node = encode_node(2)
     node_view(node, addr=4)
     broken = bytearray(node)
     broken[40] ^= 0x10
@@ -303,19 +297,25 @@ def test_decode_memo_never_stores_failures():
 
 
 def test_decode_memo_results_cannot_be_changed_by_callers():
-    page = encode_leaf_list(LeafListPage([LeafRecord(1, 10), LeafRecord(2, 11)], next=4))
-    first = decode_leaf_list(page)
-    first.records.append(LeafRecord(0, 99))
-    first.next = NO_PAGE
-    again = decode_leaf_list(page)
-    assert again.records == [LeafRecord(1, 10), LeafRecord(2, 11)] and again.next == 4
-    records, nxt = codec.leaf_list_view(page)
-    assert isinstance(records, tuple) and nxt == 4
+    page = encode_leaf_list([LeafRecord(1, 10), LeafRecord(2, 11)], next=4)
+    first = leaf_list_view(page)
+    records, nxt = first
+    with pytest.raises(AttributeError):
+        records.append(LeafRecord(0, 99))
+    with pytest.raises(AttributeError):
+        records[0].kind = 2
+    assert leaf_list_view(page) is first and first == ((LeafRecord(1, 10), LeafRecord(2, 11)), 4)
+    view = node_view(encode_node(1, self_list=make_leaf(9)))
+    with pytest.raises(AttributeError):
+        view.self_list = ENTRY_EMPTY
+    with pytest.raises(TypeError):
+        view.entries[0] = make_leaf(3)
+    assert node_view(view.page) is view and view.self_list == make_leaf(9) and view.entries[0] == ENTRY_EMPTY
 
 
 def test_decode_memo_is_bounded():
     for k in range(codec.MEMO_ENTRIES + 50):
-        decode_leaf_list(encode_leaf_list(LeafListPage([LeafRecord(0, k)])))
+        leaf_list_view(encode_leaf_list([LeafRecord(0, k)]))
     assert len(codec._LEAF_LISTS) <= codec.MEMO_ENTRIES
     # a node's view keeps its occupied-entry mask, and a second read is the same view
     for k in range(codec.MEMO_ENTRIES + 50):
@@ -323,27 +323,27 @@ def test_decode_memo_is_bounded():
         entries[k % 81] = make_leaf(k)
         entries[(k + 40) % 81] = make_child(k)
         mask = 1 << k % 81 | 1 << (k + 40) % 81
-        page = encode_node(NodePage(1, entries))
+        page = encode_node(1, entries)
         view = node_view(page)
         assert view.occupied == mask and node_view(page) is view
         assert codec._NODES[page, None] is view
     assert len(codec._NODES) <= codec.MEMO_ENTRIES
-    assert node_view(encode_node(NodePage(0))).occupied == 0
+    assert node_view(encode_node(0)).occupied == 0
     full = [make_child(n) if n % 2 else make_leaf(n) for n in range(81)]
     full[5], full[6] = make_child(codec.ADDR_MASK), make_leaf(codec.ADDR_MASK)  # one byte short of Empty
-    assert node_view(encode_node(NodePage(2, full))).occupied == (1 << 81) - 1
+    assert node_view(encode_node(2, full)).occupied == (1 << 81) - 1
     # a device-size range check is part of the key: the same bytes can pass
     # for a large device and fail for a small one
-    page = encode_leaf_list(LeafListPage([LeafRecord(0, 700)]))
-    decode_leaf_list(page, total_pages=1000)
+    page = encode_leaf_list([LeafRecord(0, 700)])
+    leaf_list_view(page, total_pages=1000)
     with pytest.raises(FormatError, match="past end of device"):
-        decode_leaf_list(page, total_pages=500)
-    page = encode_node(NodePage(1, [make_child(700)] + [ENTRY_EMPTY] * 80, self_list=make_leaf(600)))
+        leaf_list_view(page, total_pages=500)
+    page = encode_node(1, [make_child(700)] + [ENTRY_EMPTY] * 80, self_list=make_leaf(600))
     assert node_view(page, total_pages=1000).occupied == 1
     with pytest.raises(FormatError, match="cell entry 0x0002bc addresses past end of device at page 3"):
         node_view(page, total_pages=550, addr=3)  # both are past the end: the entry is checked first
     with pytest.raises(FormatError, match="cell entry 0x400258 addresses past end of device at page 3"):
-        node_view(encode_node(NodePage(1, self_list=make_leaf(600))), total_pages=600, addr=3)
+        node_view(encode_node(1, self_list=make_leaf(600)), total_pages=600, addr=3)
 
 
 # -- objects --------------------------------------------------------------------
@@ -442,10 +442,16 @@ def test_version_slot_lifecycle():
     slot = encode_version_record(rec)
     assert len(slot) == 16
     assert decode_version_slot(slot) == ("live", rec)
-    revoked = revoke_version_slot(slot)
-    assert decode_version_slot(revoked) == ("revoked", rec)
+    other = VersionRecord(6, 50, 51)
+    assert directory_slots(b"\xff" * PAGE_SIZE) == [("blank", None)] * 16
+    page = directory_page_with(b"\xff" * PAGE_SIZE, 3, [rec, other])
+    assert page[:48] == b"\xff" * 48 and page[48:64] == slot and page[80:] == b"\xff" * 176
+    assert directory_slots(page) == [("blank", None)] * 3 + [("live", rec), ("live", other)] + [("blank", None)] * 11
+    revoked = revoke_directory_slot(page, 3)
+    assert directory_slots(revoked)[3:5] == [("revoked", rec), ("live", other)]
     # revocation is a pure 1 -> 0 change, so it can be programmed in place
-    assert all(not (r & ~s & 0xFF) for s, r in zip(slot, revoked))
+    assert all(not (r & ~s & 0xFF) for s, r in zip(page, revoked))
+    assert sum(s != r for s, r in zip(page, revoked)) == 1
 
 
 def test_version_slot_blank_and_invalid():
@@ -480,8 +486,8 @@ def test_version_round_trip_property(vno, root, cursor):
 
 
 def test_page_kind():
-    assert page_kind(encode_node(NodePage(0))) == "node"
-    assert page_kind(encode_leaf_list(LeafListPage([]))) == "leaf"
+    assert page_kind(encode_node(0)) == "node"
+    assert page_kind(encode_leaf_list([])) == "leaf"
     assert page_kind(encode_gantry(GantryObject(1, 0, 0))) == "object"
     assert page_kind(b"\xff" * PAGE_SIZE) == "erased"
     assert page_kind(b"\x00" + b"\xff" * 255) == "unknown"

@@ -19,15 +19,13 @@ from flashquad.codec import (
     OBJ_MAGIC,
     PAGE_SIZE,
     GantryObject,
-    LeafListPage,
     LeafRecord,
-    NodePage,
-    decode_leaf_list,
-    decode_node,
     encode_leaf_list,
     encode_node,
+    leaf_list_view,
     make_child,
     make_leaf,
+    node_view,
     parse_update,
 )
 from flashquad.dataset import build_database, generate_dataset, generate_trace
@@ -230,13 +228,13 @@ def test_reformat_of_a_dirty_device_reclaims_the_old_pages_lazily():
 
 def test_a_cache_of_no_pages_is_refused_before_any_device_access():
     dev = FlashDevice(FlashGeometry(sector_count=1))
-    for kw in ({"cache_pages": 0}, {"cache_pages": -3}, {"max_versions": 0}):
+    for kw in ({"cache_pages": 0}, {"cache_pages": -3}, {"max_versions": 0}, {"max_versions": 256}):
         with pytest.raises(DomainError):
             Store.format(dev, **kw)
         assert (dev.stats().reads, dev.stats().programs, dev.stats().erases) == (0, 0, 0)
     Store.format(dev)
     image = dev.to_bytes()
-    for kw in ({"cache_pages": 0}, {"max_versions": 0}):
+    for kw in ({"cache_pages": 0}, {"max_versions": 0}, {"max_versions": 256}):
         again = FlashDevice.from_bytes(image)
         with pytest.raises(DomainError):
             Store(again, **kw)
@@ -280,6 +278,19 @@ def test_retention_revokes_oldest(store_sectors=8):
     assert all(rows[v] == "revoked" for v in (1, 2, 3, 4))
     with pytest.raises(NotFoundError):
         store.handle(4)
+
+
+def test_a_window_of_255_versions_keeps_every_committed_one():
+    """The directory holds 256 records, and a compaction must leave a slot free for the record that
+    caused it: 255 is the largest window.  Near it, nearly every commit compacts the directory."""
+    store = fresh(64, max_versions=255)
+    for k in range(300):
+        assert add_gantries(store, [k]) == k + 2
+    back = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=255)
+    assert back.current_version == 301
+    assert [r["version"] for r in back.versions() if r["state"] == "live"] == list(range(47, 302))
+    assert all(back.handle(v).stats().objects == v - 1 for v in range(47, 302))
+    assert back.verify()["ok"]
 
 
 def test_rollback_restores_older_version():
@@ -608,7 +619,7 @@ def test_the_root_keeps_its_parameters_when_its_self_list_changes():
     back = Store(FlashDevice.from_bytes(store.device.to_bytes()))
     assert back.params == params and back.handle().stats().objects == 2
     for vno in (2, 3):
-        root = decode_node(store.device.read_page(store.handle(vno).root_page))
+        root = node_view(store.device.read_page(store.handle(vno).root_page))
         assert root.self_list != ENTRY_EMPTY and root.params == params
 
 
@@ -1024,28 +1035,29 @@ def hand_made_root(kind):
     add_gantries(store, [1, 2, 3], base=0)  # close together: nodes down to level 4
     rep = store.handle().walk()
     s = store.begin()
-    root = decode_node(store.read_page(s.root))
-    free = [k for k, word in enumerate(root.entries) if word == ENTRY_EMPTY]
+    root = node_view(store.read_page(s.root))
+    words = list(root.entries)
+    free = [k for k, word in enumerate(words) if word == ENTRY_EMPTY]
     if kind == "object-as-leaf":
         victim = min(head for head, (k, _) in rep.objects.items() if k == "gantry")
-        root.entries[free[0]] = make_leaf(victim)
+        words[free[0]] = make_leaf(victim)
     elif kind == "node-at-wrong-level":
         victim = min(addr for addr, level in rep.nodes.items() if level == 2)
-        root.entries[free[0]] = make_child(victim)
+        words[free[0]] = make_child(victim)
     elif kind == "looping-leaf-chain":
         victim = s.alloc_page()
         gantry = min(rep.objects)
-        s.program_page(victim, encode_leaf_list(LeafListPage([LeafRecord(KIND_POINT, gantry)], victim)))
-        root.entries[free[0]] = make_leaf(victim)
+        s.program_page(victim, encode_leaf_list([LeafRecord(KIND_POINT, gantry)], victim))
+        words[free[0]] = make_leaf(victim)
     elif kind == "node-twice":  # one new node named by two entries
-        victim = s.write_page(encode_node(NodePage(1)))
-        root.entries[free[0]] = root.entries[free[1]] = make_child(victim)
+        victim = s.write_page(encode_node(1))
+        words[free[0]] = words[free[1]] = make_child(victim)
     else:  # an old level-2 node named by a new level-1 node as well as by its old parent
         victim = min(addr for addr, level in rep.nodes.items() if level == 2)
         entries = [ENTRY_EMPTY] * 81
         entries[0] = make_child(victim)
-        root.entries[free[0]] = make_child(s.write_page(encode_node(NodePage(1, entries))))
-    s.root = s.write_page(encode_node(root))
+        words[free[0]] = make_child(s.write_page(encode_node(1, entries)))
+    s.root = s.write_page(encode_node(root.level, words, root.self_list, root.params))
     return store, s, victim
 
 
@@ -1178,12 +1190,12 @@ def test_apply_refuses_a_package_tree_that_does_not_check_before_programming(kin
     node2 = min(addr for addr, level in base.nodes.items() if level == 2)  # the root does not name it
     if kind == "appendix":  # gantry 1's coordinates, as the package's leaf lists them, are wrong
         (victim,) = [addr for addr, page in pages.items() if page[0] == LEAF_MAGIC]
-        listing = decode_leaf_list(pages[victim])
-        listing.records = [
+        records, nxt = leaf_list_view(pages[victim])
+        records = [
             LeafRecord(KIND_POINT, r.object_page, GantryObject(1, 1_000, 1_002)) if r.gantry.object_id == 1 else r
-            for r in listing.records
+            for r in records
         ]
-        pages[victim] = encode_leaf_list(listing)
+        pages[victim] = encode_leaf_list(records, nxt)
     else:
         if kind in ("blank-page", "bad-crc"):
             victim = replica.total_pages - 1
@@ -1197,9 +1209,10 @@ def test_apply_refuses_a_package_tree_that_does_not_check_before_programming(kin
         else:
             victim = node2
             word = make_leaf(node2) if kind == "node-as-leaf" else make_child(node2)
-        node = decode_node(pages[root])
-        node.entries[node.entries.index(ENTRY_EMPTY)] = word
-        pages[root] = encode_node(node)
+        node = node_view(pages[root])
+        words = list(node.entries)
+        words[words.index(ENTRY_EMPTY)] = word
+        pages[root] = encode_node(node.level, words, node.self_list, node.params)
     programs = replica.device.stats().programs
     with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
         replica.apply_update(resealed(pkg, sorted(pages.items()), root))
@@ -1210,7 +1223,7 @@ def base_leaf(store, ids):
     """The version-2 leaf page whose gantries' ids are all in ``ids``."""
     return next(
         addr for addr, page in store.handle(2).walk().leaf_pages.items()
-        if {r.gantry.object_id for r in decode_leaf_list(page).records} <= ids
+        if {r.gantry.object_id for r in leaf_list_view(page)[0]} <= ids
     )
 
 

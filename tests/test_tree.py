@@ -40,12 +40,12 @@ from flashquad.codec import (
     GantryObject,
     LeafRecord,
     crc16,
-    decode_leaf_list,
-    decode_node,
     encode_leaf_list,
     encode_update,
+    leaf_list_view,
     make_child,
     make_leaf,
+    node_view,
     node_with_entry,
     parse_update,
 )
@@ -198,15 +198,15 @@ def test_leaf_cells_reach_level_six():
 
 def test_walk_rejects_child_entry_in_level_five_node():
     """No node sits below level 5, so a child entry there is damage."""
-    from flashquad.codec import NodePage, encode_node, make_child
+    from flashquad.codec import encode_node, make_child
     from flashquad.tree import walk_version
 
     pages = {}
     for level in range(6):
         entries = [0xFFFFFF] * 81
         entries[40] = make_child(100 + level + 1)  # the level-5 node points at page 106
-        pages[100 + level] = encode_node(NodePage(level, entries))
-    pages[106] = encode_node(NodePage(5))
+        pages[100 + level] = encode_node(level, entries)
+    pages[106] = encode_node(5)
     rep = walk_version(pages.__getitem__, 100)
     assert rep.problems == ["node 105 at level 5 has a child entry"]
 
@@ -475,12 +475,9 @@ def remount_with_page(store, addr, page):
 
 def rewrite_leaf(store, addr, records=None, next_page=None):
     """Mount a copy whose leaf page ``addr`` holds other records or another next link."""
-    page = decode_leaf_list(store.read_page(addr))
-    if records is not None:
-        page.records = records
-    if next_page is not None:
-        page.next = next_page
-    return remount_with_page(store, addr, encode_leaf_list(page))
+    old_records, old_next = leaf_list_view(store.read_page(addr))
+    page = encode_leaf_list(old_records if records is None else records, old_next if next_page is None else next_page)
+    return remount_with_page(store, addr, page)
 
 
 def relink_zone_page(store, addr, next_page):
@@ -494,7 +491,7 @@ def relink_zone_page(store, addr, next_page):
 def leaf_holding(store, kind):
     """(address, records) of the one leaf page of the current version holding a ``kind`` record."""
     leaves = {
-        a: decode_leaf_list(store.read_page(a)).records
+        a: leaf_list_view(store.read_page(a))[0]
         for a in store.handle().reachable_pages()
         if store.read_page(a)[0] == LEAF_MAGIC
     }
@@ -625,7 +622,7 @@ def test_a_flipped_self_list_is_refused_not_answered(byte, bit):
     store = world_zone_store()
     root = store.handle().root_page
     page = bytearray(store.read_page(root))
-    assert decode_node(bytes(page)).self_list != 0xFFFFFF
+    assert node_view(bytes(page)).self_list != 0xFFFFFF
     page[byte] ^= 1 << bit
     damaged = remount_with_page(store, root, bytes(page))
     problem = f"node self_list CRC mismatch at page {root}"
@@ -648,7 +645,7 @@ def test_a_query_names_the_node_that_points_past_the_device(damage):
         buf[NODE_SELF_CHECK_OFF : NODE_PARAMS_OFF] = b"\xff" * 3
         page, word, idx = bytes(buf), make_leaf(past), 40
     else:  # the entry-area CRC resealed over the damaged entry
-        idx = next(k for k, w in enumerate(decode_node(page).entries) if w != ENTRY_EMPTY)
+        idx = next(k for k, w in enumerate(node_view(page).entries) if w != ENTRY_EMPTY)
         page, word = node_with_entry(page, *divmod(idx, 9), make_child(past)), make_child(past)
     damaged = remount_with_page(store, root, page)
     problem = f"cell entry 0x{word:06x} addresses past end of device at page {root}"
@@ -958,7 +955,7 @@ def test_splitting_a_cell_inside_a_zone_reads_no_zone_page():
 def test_a_zone_load_encodes_each_leaf_page_once(monkeypatch, dedup):
     """A load encodes each distinct leaf page once; with dedup off every chain is still its own page."""
     encoded = []
-    monkeypatch.setattr(tree, "encode_leaf_list", lambda page: encoded.append(page) or encode_leaf_list(page))
+    monkeypatch.setattr(tree, "encode_leaf_list", lambda *fields: encoded.append(fields) or encode_leaf_list(*fields))
     store = fresh(BuildParams(zone_max_depth=2, dedup=dedup), sectors=8)
     leaves = count_kind_programs(store.device, LEAF_MAGIC)
     committed(store, lambda s: s.load([], [(1, RING), (2, SQUARE), (3, OTHER_SQUARE)]))
@@ -1109,13 +1106,13 @@ def test_a_leaf_of_points_and_zones_is_packed_by_bytes():
     committed(store, lambda s: s.load(gantries, zones))
     leaves = store.handle().walk().leaf_pages
     (full,) = [a for a, p in leaves.items() if has_point(p)]
-    page = decode_leaf_list(leaves[full])
-    assert [r.kind for r in page.records] == [KIND_POINT] * 8 + [KIND_ZONE_EDGE] * 30
-    assert {(r.gantry.object_id, r.gantry.x, r.gantry.y) for r in page.records[:8]} == set(gantries)
-    assert page.next == NO_PAGE
+    records, nxt = leaf_list_view(leaves[full])
+    assert [r.kind for r in records] == [KIND_POINT] * 8 + [KIND_ZONE_EDGE] * 30
+    assert {(r.gantry.object_id, r.gantry.x, r.gantry.y) for r in records[:8]} == set(gantries)
+    assert nxt == NO_PAGE
     # the page still filling heads the chain, as one insert per object leaves it
-    (head,) = [a for a, p in leaves.items() if decode_leaf_list(p).next == full]
-    assert len(decode_leaf_list(leaves[head]).records) == 10 and len(leaves) == 2
+    (head,) = [a for a, p in leaves.items() if leaf_list_view(p)[1] == full]
+    assert len(leaf_list_view(leaves[head])[0]) == 10 and len(leaves) == 2
 
     # a further zone fits the head page: it extends it, and the chain stays two pages
     zones.append((200, tiny(400_000, 230_000)))
@@ -1123,7 +1120,7 @@ def test_a_leaf_of_points_and_zones_is_packed_by_bytes():
     h = store.handle()
     leaves = h.walk().leaf_pages
     assert len(leaves) == 2 and full in leaves
-    assert sorted(len(decode_leaf_list(p).records) for p in leaves.values()) == [11, 38]
+    assert sorted(len(leaf_list_view(p)[0]) for p in leaves.values()) == [11, 38]
     for x, y in [(300_000, 300_000), (304_500, 299_000), (230_100, 400_100), (386_100, 400_100), (400_100, 230_100)]:
         assert h.query_gantries_within(x, y, 2_500).ids == linear_gantries(gantries, x, y, 2_500)
         assert h.query_zones_at(x, y).ids == linear_zones(zones, x, y)
@@ -1184,13 +1181,13 @@ def test_an_update_whose_appendix_disagrees_is_refused_without_reading_the_gantr
     count = int.from_bytes(pkg[12:16], "little")
     (at,) = [16 + 259 * k + 3 for k in range(count) if pkg[16 + 259 * k + 3] == LEAF_MAGIC]
     leaf = int.from_bytes(pkg[at - 3 : at], "big")
-    listing = decode_leaf_list(bytes(pkg[at : at + PAGE_SIZE]))
-    assert len(listing.records) == 3
-    listing.records = [
+    records, nxt = leaf_list_view(bytes(pkg[at : at + PAGE_SIZE]))
+    assert len(records) == 3
+    records = [
         LeafRecord(KIND_POINT, r.object_page, GantryObject(1, 1_000, 1_002)) if r.object_page == page else r
-        for r in listing.records
+        for r in records
     ]
-    pkg[at : at + PAGE_SIZE] = encode_leaf_list(listing)
+    pkg[at : at + PAGE_SIZE] = encode_leaf_list(records, nxt)
     pkg[-4:] = zlib.crc32(bytes(pkg[:-4])).to_bytes(4, "little")
     reads = []
     replica.device.on_read = reads.append
@@ -1204,8 +1201,8 @@ def test_an_update_whose_appendix_disagrees_is_refused_without_reading_the_gantr
 
 
 def reference_node_refs(page, role, addr, total_pages):
-    """A node's references as ``_page_refs`` found them with ``decode_node`` and a ``Counter``."""
-    node = decode_node(page, total_pages, addr=addr)
+    """A node's references as ``_page_refs`` found them from the view's entry words and a ``Counter``."""
+    node = node_view(page, total_pages, addr=addr)
     if node.level != role:
         raise IntegrityError(f"node {addr} has level {node.level}, expected {role}")
     refs = {} if node.self_list == ENTRY_EMPTY else {node.self_list & ADDR_MASK: LEAF}
