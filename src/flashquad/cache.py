@@ -1,7 +1,7 @@
 """Tiny LRU page cache used on the read path."""
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainError
 
@@ -34,6 +34,24 @@ class PageCache:
         self._pages.move_to_end(addr)
         self.hits += 1
         return page
+
+    def hit_all(self, requests: Sequence[tuple[int, bytes]]) -> bool:
+        """``get`` each address of ``requests`` in order, if every one holds its page as that very object.
+
+        Each such ``get`` is then a hit that evicts nothing, so counting
+        ``len(requests)`` hits and moving each address to the end in order
+        leaves hits, misses and the LRU order exactly as the ``get`` loop
+        would.  Otherwise nothing changes and False is returned.
+        """
+        pages = self._pages
+        for addr, page in requests:
+            if pages.get(addr) is not page:
+                return False
+        move = pages.move_to_end
+        for addr, _ in requests:
+            move(addr)
+        self.hits += len(requests)
+        return True
 
     def put(self, addr: int, page: bytes) -> None:
         self._pages[addr] = page

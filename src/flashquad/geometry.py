@@ -11,7 +11,8 @@ polygon's boundary count as inside.
 
 from enum import IntEnum
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from math import isqrt
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
 
@@ -24,6 +25,13 @@ COORD_MAX = 2**31 - 1
 Point = Tuple[int, int]
 
 _POW9 = tuple(9**level for level in range(MAX_LEVEL + 1))
+
+# lowest and highest set bit of each 9-bit row of subcells; an empty row gives
+# a column below 0, even with a column added to it
+_LOW = tuple((v & -v).bit_length() - 1 if v else -99 for v in range(512))
+_HIGH = tuple(v.bit_length() - 1 for v in range(512))
+_ROW = 511
+_ROWS = tuple((1 << 9 * i) - 1 for i in range(10))  # the bits of rows 0..i-1
 
 # side-sharing neighbours of each subcell index 9*i + j
 _NEIGHBOURS = tuple(
@@ -75,6 +83,13 @@ def _check_point(x: int, y: int) -> None:
 def _check_divisible(level: int) -> None:
     if level >= MAX_LEVEL:
         raise DomainError(f"cell at level {level} cannot be subdivided")
+
+
+def check_ints(**values: object) -> None:
+    """Refuse a value that is not an int, or is a bool, with a DomainError naming its argument."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def in_world(x: int, y: int) -> bool:
@@ -295,11 +310,12 @@ def disc_mask(cell: Cell, cx: int, cy: int, radius: int) -> int:
 
     Bit ``9*i + j`` is set when subcell (i, j) intersects; one call
     replaces 81 ``cell_intersects_disc`` tests during query descent.  Only
-    the rows and columns that the disc's bounding box spans are looked at,
-    since no other subcell can meet the disc.  Subcell (i, j) meets it when
-    dx[j]**2 + dy[i]**2 <= r**2, dx and dy being the gaps between the
-    centre and the subcell's column and row, so each row's hits are one
-    run of columns, found from both ends.
+    the rows that the disc's bounding box spans are looked at, since no
+    other subcell can meet the disc.  In row i, whose gap to the centre is
+    dy, the disc spans x +- sqrt(r**2 - dy**2), and a closed column box
+    meets that span exactly when it meets x +- isqrt(r**2 - dy**2), its
+    edges being integers: so each row's hits are one run of columns, found
+    from one integer square root.
     """
     if radius < 0:
         raise DomainError("radius must be non-negative")
@@ -311,40 +327,123 @@ def disc_mask(cell: Cell, cx: int, cy: int, radius: int) -> int:
     x = cx * scale - sx * 9
     y = cy * scale - sy * 9
     # closed box k meets [c - r, c + r] when k*W <= c + r and (k+1)*W >= c - r
-    j0 = -((r - x) // WORLD_SIZE) - 1
-    j1 = (x + r) // WORLD_SIZE
     i0 = -((r - y) // WORLD_SIZE) - 1
     i1 = (y + r) // WORLD_SIZE
-    if j0 < 0:
-        j0 = 0
     if i0 < 0:
         i0 = 0
-    if j1 > 8:
-        j1 = 8
     if i1 > 8:
         i1 = 8
-    if j0 > j1 or i0 > i1:
-        return 0
-    gaps = [0] * 9
-    for j in range(j0, j1 + 1):
-        lo = j * WORLD_SIZE
-        d = lo - x if x < lo else (x - lo - WORLD_SIZE if x > lo + WORLD_SIZE else 0)
-        gaps[j] = d * d
     rr = r * r
     mask = 0
     for i in range(i0, i1 + 1):
         lo = i * WORLD_SIZE
         d = lo - y if y < lo else (y - lo - WORLD_SIZE if y > lo + WORLD_SIZE else 0)
-        room = rr - d * d
-        # the gaps fall, then rise, across the columns: the columns within reach are one run
-        a, b = j0, j1
-        while a <= b and gaps[a] > room:
-            a += 1
-        while b >= a and gaps[b] > room:
-            b -= 1
+        w = isqrt(rr - d * d)  # d <= r in the bounding rows
+        a = -((w - x) // WORLD_SIZE) - 1
+        b = (x + w) // WORLD_SIZE
+        if a < 0:
+            a = 0
+        if b > 8:
+            b = 8
         if a <= b:
             mask |= ((1 << (b - a + 1)) - 1) << (9 * i + a)
     return mask
+
+
+def disc_slack(nodes: Iterable[Tuple[Cell, int, int]], cx: int, cy: int, radius: int, cap: int) -> Optional[int]:
+    """Whole metres the centre may move while every node's disc mask stays as it is now, or None if one differs.
+
+    Each node is ``(cell, occupied, met)``.  None means that for some node
+    ``disc_mask(cell, cx, cy, radius) & occupied != met``.  Otherwise the
+    answer, at most ``cap``, is a distance that every move shorter than it
+    keeps all of those masks.  A subcell's bit flips only when the
+    distance d from the centre to its closed box crosses the radius r, and
+    d changes no faster than the centre moves, so the answer is the least
+    ``|d - r|`` over the occupied subcells, rounded down.  Each gap comes
+    from ``math.isqrt``, rounded so that it is never overestimated; a
+    subcell on the rim gives 0.
+
+    Within one row the gap to the centre's column shrinks towards the
+    centre's column and grows past it, so only four of the row's occupied
+    subcells can hold the row's least ``|d - r|``: the outermost ones
+    inside the disc (the largest d inside) and, on either side of the
+    centre's column, the nearest one outside it (the smallest d outside).
+    Each row's run of columns inside the disc comes from one integer square
+    root, as in ``disc_mask``, and is checked against ``met`` first.  Only
+    rows within r + slack of the centre are looked at, a candidate is
+    square-compared with the slack so far before any square root, and the
+    slack found so far carries from node to node: list the nodes with the
+    smallest subcells first.
+    """
+    s = cap
+    for (level, sx, sy), occupied, met in nodes:
+        if met & ~occupied:
+            return None
+        scale = _POW9[level + 1]
+        r = radius * scale
+        # the centre relative to the cell's origin, one subcell side being WORLD_SIZE
+        x = cx * scale - sx * 9
+        y = cy * scale - sy * 9
+        m = s * scale  # the slack so far, scaled: only a gap below it lowers s
+        # rows within r + m of the centre: the others give no smaller slack, and miss the disc
+        i0 = -((r + m - y) // WORLD_SIZE) - 1
+        i1 = (y + r + m) // WORLD_SIZE
+        if i0 < 0:
+            i0 = 0
+        if i1 > 8:
+            i1 = 8
+        if met & ~(_ROWS[i1 + 1] - _ROWS[i0]) if i0 <= i1 else met:  # met in a row out of reach
+            return None
+        rr = r * r
+        lo_in = r - m  # an inside subcell lowers s when its d exceeds this
+        lo_in2 = lo_in * lo_in
+        hi_out2 = (r + m) * (r + m)  # an outside one when its d**2 is below this
+        jc = x // WORLD_SIZE
+        jc = 0 if jc < 0 else (8 if jc > 8 else jc)
+        near = (2 << jc) - 1  # columns 0..jc, whose gap to the centre shrinks as j grows
+        for i in range(i0, i1 + 1):
+            row = occupied >> 9 * i & _ROW
+            if not row:
+                continue
+            lo = i * WORLD_SIZE
+            dy = lo - y if y < lo else (y - lo - WORLD_SIZE if y > lo + WORLD_SIZE else 0)
+            dy2 = dy * dy
+            inner = 0
+            if dy2 <= rr:  # the row's columns within reach of the disc, as disc_mask finds them
+                w = isqrt(rr - dy2)
+                a = -((w - x) // WORLD_SIZE) - 1
+                b = (x + w) // WORLD_SIZE
+                if a < 0:
+                    a = 0
+                if b > 8:
+                    b = 8
+                if a <= b:
+                    inner = ((1 << (b - a + 1)) - 1) << a & row
+            if inner != met >> 9 * i & _ROW:
+                return None
+            if dy >= r + m:
+                continue
+            outer = row & ~inner
+            for j in (_LOW[inner], _HIGH[inner], _HIGH[outer & near], jc + _LOW[outer >> jc]):
+                if j < 0:  # no such subcell
+                    continue
+                lo = j * WORLD_SIZE
+                dx = lo - x if x < lo else (x - lo - WORLD_SIZE if x > lo + WORLD_SIZE else 0)
+                d2 = dx * dx + dy2
+                if d2 <= rr:
+                    if lo_in >= 0 and d2 <= lo_in2:
+                        continue
+                    gap = r - (isqrt(d2 - 1) + 1 if d2 else 0)  # r - ceil(d)
+                else:
+                    if d2 >= hi_out2:
+                        continue
+                    gap = isqrt(d2) - r  # floor(d) - r
+                s = gap // scale
+                m = s * scale
+                lo_in = r - m
+                lo_in2 = lo_in * lo_in
+                hi_out2 = (r + m) * (r + m)
+    return s
 
 
 def validate_polygon(verts: Sequence[Point]) -> None:

@@ -16,6 +16,8 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 from .cache import PageCache
 from .dataset import TraceStep
+from .errors import DomainError
+from .geometry import check_ints
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,9 @@ def replay(
     version: Optional[int] = None,
     cache_pages: int = 15,
 ) -> ReplayReport:
+    check_ints(radius=radius)
+    if radius < 0:
+        raise DomainError("radius must be non-negative")
     handle = store.handle(version)
     old_cache = store.swap_cache(PageCache(cache_pages))
     clock0 = store.device.stats().sim_clock_us

@@ -342,6 +342,10 @@ class Store:
             self.cache.put(addr, page)
         return page
 
+    def hit_all(self, requests: Sequence[tuple[int, bytes]]) -> bool:
+        """``read_page`` each address of ``requests`` in one call, when all are cache hits on those very pages."""
+        return self.cache.hit_all(requests)
+
     def read_counters(self) -> tuple[int, int]:
         """(device reads, cache hits) so far, from the current cache's counters."""
         return self.cache.misses, self.cache.hits

@@ -95,9 +95,11 @@ from .geometry import (
     CellClass,
     cell_contains,
     cell_index,
+    check_ints,
     classify_cell,
     classify_children,
     disc_mask,
+    disc_slack,
     in_world,
     point_in_polygon,
     subcell,
@@ -761,6 +763,24 @@ def _gantry_hits(candidates: Sequence[GantryObject], x: int, y: int, radius: int
 # read-only handle
 
 
+_SLACK_CAP = 1_000  # metres: the largest validity disc a disc memo takes
+
+
+def _reanchor(memo: tuple, x: int, y: int) -> bool:
+    """Whether the disc memo holds at (x, y): every node it visited meets the disc as before.
+
+    When it does, its validity disc moves to (x, y), with the slack
+    ``disc_slack`` finds.  The nodes visited last, the deepest, whose
+    subcells are smallest, go first, so their slack narrows the search in
+    the coarser ones.
+    """
+    s = disc_slack(reversed(memo[1]), x, y, memo[0], _SLACK_CAP)
+    if s is None:
+        return False
+    memo[4][:] = x, y, s * s
+    return True
+
+
 class Handle:
     """Read-only view of one version's tree.
 
@@ -776,15 +796,35 @@ class Handle:
     cell (the subcell whose entry was a leaf or Empty), and for a disc
     query of the same radius whose disc meets the same occupied entries at
     every node the last one visited.  Such a query would make the very same
-    page requests, since its descent depends on nothing else.  The memo
-    still makes them, in order, through the store, so the cache's hits and
-    misses, the device reads and ``QueryResult`` are exactly a full
-    query's, whatever cache is in place; it answers only when every page
-    comes back with the recorded bytes.  On a mismatch (the version was
-    revoked and its pages reused) the memo is dropped and the query runs in
-    full, taking the pages already requested as its first requests.  Only
-    the exact tests are run again: point in polygon for edge zones, the
-    distance for candidate gantries.
+    page requests, since its descent depends on nothing else.
+
+    The disc memo also keeps a validity disc, as in Tao & Papadias
+    ("Time-Parameterized Queries in Spatio-Temporal Databases", SIGMOD
+    2002): an anchor centre and a slack s in whole metres, such that a
+    disc centred less than s from the anchor meets the same occupied
+    entries at every visited node (``geometry.disc_slack``, in exact
+    integers, at most ``_SLACK_CAP``).  A centre within s of the anchor is
+    answered with no geometry at all.  Any other centre gets the exact
+    check of every visited node; when that passes, the anchor moves there
+    and its slack is found in the same pass.  A full query leaves a slack
+    of 0, so it pays for no slack, and the next query makes the check.
+
+    The memo still makes its page requests, in order, through the store,
+    so the cache's hits and misses, the device reads and ``QueryResult``
+    are exactly a full query's, whatever cache is in place.  When every
+    recorded page is in the cache as the very object recorded, that is one
+    call (``Store.hit_all``): each request would be a hit that evicts
+    nothing, so the counters and the LRU order come out as the requests
+    one by one would leave them.  Otherwise they are made one by one, and
+    the memo answers only when every page comes back with the recorded
+    bytes.  On a mismatch (the version was revoked and its pages reused)
+    the memo is dropped and the query runs in full, taking the pages
+    already requested as its first requests.  Only the exact tests are run
+    again: point in polygon for edge zones, the distance for candidate
+    gantries.
+
+    A coordinate or radius that is not an int, or is a bool, is refused
+    with ``DomainError`` before any page request, and the memos stay.
     """
 
     def __init__(self, io, root_page: int, version_no: int):
@@ -792,7 +832,8 @@ class Handle:
         self.root_page = root_page
         self.version_no = version_no
         self._zone_memo = None  # (terminal cell, page requests, zone records met)
-        self._disc_memo = None  # (radius, (cell, occupied, met) per node visited, page requests, candidates)
+        # (radius, (cell, occupied, met) per node visited, page requests, candidates, [anchor x, y, slack**2])
+        self._disc_memo = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Handle(version={self.version_no}, root={self.root_page})"
@@ -808,12 +849,19 @@ class Handle:
 
         Returns None when each comes back with its recorded bytes; else the
         requests made, up to and including the first page that differs.
+        When every recorded page is in the cache as the recorded object,
+        the requests are one call (``hit_all``); otherwise they are made one
+        by one, from the first.
         """
+        if self._io.hit_all(log):
+            return None
         read = self._io.read_page
         for k, (addr, page) in enumerate(log):
             got = read(addr)
-            if got is not page and got != page:
-                return [*log[:k], (addr, got)]
+            if got is not page:
+                if got != page:
+                    return [*log[:k], (addr, got)]
+                log[k] = (addr, got)  # the cache's object, so that the next replay can be one call
         return None
 
     def _recorder(self, log: list[tuple[int, bytes]], made: Sequence[tuple[int, bytes]]) -> PageReader:
@@ -839,6 +887,8 @@ class Handle:
 
     def query_zones_at(self, x: int, y: int) -> QueryResult:
         """Zones containing the point, from the single descent path for it."""
+        if type(x) is not int or type(y) is not int:
+            check_ints(x=x, y=y)
         if not in_world(x, y):
             raise DomainError(f"point ({x}, {y}) outside the world square")
         before = self._io.read_counters()
@@ -885,15 +935,15 @@ class Handle:
         A point record's position comes from its leaf page's appendix; only
         a page written without one has its gantries' object pages loaded.
         """
+        if type(x) is not int or type(y) is not int or type(radius) is not int:
+            check_ints(x=x, y=y, radius=radius)
         if radius < 0:
             raise DomainError("radius must be non-negative")
         before = self._io.read_counters()
         memo, made = self._disc_memo, ()
         if memo is not None and memo[0] == radius:
-            for cell, occupied, met in memo[1]:
-                if disc_mask(cell, x, y, radius) & occupied != met:
-                    break
-            else:
+            ax, ay, s2 = memo[4]
+            if (x - ax) * (x - ax) + (y - ay) * (y - ay) < s2 or _reanchor(memo, x, y):
                 made = self._replay(memo[2])
                 if made is None:
                     return self._result(_gantry_hits(memo[3], x, y, radius), before)
@@ -921,7 +971,7 @@ class Handle:
                     for rec in records:
                         if rec.kind == KIND_POINT:
                             candidates.append(rec.gantry or reader.object(rec.object_page, GANTRY))
-        self._disc_memo = (radius, nodes, log, candidates)
+        self._disc_memo = (radius, nodes, log, candidates, [x, y, 0])
         return self._result(_gantry_hits(candidates, x, y, radius), before)
 
     def walk(self) -> WalkReport:

@@ -1,6 +1,7 @@
 """A handle's memo of its last queries: one long-lived handle answers and reads exactly as fresh ones do."""
 
 import io
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.geometry import WORLD_SIZE as W
 from flashquad.replay import replay, write_replay_csv
 from flashquad.store import Store
+from flashquad import tree
 from flashquad.tree import Handle
 
 from helpers import random_gantries, seeded_store
@@ -215,3 +217,185 @@ def test_replay_csv_matches_a_fresh_handle_per_step(loaded, monkeypatch):
         out.append(buf.getvalue())
     assert out[0] == out[1]
     assert kept == each
+
+
+# -- the disc memo's validity disc --------------------------------------------------
+
+
+class Paths:
+    """Counts the disc memo's exact checks (``tree._reanchor``) and the ones that passed."""
+
+    def __init__(self, monkeypatch):
+        self.checks = self.passed = 0
+        real = tree._reanchor
+
+        def counted(memo, x, y):
+            self.checks += 1
+            ok = real(memo, x, y)
+            self.passed += ok
+            return ok
+
+        monkeypatch.setattr(tree, "_reanchor", counted)
+
+
+def anchor(handle):
+    ax, ay, s2 = handle._disc_memo[4]
+    return ax, ay, math.isqrt(s2)
+
+
+def test_a_zigzag_over_a_rim_critical_subcell_edge(loaded, monkeypatch):
+    """The disc's rim sweeps back and forth over an occupied subcell's edge: bits flip and come back."""
+    paths = Paths(monkeypatch)
+    probe = loaded.handle()
+    for g in generate_dataset(7, n_gantries=300, n_zones=20)[0]:
+        probe.query_gantries_within(g.x, g.y, R)
+        cell, occupied, _ = probe._disc_memo[1][-1]  # the last node visited
+        scale = 9 ** (cell.level + 1)
+        i = (g.y * scale - cell.sy * 9) // W
+        j = (g.x * scale - cell.sx * 9) // W
+        right = [k for k in range(j + 1, 9) if occupied >> (9 * i + k) & 1]
+        if 0 <= i < 9 and right:
+            edge = -(-(cell.sx * 9 + right[0] * W) // scale)  # first integer x on or past the subcell's left edge
+            break
+    else:
+        pytest.fail("no gantry has an occupied subcell to its right in its last node")
+    pair = Pair(loaded)
+    x0 = edge - R  # from here on the disc meets that subcell
+    for x in [x0 - 3, x0 + 2, x0 - 1, x0, x0 - 1, x0 + 1, x0 - 2, x0 + 3, x0, x0 - 3] * 2:
+        pair.fix(x, g.y)
+    assert paths.passed > 0 and paths.checks > paths.passed  # re-anchored, and found the mask changed
+    assert pair.answered > 0
+
+
+def test_a_drive_circling_its_anchor_just_inside_and_just_outside_the_slack(loaded, monkeypatch):
+    paths = Paths(monkeypatch)
+    pair = Pair(loaded)
+    for step in generate_trace(11, steps=400):  # drive until the memo holds a validity disc of a few metres
+        pair.fix(step.x, step.y)
+        if pair.handle._disc_memo is not None and anchor(pair.handle)[2] >= 8:
+            break
+    else:
+        pytest.fail("no fix left a validity disc of 8 m or more")
+    inside = outside = 0
+    for k in range(24):
+        ax, ay, s = anchor(pair.handle)
+        angle = 2 * math.pi * k / 24
+        if s >= 2:  # just inside: no exact check
+            dx, dy = int((s - 1) * math.cos(angle)), int((s - 1) * math.sin(angle))
+            assert dx * dx + dy * dy < s * s
+            checks = paths.checks
+            pair.fix(ax + dx, ay + dy)
+            assert paths.checks == checks and anchor(pair.handle) == (ax, ay, s)
+            inside += 1
+        dx, dy = math.ceil(s * math.cos(angle)), math.ceil(s * math.sin(angle))
+        dx, dy = dx + (dx >= 0) - (dx < 0), dy + (dy >= 0) - (dy < 0)  # just outside: the exact check runs
+        assert dx * dx + dy * dy >= s * s
+        checks = paths.checks
+        pair.fix(ax + dx, ay + dy)
+        assert paths.checks == checks + 1
+        outside += 1
+    assert inside > 0 and outside == 24 and paths.passed > 0
+    assert pair.answered > pair.queries // 2
+
+
+# -- replaying a memo's pages in one call ------------------------------------------
+
+
+def request_one_by_one(store, log):
+    """The recorded requests made one at a time, as ``Handle._replay`` made them before the one-call path."""
+    for addr, page in log:
+        if store.read_page(addr) != page:
+            return
+
+
+def cache_state(store):
+    """Hits, misses, and the cached addresses and bytes in LRU order."""
+    c = store.cache
+    return c.hits, c.misses, [(addr, bytes(page)) for addr, page in c._pages.items()]
+
+
+@pytest.mark.parametrize(
+    "case, one_call",
+    [("all cached", True), ("an address twice", True), ("evicted and read again", False),
+     ("swapped cache", False), ("swapped back", True)],
+)
+def test_a_one_call_replay_counts_and_orders_the_cache_as_the_requests_do(loaded, case, one_call):
+    x, y = 1_000_000, 1_000_000
+    sides = []
+    for st, reads in twins(loaded):  # the same queries on both: the same cache state, page objects aside
+        h = st.handle()
+        h.query_zones_at(x, y)
+        h.query_gantries_within(x, y, 30_000)
+        log = h._disc_memo[2] + h._zone_memo[1]
+        if case == "an address twice":
+            log.append(log[0])
+        elif case == "evicted and read again":  # equal bytes, another object
+            st.cache.invalidate(log[1][0])
+            st.read_page(log[1][0])
+        elif case == "swapped cache":
+            st.swap_cache(PageCache(3))
+        elif case == "swapped back":
+            old = st.swap_cache(PageCache(3))
+            st.read_page(log[0][0])
+            st.swap_cache(old)
+        sides.append((st, reads, h, log))
+    (kept, kept_reads, h, log), (other, other_reads, _, other_log) = sides
+    assert len(log) >= 4
+    took = []
+    bulk = kept.cache.hit_all
+    kept.cache.hit_all = lambda requests: took.append(bulk(requests)) or took[-1]
+    assert h._replay(log) is None
+    request_one_by_one(other, other_log)
+    assert took == [one_call]
+    assert cache_state(kept) == cache_state(other)
+    assert kept_reads == other_reads
+    if case == "evicted and read again":  # the replay kept the cache's new object: the next one is one call
+        assert h._replay(log) is None and took[-1]
+
+
+def test_a_memo_answered_query_makes_no_per_page_cache_call(loaded, monkeypatch):
+    gets = []
+    real = PageCache.get
+
+    def counted(self, addr):
+        gets.append(addr)
+        return real(self, addr)
+
+    monkeypatch.setattr(PageCache, "get", counted)
+    st = Store(FlashDevice.from_bytes(loaded.device.to_bytes()))
+    h = st.handle()
+    answered = 0
+    for step in generate_trace(11, steps=200):
+        for memo, query in (("_zone_memo", lambda: h.query_zones_at(step.x, step.y)),
+                            ("_disc_memo", lambda: h.query_gantries_within(step.x, step.y, R))):
+            before, n = getattr(h, memo), len(gets)
+            got = query()
+            if getattr(h, memo) is before:
+                answered += 1
+                assert len(gets) == n, memo  # one cache call, not one get per page
+                assert got.cache_hits > 0 and got.pages_read == 0
+    assert answered > 200
+
+
+@pytest.mark.parametrize(
+    "query, name",
+    [
+        (lambda h: h.query_zones_at(1.5, 2), "x"),
+        (lambda h: h.query_zones_at(5, 2.0), "y"),
+        (lambda h: h.query_zones_at(True, 2), "x"),
+        (lambda h: h.query_gantries_within(5, 5, 2.5), "radius"),
+        (lambda h: h.query_gantries_within(5, 5, True), "radius"),
+        (lambda h: h.query_gantries_within(5.0, 5, R), "x"),
+        (lambda h: h.query_gantries_within(5, "5", R), "y"),
+    ],
+)
+def test_a_non_integer_argument_is_refused_before_any_page_request(loaded, query, name):
+    st = Store(FlashDevice.from_bytes(loaded.device.to_bytes()))
+    h = st.handle()
+    h.query_zones_at(5, 5)
+    h.query_gantries_within(5, 5, R)
+    memos, anchor, counters = (h._zone_memo, h._disc_memo), list(h._disc_memo[4]), st.read_counters()
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        query(h)
+    assert h._zone_memo is memos[0] and h._disc_memo is memos[1] and h._disc_memo[4] == anchor
+    assert st.read_counters() == counters

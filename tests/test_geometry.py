@@ -24,12 +24,15 @@ from flashquad.geometry import (
     classify_cell,
     classify_children,
     disc_mask,
+    disc_slack,
     dist2,
     in_world,
     point_in_polygon,
     subcell,
     validate_polygon,
 )
+from math import isqrt
+
 from flashquad import geometry
 
 from helpers import pip_oracle, random_simple_polygon
@@ -311,6 +314,96 @@ def test_disc_mask_matches_per_cell():
         disc_mask(TOP_CELL, 0, 0, -5)
     with pytest.raises(DomainError):
         disc_mask(Cell(MAX_LEVEL, 0, 0), 0, 0, 5)
+
+
+# -- the validity disc of a disc mask ------------------------------------------------
+
+
+def slack_by_scan(cell, cx, cy, r, occupied, cap):
+    """The least floored |d - r| over every occupied subcell, metres, at most cap: all 81 looked at."""
+    scale = 9 ** (cell.level + 1)
+    s = cap
+    for idx in range(81):
+        if occupied >> idx & 1:
+            i, j = divmod(idx, 9)
+            gaps = []
+            for c, lo in ((cx * scale - cell.sx * 9, j * W), (cy * scale - cell.sy * 9, i * W)):
+                gaps.append(max(lo - c, c - lo - W, 0))
+            d2 = gaps[0] ** 2 + gaps[1] ** 2
+            rs = r * scale
+            gap = rs - (isqrt(d2 - 1) + 1 if d2 else 0) if d2 <= rs * rs else isqrt(d2) - rs
+            s = min(s, gap // scale)
+    return s
+
+
+@st.composite
+def disc_cases(draw):
+    """A cell at level 0-5, a centre inside or outside it, a radius and an occupied mask."""
+    cell = TOP_CELL
+    for _ in range(draw(st.integers(0, MAX_LEVEL - 1))):
+        cell = subcell(cell, draw(st.integers(0, 80)))
+    side = W // 9**cell.level
+    ox, oy = cell.sx // 9**cell.level, cell.sy // 9**cell.level
+    cx = ox + draw(st.integers(-side - 3_000, 2 * side + 3_000))
+    cy = oy + draw(st.integers(-side - 3_000, 2 * side + 3_000))
+    r = draw(st.sampled_from([0, 1, 2_000, side + 1, side * 2]) | st.integers(0, 5_000))
+    occupied = draw(st.integers(0, (1 << 81) - 1) | st.builds(lambda a, b: a & b, st.integers(0, (1 << 81) - 1),
+                                                               st.integers(0, (1 << 81) - 1)))
+    return cell, cx, cy, r, occupied
+
+
+@given(disc_cases(), st.sampled_from([1_000, 10**9]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_no_move_inside_the_slack_changes_the_disc_mask(case, cap, data):
+    cell, cx, cy, r, occupied = case
+    met = disc_mask(cell, cx, cy, r) & occupied
+    s = disc_slack([(cell, occupied, met)], cx, cy, r, cap)
+    assert s == slack_by_scan(cell, cx, cy, r, occupied, cap)  # four subcells a row find the least gap
+    for _ in range(6 if s else 0):
+        dx = data.draw(st.integers(-s + 1, s - 1))
+        room = isqrt(s * s - 1 - dx * dx)
+        dy = data.draw(st.integers(-room, room))
+        assert dx * dx + dy * dy < s * s
+        assert disc_mask(cell, cx + dx, cy + dy, r) & occupied == met, (dx, dy, s)
+    flipped = occupied & ~met if occupied & ~met else met  # one more, or one fewer, subcell met
+    if flipped:
+        wrong = met ^ (flipped & -flipped)
+        assert disc_slack([(cell, occupied, wrong)], cx, cy, r, cap) is None
+    assert disc_slack([(cell, occupied, met | ~occupied & (1 << 80))], cx, cy, r, cap) in (None, s)
+
+
+@given(st.lists(disc_cases(), min_size=2, max_size=3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_slack_of_several_nodes_is_the_least_of_theirs(cases, data):
+    cx, cy, r = data.draw(st.integers(-5_000, W + 5_000)), data.draw(st.integers(-5_000, W + 5_000)), cases[0][3]
+    nodes = [(cell, occ, disc_mask(cell, cx, cy, r) & occ) for cell, _, _, _, occ in cases]
+    alone = [disc_slack([node], cx, cy, r, 1_000) for node in nodes]
+    assert disc_slack(nodes, cx, cy, r, 1_000) == min(alone)
+    bad = nodes[-1][0], nodes[-1][1], nodes[-1][2] ^ (nodes[-1][1] & -nodes[-1][1])
+    if nodes[-1][1]:
+        assert disc_slack(nodes[:-1] + [bad], cx, cy, r, 1_000) is None
+
+
+def test_a_subcell_on_the_rim_leaves_no_slack():
+    # (-3, -4) lies exactly 5 from the world's corner (0, 0), a corner of subcell 0 of every cell there
+    for level in range(MAX_LEVEL):
+        cell = Cell(level, 0, 0)
+        assert disc_slack([(cell, 1, 1)], -3, -4, 5, 1_000) == 0  # on the rim from inside
+        assert disc_slack([(cell, 1, 1)], -4, -3, 4, 1_000) is None  # (0, 0) is 5 away: not met by a disc of 4
+        assert disc_slack([(cell, 1, 0)], -3, -4, 4, 1_000) == 1  # 1 m outside the rim
+        assert disc_slack([(cell, 1, 1)], -3, -4, 6, 1_000) == 1  # 1 m inside it
+        assert disc_slack([(cell, 1, 1)], -5, 2, 5, 1_000) == 0  # tangent to the left edge
+        # gaps just short of a whole metre round down: sqrt(101) = 10.0499, sqrt(80) = 8.9443
+        assert disc_slack([(cell, 1, 1)], -10, -1, 12, 1_000) == 1  # 12 - 10.0499 inside
+        assert disc_slack([(cell, 1, 0)], -8, -4, 6, 1_000) == 2  # 8.9443 - 6 outside
+    far = TOP_CELL
+    for _ in range(MAX_LEVEL - 1):
+        far = subcell(far, 80)  # the level-5 cell in the world's far corner
+    assert disc_slack([(far, 1 << 80, 1 << 80)], W + 3, W + 4, 5, 1_000) == 0
+    assert disc_slack([(far, 1 << 80, 0)], W + 3, W + 4, 5, 1_000) is None
+    # the nearest subcell, not the cell's own box, bounds the slack; none occupied gives the cap
+    assert disc_slack([(TOP_CELL, 0, 0)], W // 2, W // 2, 2_000, 1_000) == 1_000
+    assert disc_slack([], 5, 5, 5, 77) == 77
 
 
 # -- polygon validation -----------------------------------------------------------

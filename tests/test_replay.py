@@ -112,3 +112,11 @@ def test_lru_cache_basics():
     assert c.get(3) is None
     with pytest.raises(DomainError, match="cache_pages must be at least 1, got 0"):
         PageCache(0)
+
+
+@pytest.mark.parametrize("radius", [-5, 2.5, True, "7"])
+def test_replay_refuses_a_bad_radius_before_it_swaps_the_cache(loaded, radius):
+    cache = loaded.cache
+    with pytest.raises(DomainError, match="radius"):
+        replay(loaded, [], radius)
+    assert loaded.cache is cache
