@@ -23,9 +23,6 @@ class PageCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._pages)
-
     def get(self, addr: int) -> Optional[bytes]:
         page = self._pages.get(addr)
         if page is None:

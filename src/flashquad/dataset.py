@@ -17,11 +17,12 @@ Trace files hold one vehicle position per line, ``<t> <x> <y>`` with
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .geometry import COORD_MAX, COORD_MIN, WORLD_SIZE, in_world, validate_polygon
 
 
@@ -94,7 +95,7 @@ def parse_dataset(text: str) -> tuple[list[Gantry], list[Zone]]:
                     raise ParseError(f"vertex ({vx}, {vy}) overflows 32-bit range", line_no)
             try:
                 validate_polygon(verts)
-            except Exception as e:
+            except DomainError as e:
                 raise ParseError(f"bad zone polygon: {e}", line_no) from None
             seen_z.add(zid)
             zones.append(Zone(zid, verts))
@@ -180,8 +181,6 @@ def generate_dataset(
         angles = sorted(rng.uniform(0, 6.283185) for _ in range(n))
         if angles[-1] - angles[0] < 1.0:
             continue  # too sliver-like; try again
-        import math
-
         verts = []
         for a in angles:
             vx = cx + int(r * math.cos(a))
@@ -189,7 +188,7 @@ def generate_dataset(
             verts.append((vx, vy))
         try:
             validate_polygon(verts)
-        except Exception:
+        except DomainError:
             continue
         zones.append(Zone(zid, tuple(verts)))
         zid += 1
@@ -203,8 +202,6 @@ def generate_trace(
 ) -> list[TraceStep]:
     """Random drive: straight runs with occasional turns, world-edge bounce."""
     rng = random.Random(seed)
-    import math
-
     x = rng.randrange(WORLD_SIZE // 4, 3 * WORLD_SIZE // 4)
     y = rng.randrange(WORLD_SIZE // 4, 3 * WORLD_SIZE // 4)
     heading = rng.uniform(0, 6.283185)

@@ -26,13 +26,6 @@ Point = Tuple[int, int]
 
 _POW9 = tuple(9**level for level in range(MAX_LEVEL + 1))
 
-# lowest and highest set bit of each 9-bit row of subcells; an empty row gives
-# a column below 0, even with a column added to it
-_LOW = tuple((v & -v).bit_length() - 1 if v else -99 for v in range(512))
-_HIGH = tuple(v.bit_length() - 1 for v in range(512))
-_ROW = 511
-_ROWS = tuple((1 << 9 * i) - 1 for i in range(10))  # the bits of rows 0..i-1
-
 # side-sharing neighbours of each subcell index 9*i + j
 _NEIGHBOURS = tuple(
     tuple(
@@ -283,12 +276,6 @@ def classify_children(cell: Cell, verts: Sequence[Point]) -> bytes:
     return bytes(out)
 
 
-def dist2(ax: int, ay: int, bx: int, by: int) -> int:
-    dx = ax - bx
-    dy = ay - by
-    return dx * dx + dy * dy
-
-
 def cell_intersects_disc(cell: Cell, cx: int, cy: int, radius: int) -> bool:
     """True when the closed cell box meets the closed disc (exact integer test)."""
     if radius < 0:
@@ -354,95 +341,55 @@ def disc_slack(nodes: Iterable[Tuple[Cell, int, int]], cx: int, cy: int, radius:
     """Whole metres the centre may move while every node's disc mask stays as it is now, or None if one differs.
 
     Each node is ``(cell, occupied, met)``.  None means that for some node
-    ``disc_mask(cell, cx, cy, radius) & occupied != met``.  Otherwise the
-    answer, at most ``cap``, is a distance that every move shorter than it
-    keeps all of those masks.  A subcell's bit flips only when the
-    distance d from the centre to its closed box crosses the radius r, and
-    d changes no faster than the centre moves, so the answer is the least
-    ``|d - r|`` over the occupied subcells, rounded down.  Each gap comes
-    from ``math.isqrt``, rounded so that it is never overestimated; a
-    subcell on the rim gives 0.
+    ``disc_mask(cell, cx, cy, radius) & occupied != met``.  Otherwise every
+    move shorter than the answer, at most ``cap``, keeps all of those
+    masks.  A bit flips only when the distance d from the centre to its
+    subcell's closed box crosses the radius r, and d changes no faster than
+    the centre moves, so the answer is the least ``|d - r|`` over the
+    occupied subcells, rounded down: ``r - ceil(d)`` inside the disc and
+    ``floor(d) - r`` outside, from ``math.isqrt``; a subcell on the rim gives 0.
 
-    Within one row the gap to the centre's column shrinks towards the
-    centre's column and grows past it, so only four of the row's occupied
-    subcells can hold the row's least ``|d - r|``: the outermost ones
-    inside the disc (the largest d inside) and, on either side of the
-    centre's column, the nearest one outside it (the smallest d outside).
-    Each row's run of columns inside the disc comes from one integer square
-    root, as in ``disc_mask``, and is checked against ``met`` first.  Only
-    rows within r + slack of the centre are looked at, a candidate is
-    square-compared with the slack so far before any square root, and the
-    slack found so far carries from node to node: list the nodes with the
-    smallest subcells first.
+    One pass per node looks at the occupied subcells in the rows and
+    columns within r + s of the centre, s being the slack so far; each
+    one's d**2 decides its bit, by ``disc_mask``'s rule, and gives its gap.
+    A subcell out of that reach lies farther than r + s, so it misses the
+    disc and its gap is at least s: the bits found are the node's whole
+    mask, and a ``met`` bit beyond reach or off ``occupied`` differs from
+    them.  The slack carries from node to node and narrows the reach, so
+    list the nodes with the smallest subcells first.
     """
     s = cap
     for (level, sx, sy), occupied, met in nodes:
-        if met & ~occupied:
-            return None
         scale = _POW9[level + 1]
         r = radius * scale
         # the centre relative to the cell's origin, one subcell side being WORLD_SIZE
         x = cx * scale - sx * 9
         y = cy * scale - sy * 9
-        m = s * scale  # the slack so far, scaled: only a gap below it lowers s
-        # rows within r + m of the centre: the others give no smaller slack, and miss the disc
-        i0 = -((r + m - y) // WORLD_SIZE) - 1
-        i1 = (y + r + m) // WORLD_SIZE
-        if i0 < 0:
-            i0 = 0
-        if i1 > 8:
-            i1 = 8
-        if met & ~(_ROWS[i1 + 1] - _ROWS[i0]) if i0 <= i1 else met:  # met in a row out of reach
-            return None
+        reach = r + s * scale  # closed box k is in reach of c when k*W <= c + reach and (k+1)*W >= c - reach
+        i0 = max(0, -((reach - y) // WORLD_SIZE) - 1)
+        i1 = min(8, (y + reach) // WORLD_SIZE)
+        j0 = max(0, -((reach - x) // WORLD_SIZE) - 1)
+        j1 = min(8, (x + reach) // WORLD_SIZE)
         rr = r * r
-        lo_in = r - m  # an inside subcell lowers s when its d exceeds this
-        lo_in2 = lo_in * lo_in
-        hi_out2 = (r + m) * (r + m)  # an outside one when its d**2 is below this
-        jc = x // WORLD_SIZE
-        jc = 0 if jc < 0 else (8 if jc > 8 else jc)
-        near = (2 << jc) - 1  # columns 0..jc, whose gap to the centre shrinks as j grows
+        inside = 0  # the occupied subcells that meet the disc
         for i in range(i0, i1 + 1):
-            row = occupied >> 9 * i & _ROW
-            if not row:
-                continue
+            row = occupied >> 9 * i
             lo = i * WORLD_SIZE
             dy = lo - y if y < lo else (y - lo - WORLD_SIZE if y > lo + WORLD_SIZE else 0)
-            dy2 = dy * dy
-            inner = 0
-            if dy2 <= rr:  # the row's columns within reach of the disc, as disc_mask finds them
-                w = isqrt(rr - dy2)
-                a = -((w - x) // WORLD_SIZE) - 1
-                b = (x + w) // WORLD_SIZE
-                if a < 0:
-                    a = 0
-                if b > 8:
-                    b = 8
-                if a <= b:
-                    inner = ((1 << (b - a + 1)) - 1) << a & row
-            if inner != met >> 9 * i & _ROW:
-                return None
-            if dy >= r + m:
-                continue
-            outer = row & ~inner
-            for j in (_LOW[inner], _HIGH[inner], _HIGH[outer & near], jc + _LOW[outer >> jc]):
-                if j < 0:  # no such subcell
-                    continue
-                lo = j * WORLD_SIZE
-                dx = lo - x if x < lo else (x - lo - WORLD_SIZE if x > lo + WORLD_SIZE else 0)
-                d2 = dx * dx + dy2
-                if d2 <= rr:
-                    if lo_in >= 0 and d2 <= lo_in2:
-                        continue
-                    gap = r - (isqrt(d2 - 1) + 1 if d2 else 0)  # r - ceil(d)
-                else:
-                    if d2 >= hi_out2:
-                        continue
-                    gap = isqrt(d2) - r  # floor(d) - r
-                s = gap // scale
-                m = s * scale
-                lo_in = r - m
-                lo_in2 = lo_in * lo_in
-                hi_out2 = (r + m) * (r + m)
+            for j in range(j0, j1 + 1):
+                if row >> j & 1:
+                    lo = j * WORLD_SIZE
+                    dx = lo - x if x < lo else (x - lo - WORLD_SIZE if x > lo + WORLD_SIZE else 0)
+                    d2 = dx * dx + dy * dy
+                    if d2 <= rr:
+                        inside |= 1 << 9 * i + j
+                        gap = r - (isqrt(d2 - 1) + 1 if d2 else 0)  # r - ceil(d)
+                    else:
+                        gap = isqrt(d2) - r  # floor(d) - r
+                    if gap < s * scale:
+                        s = gap // scale
+        if inside != met:
+            return None
     return s
 
 

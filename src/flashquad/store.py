@@ -62,6 +62,7 @@ from .codec import (
     encode_node,
     encode_update,
     node_view,
+    page_kind,
     parse_update,
     revoke_directory_slot,
 )
@@ -138,11 +139,12 @@ class Session:
     def program_page(self, addr: int, data: bytes) -> None:
         self._store._program(addr, bytes(data))
 
-    def write_page(self, data: bytes, dedupable: bool = False) -> int:
+    def write_page(self, data: bytes) -> int:
+        """Program ``data`` on a fresh page, or share the store's copy of a leaf-list page when the image dedups."""
         self._assert_open()
         data = bytes(data)
         store = self._store
-        dedupable = dedupable and self._editor.params.dedup  # fixed while the session is open
+        dedupable = self._editor.params.dedup and page_kind(data) == "leaf"  # the params are fixed while open
         if dedupable:
             hit = store._dedup_lookup(data, self.pending)
             if hit is not None:
@@ -341,14 +343,6 @@ class Store:
             page = self.device.read_page(addr)
             self.cache.put(addr, page)
         return page
-
-    def hit_all(self, requests: Sequence[tuple[int, bytes]]) -> bool:
-        """``read_page`` each address of ``requests`` in one call, when all are cache hits on those very pages."""
-        return self.cache.hit_all(requests)
-
-    def read_counters(self) -> tuple[int, int]:
-        """(device reads, cache hits) so far, from the current cache's counters."""
-        return self.cache.misses, self.cache.hits
 
     def swap_cache(self, cache: PageCache) -> PageCache:
         old, self.cache = self.cache, cache

@@ -37,7 +37,8 @@ change shape:
 
 This module does not know about versions or allocation policy; it reads
 and writes through a small page-IO object (the store) that provides
-``read_page``, ``alloc_page``, ``program_page`` and ``write_page``.
+``read_page``, ``alloc_page``, ``program_page`` and ``write_page``; a
+handle's queries count their reads and hits on its ``cache``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import codec
 from .codec import (
@@ -115,16 +116,14 @@ _EDGE = 2  # attach an edge record at this cell
 _DESCEND = 3  # boundary cell above zone_max_depth: place records deeper
 
 
-@dataclass(frozen=True)
-class QueryHit:
+class QueryHit(NamedTuple):
     object_id: int
     kind: str  # GANTRY or ZONE
     basis: str  # "inside-entry" | "edge-test" | "distance"
     position: Optional[tuple[int, int]] = None  # gantry location
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     hits: tuple[QueryHit, ...]
     pages_read: int  # device reads: the query's cache misses
     cache_hits: int
@@ -770,9 +769,11 @@ def _reanchor(memo: tuple, x: int, y: int) -> bool:
     """Whether the disc memo holds at (x, y): every node it visited meets the disc as before.
 
     When it does, its validity disc moves to (x, y), with the slack
-    ``disc_slack`` finds.  The nodes visited last, the deepest, whose
-    subcells are smallest, go first, so their slack narrows the search in
-    the coarser ones.
+    ``disc_slack`` finds in the same pass: at each node it looks only at
+    the occupied subcells within r + s of (x, y), s being the slack so far,
+    since a farther one neither meets the disc nor has a smaller gap.  The
+    nodes visited last, the deepest, whose subcells are smallest, go first,
+    so their slack narrows the reach in the coarser ones.
     """
     s = disc_slack(reversed(memo[1]), x, y, memo[0], _SLACK_CAP)
     if s is None:
@@ -813,7 +814,7 @@ class Handle:
     so the cache's hits and misses, the device reads and ``QueryResult``
     are exactly a full query's, whatever cache is in place.  When every
     recorded page is in the cache as the very object recorded, that is one
-    call (``Store.hit_all``): each request would be a hit that evicts
+    call (``PageCache.hit_all``): each request would be a hit that evicts
     nothing, so the counters and the LRU order come out as the requests
     one by one would leave them.  Otherwise they are made one by one, and
     the memo answers only when every page comes back with the recorded
@@ -839,9 +840,9 @@ class Handle:
         return f"Handle(version={self.version_no}, root={self.root_page})"
 
     def _result(self, found: dict[int, QueryHit], before: tuple[int, int]) -> QueryResult:
-        reads, hits = self._io.read_counters()
+        cache = self._io.cache
         return QueryResult(
-            tuple(sorted(found.values(), key=lambda h: h.object_id)), reads - before[0], hits - before[1]
+            tuple(sorted(found.values(), key=lambda h: h.object_id)), cache.misses - before[0], cache.hits - before[1]
         )
 
     def _replay(self, log: list[tuple[int, bytes]]) -> Optional[list[tuple[int, bytes]]]:
@@ -853,7 +854,7 @@ class Handle:
         the requests are one call (``hit_all``); otherwise they are made one
         by one, from the first.
         """
-        if self._io.hit_all(log):
+        if self._io.cache.hit_all(log):
             return None
         read = self._io.read_page
         for k, (addr, page) in enumerate(log):
@@ -891,7 +892,7 @@ class Handle:
             check_ints(x=x, y=y)
         if not in_world(x, y):
             raise DomainError(f"point ({x}, {y}) outside the world square")
-        before = self._io.read_counters()
+        before = self._io.cache.misses, self._io.cache.hits
         memo, made = self._zone_memo, ()
         if memo is not None and cell_contains(memo[0], x, y):
             made = self._replay(memo[1])
@@ -939,7 +940,7 @@ class Handle:
             check_ints(x=x, y=y, radius=radius)
         if radius < 0:
             raise DomainError("radius must be non-negative")
-        before = self._io.read_counters()
+        before = self._io.cache.misses, self._io.cache.hits
         memo, made = self._disc_memo, ()
         if memo is not None and memo[0] == radius:
             ax, ay, s2 = memo[4]
@@ -1059,7 +1060,7 @@ class TreeEditor:
             page = self._encoded.get(key)
             if page is None:
                 page = self._encoded[key] = encode_leaf_list(chunk, addr)
-            addr = self._io.write_page(page, dedupable=True)
+            addr = self._io.write_page(page)
         return addr
 
     def _append(self, head: int, new: Sequence[LeafRecord]) -> int:
@@ -1071,7 +1072,7 @@ class TreeEditor:
             room -= record_bytes(new[k])
             k += 1
         if k:
-            head = self._io.write_page(encode_leaf_list(self._with_coords([*records, *new[:k]]), nxt), dedupable=True)
+            head = self._io.write_page(encode_leaf_list(self._with_coords([*records, *new[:k]]), nxt))
         return self._write_chain(new[k:], head)
 
     def _filter_chain(self, word: int, drop: set[int]) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +68,23 @@ def disc_oracle(px: np.ndarray, py: np.ndarray, cx: int, cy: int, r: int) -> np.
     px = np.asarray(px, dtype=np.int64)
     py = np.asarray(py, dtype=np.int64)
     return (px - cx) ** 2 + (py - cy) ** 2 <= r * r
+
+
+def slack_by_scan(cell, cx, cy, r, occupied, cap):
+    """The least floored |d - r| over every occupied subcell, metres, at most cap: all 81 looked at."""
+    scale = 9 ** (cell.level + 1)
+    s = cap
+    for idx in range(81):
+        if occupied >> idx & 1:
+            i, j = divmod(idx, 9)
+            gaps = []
+            for c, lo in ((cx * scale - cell.sx * 9, j * WORLD), (cy * scale - cell.sy * 9, i * WORLD)):
+                gaps.append(max(lo - c, c - lo - WORLD, 0))
+            d2 = gaps[0] ** 2 + gaps[1] ** 2
+            rs = r * scale
+            gap = rs - (isqrt(d2 - 1) + 1 if d2 else 0) if d2 <= rs * rs else isqrt(d2) - rs
+            s = min(s, gap // scale)
+    return s
 
 
 # -- random shapes -----------------------------------------------------------

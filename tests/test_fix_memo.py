@@ -10,13 +10,13 @@ from flashquad.cache import PageCache
 from flashquad.dataset import TraceStep, build_database, generate_dataset, generate_trace
 from flashquad.errors import DomainError, FlashQuadError
 from flashquad.flashsim import FlashDevice, FlashGeometry
-from flashquad.geometry import WORLD_SIZE as W
+from flashquad.geometry import WORLD_SIZE as W, disc_mask
 from flashquad.replay import replay, write_replay_csv
 from flashquad.store import Store
 from flashquad import tree
 from flashquad.tree import Handle
 
-from helpers import random_gantries, seeded_store
+from helpers import random_gantries, seeded_store, slack_by_scan
 
 R = 2_000  # metres, the fix loop's disc
 
@@ -298,6 +298,29 @@ def test_a_drive_circling_its_anchor_just_inside_and_just_outside_the_slack(load
     assert pair.answered > pair.queries // 2
 
 
+@pytest.mark.parametrize("radius", [R, 30_000])
+def test_every_slack_along_a_drive_is_the_least_gap_of_a_full_scan(loaded, monkeypatch, radius):
+    """Each slack a drive asks for is None exactly when a node's mask changed, else the least gap of all 81 subcells."""
+    calls = []
+    real = tree.disc_slack
+
+    def recorded(nodes, cx, cy, r, cap):
+        nodes = list(nodes)
+        calls.append((nodes, cx, cy, r, cap, real(nodes, cx, cy, r, cap)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(tree, "disc_slack", recorded)
+    h = loaded.handle()
+    for step in generate_trace(4, steps=300, speed=300):  # fast: most fixes leave the validity disc
+        h.query_gantries_within(step.x, step.y, radius)
+    for nodes, cx, cy, r, cap, got in calls:
+        if any(disc_mask(cell, cx, cy, r) & occupied != met for cell, occupied, met in nodes):
+            assert got is None
+        else:
+            assert got == min(slack_by_scan(cell, cx, cy, r, occupied, cap) for cell, occupied, met in nodes)
+    assert {got is None for *_, got in calls} == {True, False}  # both outcomes came up
+
+
 # -- replaying a memo's pages in one call ------------------------------------------
 
 
@@ -394,8 +417,8 @@ def test_a_non_integer_argument_is_refused_before_any_page_request(loaded, query
     h = st.handle()
     h.query_zones_at(5, 5)
     h.query_gantries_within(5, 5, R)
-    memos, anchor, counters = (h._zone_memo, h._disc_memo), list(h._disc_memo[4]), st.read_counters()
+    memos, anchor, counters = (h._zone_memo, h._disc_memo), list(h._disc_memo[4]), (st.cache.misses, st.cache.hits)
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):
         query(h)
     assert h._zone_memo is memos[0] and h._disc_memo is memos[1] and h._disc_memo[4] == anchor
-    assert st.read_counters() == counters
+    assert (st.cache.misses, st.cache.hits) == counters

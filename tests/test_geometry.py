@@ -25,7 +25,6 @@ from flashquad.geometry import (
     classify_children,
     disc_mask,
     disc_slack,
-    dist2,
     in_world,
     point_in_polygon,
     subcell,
@@ -35,7 +34,7 @@ from math import isqrt
 
 from flashquad import geometry
 
-from helpers import pip_oracle, random_simple_polygon
+from helpers import pip_oracle, random_simple_polygon, slack_by_scan
 
 W = WORLD_SIZE
 
@@ -243,11 +242,6 @@ def test_batches_match_per_cell_down_to_level_six():
 # -- disc predicates -----------------------------------------------------------------
 
 
-def test_dist2_exact():
-    assert dist2(0, 0, 3, 4) == 25
-    assert dist2(-(10**9), 0, 10**9, 0) == 4 * 10**18
-
-
 def test_disc_touches_cell_boundary():
     # the first subcell's left edge sits at x = 0 exactly
     cell = subcell(TOP_CELL, 0)
@@ -319,23 +313,6 @@ def test_disc_mask_matches_per_cell():
 # -- the validity disc of a disc mask ------------------------------------------------
 
 
-def slack_by_scan(cell, cx, cy, r, occupied, cap):
-    """The least floored |d - r| over every occupied subcell, metres, at most cap: all 81 looked at."""
-    scale = 9 ** (cell.level + 1)
-    s = cap
-    for idx in range(81):
-        if occupied >> idx & 1:
-            i, j = divmod(idx, 9)
-            gaps = []
-            for c, lo in ((cx * scale - cell.sx * 9, j * W), (cy * scale - cell.sy * 9, i * W)):
-                gaps.append(max(lo - c, c - lo - W, 0))
-            d2 = gaps[0] ** 2 + gaps[1] ** 2
-            rs = r * scale
-            gap = rs - (isqrt(d2 - 1) + 1 if d2 else 0) if d2 <= rs * rs else isqrt(d2) - rs
-            s = min(s, gap // scale)
-    return s
-
-
 @st.composite
 def disc_cases(draw):
     """A cell at level 0-5, a centre inside or outside it, a radius and an occupied mask."""
@@ -358,7 +335,7 @@ def test_no_move_inside_the_slack_changes_the_disc_mask(case, cap, data):
     cell, cx, cy, r, occupied = case
     met = disc_mask(cell, cx, cy, r) & occupied
     s = disc_slack([(cell, occupied, met)], cx, cy, r, cap)
-    assert s == slack_by_scan(cell, cx, cy, r, occupied, cap)  # four subcells a row find the least gap
+    assert s == slack_by_scan(cell, cx, cy, r, occupied, cap)  # the subcells within reach hold the least gap
     for _ in range(6 if s else 0):
         dx = data.draw(st.integers(-s + 1, s - 1))
         room = isqrt(s * s - 1 - dx * dx)
@@ -404,6 +381,16 @@ def test_a_subcell_on_the_rim_leaves_no_slack():
     # the nearest subcell, not the cell's own box, bounds the slack; none occupied gives the cap
     assert disc_slack([(TOP_CELL, 0, 0)], W // 2, W // 2, 2_000, 1_000) == 1_000
     assert disc_slack([], 5, 5, 5, 77) == 77
+
+
+def test_a_met_bit_the_scan_does_not_find_gives_none():
+    # the centre of the top cell; subcell 0 lies far beyond r + cap, subcell 40 holds the centre
+    cx = cy = W // 2
+    assert disc_slack([(TOP_CELL, 1 | 1 << 40, 1 << 40)], cx, cy, 2_000, 1_000) == 1_000
+    assert disc_slack([(TOP_CELL, 1 | 1 << 40, 1 | 1 << 40)], cx, cy, 2_000, 1_000) is None  # beyond reach
+    assert disc_slack([(TOP_CELL, 1, 1)], cx, cy, 2_000, 1_000) is None
+    assert disc_slack([(TOP_CELL, 0, 1 << 40)], cx, cy, 2_000, 1_000) is None  # off occupied, inside the disc
+    assert disc_slack([(TOP_CELL, 1, 1 << 40 | 1)], cx, cy, 2_000, 1_000) is None  # off occupied
 
 
 # -- polygon validation -----------------------------------------------------------

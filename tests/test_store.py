@@ -550,6 +550,16 @@ def test_dedup_off_writes_every_page():
     assert on.handle().query_zones_at(5, 5).ids == off.handle().query_zones_at(5, 5).ids
 
 
+def test_write_page_shares_a_repeated_leaf_page_and_no_other_kind():
+    leaf, node = encode_leaf_list([LeafRecord(KIND_POINT, 40)]), encode_node(1)
+    for dedup in (True, False):
+        store = fresh(params=BuildParams(dedup=dedup))
+        s = store.begin()
+        assert (s.write_page(leaf) == s.write_page(leaf)) == dedup  # one page, when the image dedups
+        assert s.write_page(node) != s.write_page(node)
+        s.rollback()
+
+
 def test_dedup_map_holds_exactly_the_leaf_pages_of_live_versions():
     gantries, zones = generate_dataset(9, 300, 20)
     source = fresh(16, max_versions=2)
