@@ -10,6 +10,9 @@ Layout on the device:
   the source is erased, one subsector's live-record set is always a
   superset of the other's, and mount picks the superset side.  A power
   cut can lose at most the record being written, never a committed one.
+  A side's first blank slot ends its log, and mount reads no further.
+  When mount finds records on the inactive side too (a compaction cut
+  before its last erase), the first revoke erases that side first.
 * pages 32.. hold tree and object pages, allocated by a cyclic cursor so
   erase load spreads over the whole device instead of hammering the
   lowest free subsector.  A dirty subsector that holds nothing live is
@@ -233,13 +236,16 @@ class Store:
         max_versions: int = MAX_VERSIONS_DEFAULT,
         _known: Optional[dict[int, bytes]] = None,
     ):
-        """Mount the database on ``device``, reading only the version directory.
+        """Mount the database on ``device``, reading only the version directory's written slots.
+
+        Each directory subsector is read up to its first blank slot, the end
+        of its log: two pages on a built image (``_scan_dir``).
 
         The reference counts are built by the first write (``_ensure_counted``),
         which is refused if a retained version is damaged, and reads ``params``.
 
         ``_known`` maps addresses to the bytes a caller has just read or
-        programmed there (``format`` passes pages 0..32); the mount takes
+        programmed there (``format`` passes pages 0, 16 and 32); the mount takes
         those instead of reading them again.
         """
         _check_settings(cache_pages, max_versions)
@@ -273,16 +279,22 @@ class Store:
         device.program_page(DATA_START, root)
         slot0 = directory_page_with(ERASED_PAGE, 0, [VersionRecord(1, DATA_START, DATA_START + 1)])
         device.program_page(0, slot0)
-        # the directory is blank but for the first record: the mount reads none of it, nor the root
-        known = dict.fromkeys(range(DIR_PAGES), ERASED_PAGE) | {0: slot0, DATA_START: root}
+        # each directory side's log ends on its first page: the mount reads neither, nor the root
+        known = {0: slot0, PAGES_PER_SUBSECTOR: ERASED_PAGE, DATA_START: root}
         return cls(device, cache_pages=cache_pages, max_versions=max_versions, _known=known)
 
     # -- mount --
 
     def _scan_dir(
-        self, sub: int, known: Optional[dict[int, bytes]] = None
+        self, sub: int, known: Optional[dict[int, bytes]] = None, whole: bool = False
     ) -> list[tuple[int, str, Optional[VersionRecord]]]:
-        """(slot number, state, record) of each slot of subsector ``sub`` that is not blank."""
+        """(slot number, state, record) of each slot of subsector ``sub`` that is not blank.
+
+        Records are appended slot by slot, so a side's first blank slot ends
+        its log: the scan stops there, reading no later page, unless ``whole``.
+        A torn, revoked or damaged slot is not blank, and the scan goes on
+        past it.  Only ``verify`` scans whole sides.
+        """
         out = []
         base = sub * PAGES_PER_SUBSECTOR
         for p in range(PAGES_PER_SUBSECTOR):
@@ -290,6 +302,8 @@ class Store:
             for s, (state, rec) in enumerate(directory_slots(raw)):
                 if state != "blank":
                     out.append((p * SLOTS_PER_PAGE + s, state, rec))
+                elif not whole:
+                    return out
         return out
 
     def _mount(self, known: dict[int, bytes]) -> None:
@@ -310,6 +324,8 @@ class Store:
         else:
             raise IntegrityError("version directory subsectors disagree; image is corrupt")
         self._active_sub = active
+        # records on the other side: a compaction cut before its last erase, or a copy cut short
+        self._other_side_used = bool(scans[1 - active])
 
         self._versions: dict[int, VersionRecord] = {}
         self._slot_of: dict[int, int] = {}  # live version -> its slot number in the active subsector
@@ -529,6 +545,11 @@ class Store:
         self._dir_tail += 1
 
     def _revoke(self, vno: int) -> None:
+        if self._other_side_used:
+            # the other side's live set is a subset of this one's; a revoke here would end that,
+            # and mount could no longer tell the sides apart, so finish the interrupted compaction
+            self.device.erase_subsector((1 - self._active_sub) * PAGES_PER_SUBSECTOR)
+            self._other_side_used = False
         addr, s = self._dir_page(self._slot_of.pop(vno))
         self.device.program_page(addr, revoke_directory_slot(self.device.read_page(addr), s))
         del self._versions[vno]
@@ -543,6 +564,7 @@ class Store:
             self.device.program_page(t_base + n // SLOTS_PER_PAGE, page)
         self.device.erase_subsector(self._active_sub * PAGES_PER_SUBSECTOR)
         self._active_sub = target
+        self._other_side_used = False
         self._slot_of = {rec.version_no: n for n, rec in enumerate(recs)}
         self._dir_tail = len(recs)
 
@@ -666,12 +688,20 @@ class Store:
         return out
 
     def verify(self) -> dict:
-        """Walk every live version and re-check directory slots."""
+        """Walk every live version and re-check every slot of both directory subsectors.
+
+        A failing slot is damage unless it is torn, which is what an
+        interrupted append leaves.  On the active side, any slot written past
+        the end of the log (its first blank slot) is damage too: mount never
+        reads it.  The other side may hold what a cut erase left behind.
+        """
         problems: list[str] = []
         for sub in range(DIR_SUBSECTORS):
-            for n, state, _ in self._scan_dir(sub):
-                if state == "invalid":  # damage; a torn slot is what an interrupted append leaves
-                    p, s = divmod(n, SLOTS_PER_PAGE)
+            for k, (n, state, _) in enumerate(self._scan_dir(sub, whole=True)):
+                p, s = divmod(n, SLOTS_PER_PAGE)
+                if sub == self._active_sub and n != k:  # a blank slot comes before it
+                    problems.append(f"directory subsector {sub} page {p} slot {s} lies past the end of the log")
+                elif state == "invalid":
                     problems.append(f"directory subsector {sub} page {p} slot {s} is damaged")
         per_version: dict[int, tree.StatsReport] = {}
         for vno in sorted(self._versions):

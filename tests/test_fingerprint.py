@@ -16,9 +16,9 @@ def test_fingerprint_of_one_seed_is_complete_and_repeats():
     assert first.returncode == 0, first.stderr
     lines = first.stdout.splitlines()
     kinds = [line.split()[2:4] for line in lines]
-    assert kinds[:2] == [["regional", "image"], ["regional", "drives"]]
-    assert kinds[2:42] == [["regional", "edit"]] * 40  # perfbench's EDIT_MIX holds 40 edits
-    assert kinds[42:] == [["regional", "final"]] * 2 + [["national", "image"], ["national", "drives"]]
+    regional = ["image", "boot", "drives", "boot", "boot"] + ["edit"] * 40 + ["final"] * 2  # EDIT_MIX: 40 edits
+    assert kinds == [["regional", k] for k in regional] + [["national", k] for k in ("image", "boot", "drives")]
+    assert [line.split()[4] for line in lines if line.split()[3] == "boot"] == ["drives", "source", "replica", "drives"]
     assert all(line.startswith("seed 1 ") for line in lines)
     assert run("1").stdout == first.stdout
 

@@ -1,5 +1,6 @@
 """Store behavior: directory, retention, gc, dedup, updates, crash recovery."""
 
+import functools
 import random
 import tracemalloc
 import zlib
@@ -20,6 +21,8 @@ from flashquad.codec import (
     PAGE_SIZE,
     GantryObject,
     LeafRecord,
+    VersionRecord,
+    directory_page_with,
     encode_leaf_list,
     encode_node,
     leaf_list_view,
@@ -44,7 +47,7 @@ from flashquad.errors import (
 from flashquad.flashsim import PAGES_PER_SUBSECTOR as SUB
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.replay import replay
-from flashquad.store import DATA_START, Store
+from flashquad.store import DATA_START, DIR_SLOTS, Store
 from flashquad.tree import BuildParams, walk_version
 
 from helpers import random_simple_polygon, seeded_store, version_digest
@@ -91,19 +94,44 @@ def test_mount_round_trip():
     assert version_digest(back, v2) == version_digest(store, v2)
 
 
-def test_mount_reads_each_page_once():
-    """Mount reads the version directory only; with the count the first write makes, each page once."""
-    store = fresh()
-    gantries, zones = generate_dataset(seed=4, n_gantries=120, n_zones=6)
-    build_database(store, gantries, zones)
+def mount_reads(store, **kw):
+    """(the store mounted afresh from ``store``'s image, the pages that mount read, in order)."""
     dev = FlashDevice.from_bytes(store.device.to_bytes())
     reads = []
     dev.on_read = reads.append
-    back = Store(dev)
+    return Store(dev, **kw), reads
+
+
+def test_mount_reads_each_page_once():
+    """Mount reads each directory side up to its first blank slot, the end of its log: on a built image
+    the first page of each.  With the count the first write makes, it reads each page once."""
+    store = fresh()
+    gantries, zones = generate_dataset(seed=4, n_gantries=120, n_zones=6)
+    build_database(store, gantries, zones)
+    back, reads = mount_reads(store)
     assert back.current_version == 2
-    assert reads == list(range(DATA_START))
+    assert reads == [0, SUB]
     back._ensure_counted()
-    assert len(reads) > DATA_START and len(reads) == len(set(reads))
+    assert len(reads) > 2 and len(reads) == len(set(reads))
+
+
+def test_mount_reads_each_directory_side_to_the_end_of_its_log():
+    store = fresh(max_versions=4)
+    for _ in range(40):  # 41 records: slots 0..40, on pages 0, 1 and 2
+        store.begin().commit()
+    back, reads = mount_reads(store, max_versions=4)
+    assert reads == [0, 1, 2, SUB]
+    assert (back.current_version, back._dir_tail, back._slot_of) == (41, 41, {v: v - 1 for v in range(38, 42)})
+    for _ in range(215):  # 256 records fill side 0; the next commit compacts onto side 1
+        store.begin().commit()
+    back, reads = mount_reads(store, max_versions=4)
+    assert reads == list(range(SUB)) + [SUB] and back._dir_tail == 256
+    store.begin().commit()
+    back, reads = mount_reads(store, max_versions=4)
+    assert reads == [0, SUB]  # side 0 is erased, side 1 holds the 4 copied records and the new one
+    assert (back._active_sub, back._dir_tail, back.current_version) == (1, 5, 257)
+    assert [r["version"] for r in back.versions()] == [253, 254, 255, 256, 257]
+    assert [r["version"] for r in back.versions() if r["state"] == "live"] == [254, 255, 256, 257]
 
 
 def test_reads_leave_the_count_unbuilt():
@@ -989,6 +1017,122 @@ def test_compaction_crash_keeps_directory_consistent():
         store.begin().commit()
 
     crash_everywhere(build, op, max_ops=40)
+
+
+def test_verify_reports_a_record_past_the_end_of_the_log_and_mount_does_not_read_it():
+    store = fresh()
+    add_gantries(store, [1])  # versions 1 and 2 in slots 0 and 1: slot 2 ends the log
+    dev = store.device
+    ghost = VersionRecord(9, DATA_START, DATA_START + 1)
+    dev.program_page(0, directory_page_with(dev.read_page(0), 4, [ghost]))  # two slots past the end
+    dev.program_page(3, directory_page_with(dev.read_page(3), 9, [ghost]))
+    dev.program_page(SUB + 5, directory_page_with(dev.read_page(SUB + 5), 0, [ghost]))  # the other side
+    back, reads = mount_reads(store)
+    assert reads == [0, SUB] and back.current_version == 2
+    assert [r["version"] for r in back.versions()] == [1, 2]
+    assert back.verify()["problems"] == [
+        "directory subsector 0 page 0 slot 4 lies past the end of the log",
+        "directory subsector 0 page 3 slot 9 lies past the end of the log",
+    ]  # what a cut erase can leave on the other side is not damage
+
+
+WINDOW = 4
+
+
+def empty_commit(store):
+    return store.begin().commit()
+
+
+def remount(store):
+    return Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=WINDOW)
+
+
+def erase_ops(store, op):
+    """(op number, first page) of each erase ``op`` makes on a remount of ``store``'s image.
+
+    Op 1 is the next program or erase, as ``arm_power_loss`` counts them.
+    """
+    copy = remount(store)
+    dev = copy.device
+    start, erases, erase = dev.programs + dev.erases, [], dev.erase
+
+    def noted(scope, addr):
+        erases.append((dev.programs + dev.erases - start + 1, addr))
+        erase(scope, addr)
+
+    dev.erase = noted
+    op(copy)
+    return erases
+
+
+@functools.cache
+def dirty_target_image():
+    """Side 1 active and full, side 0 left as an erase cut after 8 of its 16 pages leaves it.
+
+    The next commit compacts onto side 0, erasing it first, and side 1 last.
+    """
+    store = fresh(max_versions=WINDOW)
+    for _ in range(255):
+        empty_commit(store)
+    [(op, first)] = erase_ops(store, empty_commit)  # a clean target: only side 0 is erased
+    assert first == 0
+    store.device.arm_power_loss(op, 8)
+    with pytest.raises(PowerLossError):
+        empty_commit(store)
+    store = remount(store)
+    while store._dir_tail < DIR_SLOTS:
+        empty_commit(store)
+    assert store._active_sub == 1
+    return store.device.to_bytes()
+
+
+@pytest.mark.parametrize("cut", ["target", "old side"])
+def test_a_compaction_erase_cut_after_any_page_count_recovers(cut):
+    """A cut erase blanks whole leading pages.  Cut either erase of a compaction after 0..16 pages: each
+    remount is at the version before, its window live and ``verify`` clean, and commits on, each one
+    remounted, carry the directory through the next compaction onto the partly erased side."""
+    base = Store(FlashDevice.from_bytes(dirty_target_image()), max_versions=WINDOW)
+    before = base.current_version
+    erases = erase_ops(base, empty_commit)
+    assert [first for _, first in erases] == [0, SUB]  # the dirty target, then the old side
+    op, first = erases[0 if cut == "target" else 1]
+    for pages in range(SUB + 1):
+        store = remount(base)
+        store.device.arm_power_loss(op, pages)
+        with pytest.raises(PowerLossError):
+            empty_commit(store)
+        store = remount(store)
+        assert not store.verify()["problems"], pages
+        assert store.current_version == before, pages
+        assert sorted(store._versions) == list(range(before - WINDOW + 1, before + 1)), pages
+        for n in range(1, DIR_SLOTS + 1):
+            empty_commit(store)
+            store = remount(store)
+            assert store.current_version == before + n, (pages, n)
+            if store._active_sub == first // SUB:
+                break
+        else:
+            raise AssertionError(f"no compaction onto the side cut after {pages} pages")
+        assert not store.verify()["problems"], pages
+        assert sorted(store._versions) == list(range(before + n - WINDOW + 1, before + n + 1)), pages
+
+
+def test_a_compaction_cut_in_its_copy_is_made_again_by_the_next_commit():
+    """Mount picks the full side and finds records on the other; the next commit compacts again, erasing each
+    side once: the revoke after it has nothing left to erase."""
+    base = Store(FlashDevice.from_bytes(dirty_target_image()), max_versions=WINDOW)
+    (target_op, _), (old_op, _) = erase_ops(base, empty_commit)
+    assert old_op == target_op + 2  # between the erases, the copy: one page holds the window
+    store = remount(base)
+    store.device.arm_power_loss(target_op + 1, 40)  # two records and a torn third reach the target
+    with pytest.raises(PowerLossError):
+        empty_commit(store)
+    store = remount(store)
+    assert store._active_sub == 1 and not store.verify()["problems"]
+    erases = store.device.erases
+    empty_commit(store)
+    assert store.device.erases - erases == 2 and store._active_sub == 0
+    assert remount(store).current_version == base.current_version + 1
 
 
 # -- reference counts: commits and applies read what changed ----------------------------

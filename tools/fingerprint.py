@@ -8,6 +8,9 @@ For each seed it builds perfbench's regional and national deployments
 
 * each built image's SHA-256 with the device's reads, programs, erases and
   simulated microseconds;
+* a ``boot`` line for each mount of a copy of a built image, with the
+  counters of that mount alone; every later figure of that device is net
+  of its boot, so a change to what mount reads shows only in ``boot`` lines;
 * for each deployment, a SHA-256 over every drive fix's two answers (a
   zone query and a ``FIX_RADIUS`` disc query, each drive from a fresh
   15-page cache, as perfbench's ``drive`` replays them): the hits, with
@@ -38,12 +41,29 @@ from flashquad.cache import PageCache  # noqa: E402
 CACHE_PAGES = 15  # the in-vehicle unit's page cache, as in perfbench
 
 
-def counters(dev: FlashDevice) -> str:
-    return f"reads={dev.reads} programs={dev.programs} erases={dev.erases} sim_us={dev.sim_clock_us}"
+Tally = tuple[int, int, int, int]  # reads, programs, erases, simulated us
+NOTHING: Tally = (0, 0, 0, 0)
 
 
-def image(dev: FlashDevice) -> str:
-    return f"{hashlib.sha256(dev.to_bytes()).hexdigest()} {counters(dev)}"
+def tally(dev: FlashDevice) -> Tally:
+    return dev.reads, dev.programs, dev.erases, dev.sim_clock_us
+
+
+def counters(dev: FlashDevice, since: Tally = NOTHING) -> str:
+    reads, programs, erases, sim_us = (now - then for now, then in zip(tally(dev), since))
+    return f"reads={reads} programs={programs} erases={erases} sim_us={sim_us}"
+
+
+def image(dev: FlashDevice, since: Tally = NOTHING) -> str:
+    return f"{hashlib.sha256(dev.to_bytes()).hexdigest()} {counters(dev, since)}"
+
+
+def boot(img: bytes, out: list[str], tag: str, name: str) -> tuple[Store, Tally]:
+    """Mount a copy of ``img`` and print that mount's counters; the store, and its device's tally after the boot."""
+    dev = FlashDevice.from_bytes(img)
+    st = Store(dev)
+    out.append(f"{tag} boot {name} {counters(dev)}")
+    return st, tally(dev)
 
 
 def answer(result) -> tuple:
@@ -51,9 +71,8 @@ def answer(result) -> tuple:
     return hits, result.pages_read, result.cache_hits
 
 
-def drives(img: bytes, dep) -> str:
-    dev = FlashDevice.from_bytes(img)
-    st = Store(dev)
+def drives(img: bytes, dep, out: list[str], tag: str) -> None:
+    st, booted = boot(img, out, tag, "drives")
     handle = st.handle()
     digest = hashlib.sha256()
     fixes = 0
@@ -64,12 +83,12 @@ def drives(img: bytes, dep) -> str:
             gr = handle.query_gantries_within(x, y, deploy.FIX_RADIUS)
             digest.update(repr((answer(zr), answer(gr))).encode())
             fixes += 1
-    return f"{digest.hexdigest()} fixes={fixes} {counters(dev)}"
+    out.append(f"{tag} drives {digest.hexdigest()} fixes={fixes} {counters(st.device, booted)}")
 
 
 def edits(img: bytes, dep, out: list[str], tag: str) -> None:
-    src = Store(FlashDevice.from_bytes(img))
-    rep = Store(FlashDevice.from_bytes(img))
+    src, src_boot = boot(img, out, tag, "source")
+    rep, rep_boot = boot(img, out, tag, "replica")
     for n, e in enumerate(deploy.make_edits(dep.seed, dep), 1):
         s = src.begin()
         if e.op == "insert_gantry":
@@ -84,9 +103,9 @@ def edits(img: bytes, dep, out: list[str], tag: str) -> None:
         pkg = src.make_update(vno - 1, vno)
         rep.apply_update(pkg)
         out.append(f"{tag} edit {n} {e.op} package {hashlib.sha256(pkg).hexdigest()} bytes={len(pkg)} "
-                   f"source {counters(src.device)} replica {counters(rep.device)}")
-    out.append(f"{tag} final source {image(src.device)}")
-    out.append(f"{tag} final replica {image(rep.device)}")
+                   f"source {counters(src.device, src_boot)} replica {counters(rep.device, rep_boot)}")
+    out.append(f"{tag} final source {image(src.device, src_boot)}")
+    out.append(f"{tag} final replica {image(rep.device, rep_boot)}")
 
 
 def fingerprint(seed: int) -> list[str]:
@@ -98,7 +117,7 @@ def fingerprint(seed: int) -> list[str]:
         dataset.build_database(Store.format(dev), dep.gantries, dep.zones)
         out.append(f"{tag} image {image(dev)}")
         img = dev.to_bytes()
-        out.append(f"{tag} drives {drives(img, dep)}")
+        drives(img, dep, out, tag)
         if scale is deploy.REGIONAL:
             edits(img, dep, out, tag)
     return out
