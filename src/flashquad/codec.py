@@ -679,11 +679,12 @@ def decode_version_slot(slot: bytes) -> tuple[str, VersionRecord | None]:
     return state, rec
 
 
-def directory_slots(page: bytes) -> list[tuple[str, VersionRecord | None]]:
-    """The ``SLOTS_PER_PAGE`` slots of a directory page in order, each classified by ``decode_version_slot``."""
-    if page == _BLANK_PAGE:  # most of a directory: nothing to decode
-        return [("blank", None)] * SLOTS_PER_PAGE
-    return [decode_version_slot(page[k : k + VERSION_RECORD_SIZE]) for k in range(0, PAGE_SIZE, VERSION_RECORD_SIZE)]
+def directory_slots(page: bytes, first: int = 0) -> list[tuple[str, VersionRecord | None]]:
+    """The slots of a directory page from slot ``first`` on, in order, each classified by ``decode_version_slot``."""
+    start = first * VERSION_RECORD_SIZE
+    if page[start:] == _BLANK_PAGE[start:]:  # most of a directory, and the end of a log: nothing to decode
+        return [("blank", None)] * (SLOTS_PER_PAGE - first)
+    return [decode_version_slot(page[k : k + VERSION_RECORD_SIZE]) for k in range(start, PAGE_SIZE, VERSION_RECORD_SIZE)]
 
 
 def directory_page_with(page: bytes, slot: int, records: Sequence[VersionRecord]) -> bytes:

@@ -57,7 +57,7 @@ def replay(
         raise DomainError("radius must be non-negative")
     handle = store.handle(version)
     old_cache = store.swap_cache(PageCache(cache_pages))
-    clock0 = store.device.stats().sim_clock_us
+    clock0 = store.device.sim_clock_us
     steps: list[ReplayStep] = []
     try:
         for step in trace:
@@ -76,14 +76,13 @@ def replay(
             )
     finally:
         store.swap_cache(old_cache)
-    clock1 = store.device.stats().sim_clock_us
     return ReplayReport(
         steps=tuple(steps),
         radius=radius,
         cache_pages=cache_pages,
         pages_read=sum(s.pages_read for s in steps),
         cache_hits=sum(s.cache_hits for s in steps),
-        sim_elapsed_us=clock1 - clock0,
+        sim_elapsed_us=store.device.sim_clock_us - clock0,
     )
 
 

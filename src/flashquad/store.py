@@ -537,10 +537,22 @@ class Store:
         return self._active_sub * PAGES_PER_SUBSECTOR + p, s
 
     def _append_record(self, rec: VersionRecord) -> None:
-        if self._dir_tail == DIR_SLOTS:
+        """Program ``rec`` into the active subsector's first slot after its log.
+
+        A full side is compacted first.  So is a side where that slot, or a
+        later one on its page, is not blank: damage past the end of the log,
+        which mount did not read, and which the append would overwrite or,
+        once the log reached it, read as a record.
+        """
+        page = None
+        if self._dir_tail < DIR_SLOTS:
+            addr, s = self._dir_page(self._dir_tail)
+            page = self.device.read_page(addr)
+        if page is None or any(state != "blank" for state, _ in directory_slots(page, s)):
             self._compact_directory()
-        addr, s = self._dir_page(self._dir_tail)
-        self.device.program_page(addr, directory_page_with(self.device.read_page(addr), s, [rec]))
+            addr, s = self._dir_page(self._dir_tail)
+            page = self.device.read_page(addr)
+        self.device.program_page(addr, directory_page_with(page, s, [rec]))
         self._slot_of[rec.version_no] = self._dir_tail
         self._dir_tail += 1
 

@@ -43,7 +43,7 @@ handle's queries count their reads and hits on its ``cache``.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -338,7 +338,7 @@ def _first_conflict(words: list[int], k: int, problem: str) -> IntegrityError:
 
 
 class CountDelta:
-    """Changes to a ``RefCounts`` table, made by adding and dropping roots.
+    """Changes to a ``RefCounts`` table from adding and dropping roots.
 
     ``add`` counts one more reference to a root, ``drop`` one less.  A page
     is read only when its count goes from 0 to 1 or falls to 0, and at most
@@ -791,8 +791,8 @@ class Handle:
 
     Each query kind keeps a memo of its last full run, a validity region in
     the sense of Zhang, Zhu, Papadias, Tao & Lee ("Location-based Spatial
-    Queries", SIGMOD 2003): the ``(address, page)`` requests it made, in
-    order, and what it met before the exact per-point tests.  The memo
+    Queries", SIGMOD 2003): the ``(address, page)`` requests of that run,
+    in order, and what it met before the exact per-point tests.  The memo
     holds for a zone query whose point lies in the last descent's terminal
     cell (the subcell whose entry was a leaf or Empty), and for a disc
     query of the same radius whose disc meets the same occupied entries at
@@ -810,19 +810,17 @@ class Handle:
     and its slack is found in the same pass.  A full query leaves a slack
     of 0, so it pays for no slack, and the next query makes the check.
 
-    The memo still makes its page requests, in order, through the store,
-    so the cache's hits and misses, the device reads and ``QueryResult``
-    are exactly a full query's, whatever cache is in place.  When every
-    recorded page is in the cache as the very object recorded, that is one
-    call (``PageCache.hit_all``): each request would be a hit that evicts
-    nothing, so the counters and the LRU order come out as the requests
-    one by one would leave them.  Otherwise they are made one by one, and
-    the memo answers only when every page comes back with the recorded
-    bytes.  On a mismatch (the version was revoked and its pages reused)
-    the memo is dropped and the query runs in full, taking the pages
-    already requested as its first requests.  Only the exact tests are run
-    again: point in polygon for edge zones, the distance for candidate
-    gantries.
+    A memo answers only when that check passes and every recorded page is
+    in the cache as the very object recorded, in one call
+    (``PageCache.hit_all``): each request would be a hit that evicts
+    nothing, so the cache's counters and LRU order, the device reads and
+    ``QueryResult`` are exactly a full query's.  Only the exact tests are
+    run again: point in polygon for edge zones, the distance for candidate
+    gantries.  Otherwise the query runs in full, from its first request,
+    and its run becomes the memo.  A page reprogrammed or erased since (the
+    version was revoked and its pages reused) enters the cache as a new
+    object, so ``hit_all`` refuses it, and the full query reads and decodes
+    what the page holds now.
 
     A coordinate or radius that is not an int, or is a bool, is refused
     with ``DomainError`` before any page request, and the memos stay.
@@ -845,42 +843,12 @@ class Handle:
             tuple(sorted(found.values(), key=lambda h: h.object_id)), cache.misses - before[0], cache.hits - before[1]
         )
 
-    def _replay(self, log: list[tuple[int, bytes]]) -> Optional[list[tuple[int, bytes]]]:
-        """Request the recorded pages again, in order.
-
-        Returns None when each comes back with its recorded bytes; else the
-        requests made, up to and including the first page that differs.
-        When every recorded page is in the cache as the recorded object,
-        the requests are one call (``hit_all``); otherwise they are made one
-        by one, from the first.
-        """
-        if self._io.cache.hit_all(log):
-            return None
+    def _recorder(self, log: list[tuple[int, bytes]]) -> PageReader:
+        """A reader that appends each request, as ``(address, page)``, to ``log``."""
         read = self._io.read_page
-        for k, (addr, page) in enumerate(log):
-            got = read(addr)
-            if got is not page:
-                if got != page:
-                    return [*log[:k], (addr, got)]
-                log[k] = (addr, got)  # the cache's object, so that the next replay can be one call
-        return None
-
-    def _recorder(self, log: list[tuple[int, bytes]], made: Sequence[tuple[int, bytes]]) -> PageReader:
-        """A reader that appends each request to ``log``; the requests in ``made`` are not made again.
-
-        ``made`` is what a replay that stopped has already requested.  A
-        full query makes those same requests first: each page it read
-        decides the next request as it decided the replayed run's.
-        """
-        read = self._io.read_page
-        made = deque(made)
 
         def record(addr: int) -> bytes:
-            if made and made[0][0] == addr:
-                page = made.popleft()[1]
-            else:
-                made.clear()
-                page = read(addr)
+            page = read(addr)
             log.append((addr, page))
             return page
 
@@ -893,14 +861,12 @@ class Handle:
         if not in_world(x, y):
             raise DomainError(f"point ({x}, {y}) outside the world square")
         before = self._io.cache.misses, self._io.cache.hits
-        memo, made = self._zone_memo, ()
-        if memo is not None and cell_contains(memo[0], x, y):
-            made = self._replay(memo[1])
-            if made is None:
-                return self._result(_zone_hits(memo[2], x, y), before)
+        memo = self._zone_memo
+        if memo is not None and cell_contains(memo[0], x, y) and self._io.cache.hit_all(memo[1]):
+            return self._result(_zone_hits(memo[2], x, y), before)
         self._zone_memo = None
         log: list[tuple[int, bytes]] = []
-        reader = self._recorder(log, made)
+        reader = self._recorder(log)
         met: list[tuple[int, Optional[tuple]]] = []  # (zone id, vertices of an edge record, None inside)
 
         def collect(head: int) -> None:
@@ -941,16 +907,15 @@ class Handle:
         if radius < 0:
             raise DomainError("radius must be non-negative")
         before = self._io.cache.misses, self._io.cache.hits
-        memo, made = self._disc_memo, ()
+        memo = self._disc_memo
         if memo is not None and memo[0] == radius:
             ax, ay, s2 = memo[4]
             if (x - ax) * (x - ax) + (y - ay) * (y - ay) < s2 or _reanchor(memo, x, y):
-                made = self._replay(memo[2])
-                if made is None:
+                if self._io.cache.hit_all(memo[2]):
                     return self._result(_gantry_hits(memo[3], x, y, radius), before)
         self._disc_memo = None
         log: list[tuple[int, bytes]] = []
-        reader = self._recorder(log, made)
+        reader = self._recorder(log)
         nodes: list[tuple[Cell, int, int]] = []
         candidates: list[GantryObject] = []
 
@@ -993,7 +958,7 @@ class Handle:
 
 
 def _with_self_list(node: NodeView, page: bytes, entries: list[int], word: int) -> bytes:
-    """``page``, which ``_patch_node`` made of ``node`` and whose entry words are ``entries``, with self_list ``word``.
+    """``page``, which ``_patch_node`` built from ``node`` and whose entry words are ``entries``, with self_list ``word``.
 
     A new self_list is written with its check: the node is encoded again.
     """

@@ -447,6 +447,9 @@ def test_version_slot_lifecycle():
     page = directory_page_with(b"\xff" * PAGE_SIZE, 3, [rec, other])
     assert page[:48] == b"\xff" * 48 and page[48:64] == slot and page[80:] == b"\xff" * 176
     assert directory_slots(page) == [("blank", None)] * 3 + [("live", rec), ("live", other)] + [("blank", None)] * 11
+    for first in (0, 4, 5, 15):  # from a later slot on: the same slots, the earlier ones not decoded
+        assert directory_slots(page, first) == directory_slots(page)[first:]
+        assert directory_slots(b"\xff" * PAGE_SIZE, first) == [("blank", None)] * (16 - first)
     revoked = revoke_directory_slot(page, 3)
     assert directory_slots(revoked)[3:5] == [("revoked", rec), ("live", other)]
     # revocation is a pure 1 -> 0 change, so it can be programmed in place

@@ -162,8 +162,8 @@ def test_a_revoked_version_whose_pages_are_reused_is_not_answered_from_the_memo(
     assert kept_reads == fresh_reads
 
 
-def test_a_page_that_differs_midway_hands_the_pages_requested_so_far_to_the_full_query(loaded):
-    """The replay stops at the first page whose bytes differ; the full query does not request those pages again."""
+def test_a_memo_whose_recorded_page_differs_is_replaced_by_a_full_query(loaded):
+    """A memo that recorded other bytes than a page holds does not answer: the query runs in full and records the page."""
     probe = loaded.handle()
 
     def deep(g):
@@ -321,11 +321,11 @@ def test_every_slack_along_a_drive_is_the_least_gap_of_a_full_scan(loaded, monke
     assert {got is None for *_, got in calls} == {True, False}  # both outcomes came up
 
 
-# -- replaying a memo's pages in one call ------------------------------------------
+# -- a memo answers in one cache call, or the query runs in full --------------------
 
 
 def request_one_by_one(store, log):
-    """The recorded requests made one at a time, as ``Handle._replay`` made them before the one-call path."""
+    """The recorded requests made one at a time: what a full query requests while its memo holds."""
     for addr, page in log:
         if store.read_page(addr) != page:
             return
@@ -337,43 +337,66 @@ def cache_state(store):
     return c.hits, c.misses, [(addr, bytes(page)) for addr, page in c._pages.items()]
 
 
+def both_queries(handle, x, y):
+    return handle.query_zones_at(x, y), handle.query_gantries_within(x, y, 30_000)
+
+
+def repeat_point(store):
+    """A gantry's position whose disc query requests a page twice, and whose two queries' pages fit in the cache."""
+    probe = store.handle()
+    for g in generate_dataset(7, n_gantries=300, n_zones=20)[0]:
+        both_queries(probe, g.x, g.y)
+        disc = [addr for addr, _ in probe._disc_memo[2]]
+        if len(set(disc)) < len(disc) and len(set(disc).union(a for a, _ in probe._zone_memo[1])) <= 15:
+            return g.x, g.y
+    pytest.fail("no disc query requests a page twice within the cache")
+
+
 @pytest.mark.parametrize(
-    "case, one_call",
+    "case, answered",
     [("all cached", True), ("an address twice", True), ("evicted and read again", False),
      ("swapped cache", False), ("swapped back", True)],
 )
-def test_a_one_call_replay_counts_and_orders_the_cache_as_the_requests_do(loaded, case, one_call):
-    x, y = 1_000_000, 1_000_000
+def test_a_one_call_replay_counts_and_orders_the_cache_as_the_requests_do(loaded, case, answered):
+    """A long-lived handle's queries leave its twin's cache as the recorded requests made one by one there do."""
+    x, y = repeat_point(loaded) if case == "an address twice" else (1_000_000, 1_000_000)
     sides = []
     for st, reads in twins(loaded):  # the same queries on both: the same cache state, page objects aside
         h = st.handle()
-        h.query_zones_at(x, y)
-        h.query_gantries_within(x, y, 30_000)
-        log = h._disc_memo[2] + h._zone_memo[1]
-        if case == "an address twice":
-            log.append(log[0])
-        elif case == "evicted and read again":  # equal bytes, another object
-            st.cache.invalidate(log[1][0])
-            st.read_page(log[1][0])
+        first = both_queries(h, x, y)
+        log = h._zone_memo[1] + h._disc_memo[2]  # in the order the queries make them
+        root = log[0][0]  # the first request of both memos
+        if case == "evicted and read again":  # equal bytes, another object
+            st.cache.invalidate(root)
+            st.read_page(root)
         elif case == "swapped cache":
             st.swap_cache(PageCache(3))
         elif case == "swapped back":
             old = st.swap_cache(PageCache(3))
-            st.read_page(log[0][0])
+            st.read_page(root)
             st.swap_cache(old)
-        sides.append((st, reads, h, log))
-    (kept, kept_reads, h, log), (other, other_reads, _, other_log) = sides
-    assert len(log) >= 4
+        sides.append((st, reads, h, first, log))
+    (kept, kept_reads, h, _, _), (other, other_reads, _, first, log) = sides
     took = []
     bulk = kept.cache.hit_all
     kept.cache.hit_all = lambda requests: took.append(bulk(requests)) or took[-1]
-    assert h._replay(log) is None
-    request_one_by_one(other, other_log)
-    assert took == [one_call]
-    assert cache_state(kept) == cache_state(other)
-    assert kept_reads == other_reads
-    if case == "evicted and read again":  # the replay kept the cache's new object: the next one is one call
-        assert h._replay(log) is None and took[-1]
+
+    def again():
+        """Both queries on the kept handle, and the recorded requests on the twin: whether both memos answered."""
+        memos, before = (h._zone_memo, h._disc_memo), (other.cache.misses, other.cache.hits)
+        got = both_queries(h, x, y)
+        request_one_by_one(other, log)
+        assert [r.hits for r in got] == [r.hits for r in first]
+        assert sum(r.pages_read for r in got) == other.cache.misses - before[0]
+        assert sum(r.cache_hits for r in got) == other.cache.hits - before[1]
+        assert cache_state(kept) == cache_state(other)
+        assert kept_reads == other_reads
+        return h._zone_memo is memos[0] and h._disc_memo is memos[1]
+
+    assert again() == answered
+    assert took == [answered, answered]
+    if case == "evicted and read again":  # the full queries recorded the cache's new object: the next is one call
+        assert again() and took[2:] == [True, True]
 
 
 def test_a_memo_answered_query_makes_no_per_page_cache_call(loaded, monkeypatch):

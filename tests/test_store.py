@@ -1036,6 +1036,47 @@ def test_verify_reports_a_record_past_the_end_of_the_log_and_mount_does_not_read
     ]  # what a cut erase can leave on the other side is not damage
 
 
+def image_with_a_record_past_the_log(slot):
+    """A store at version 2 (slots 0 and 1), and a mount of its image with a valid record at ``slot`` of page 0.
+
+    Slot 2 ends the log, so the mount does not read the record, and ``verify`` reports it.
+    """
+    store = fresh()
+    add_gantries(store, [1])
+    dev = FlashDevice.from_bytes(store.device.to_bytes())
+    dev.program_page(0, directory_page_with(dev.read_page(0), slot, [VersionRecord(9, DATA_START, DATA_START + 1)]))
+    return store, Store(dev)
+
+
+def assert_remounts_as(store, live):
+    back = Store(FlashDevice.from_bytes(store.device.to_bytes()))
+    assert [r["version"] for r in back.versions() if r["state"] == "live"] == live
+    assert back.versions() == store.versions()
+    assert back.verify()["problems"] == []
+    for vno in live:
+        assert version_digest(back, vno) == version_digest(store, vno)
+
+
+@pytest.mark.parametrize("slot", [3, 4, 15])
+def test_a_commit_onto_a_record_past_the_end_of_the_log_compacts_the_directory_first(slot):
+    _, store = image_with_a_record_past_the_log(slot)
+    assert add_gantries(store, [2]) == 3 and add_gantries(store, [3]) == 4
+    assert_remounts_as(store, [1, 2, 3, 4])
+    assert add_gantries(store, [4]) == 5  # and the store writes on
+
+
+@pytest.mark.parametrize("slot", [3, 4, 15])
+def test_an_apply_onto_a_record_past_the_end_of_the_log_compacts_the_directory_first(slot):
+    source, replica = image_with_a_record_past_the_log(slot)
+    add_gantries(source, [2])
+    add_gantries(source, [3])
+    for base in (2, 3):
+        assert replica.apply_update(source.make_update(base, base + 1)) == base + 1
+    assert_remounts_as(replica, [1, 2, 3, 4])
+    for vno in (3, 4):
+        assert version_digest(replica, vno) == version_digest(source, vno)
+
+
 WINDOW = 4
 
 
