@@ -31,7 +31,7 @@ from .errors import (
     VersionConflictError,
     WearOutError,
 )
-from .flashsim import FlashDevice, FlashGeometry, FlashTimings
+from .flashsim import FlashDevice, FlashGeometry
 from .geometry import WORLD_SIZE, kernel_name
 from .tree import BuildParams, Handle, QueryResult, StatsReport
 from .store import Session, Store
@@ -57,7 +57,6 @@ __all__ = [
     "FlashFullError",
     "FlashGeometry",
     "FlashQuadError",
-    "FlashTimings",
     "FormatError",
     "Gantry",
     "Handle",

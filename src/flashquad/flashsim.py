@@ -1,16 +1,18 @@
 """Bit-accurate simulation of a serial NOR flash device.
 
-Geometry is fixed at 256-byte pages, 16 pages per 4 KiB subsector and
-16 subsectors per 64 KiB sector; only the sector count varies.  Programs can
-only clear bits (1 -> 0); an erase fills a page, subsector or sector with
-0xFF.  Every operation advances a simulated clock so that read/program/erase
-cost is measurable, and per-subsector erase counters model wear.
+The device is the one part the store is built for.  Geometry is fixed at
+256-byte pages, 16 pages per 4 KiB subsector and 16 subsectors per 64 KiB
+sector; only the sector count varies.  Programs can only clear bits
+(1 -> 0); an erase fills one subsector with 0xFF.  Every operation advances
+a simulated clock by the part's fixed cost (``READ_US``, ``PROGRAM_US``,
+``ERASE_US``), and per-subsector erase counters model wear up to
+``ERASE_LIMIT`` cycles.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BitViolationError, FormatError, PowerLossError, RangeError, WearOutError
 
@@ -22,15 +24,18 @@ SUBSECTOR_BYTES = PAGE_SIZE * PAGES_PER_SUBSECTOR  # 4096
 SECTOR_BYTES = SUBSECTOR_BYTES * SUBSECTORS_PER_SECTOR  # 65536
 
 ERASED_PAGE = b"\xff" * PAGE_SIZE
-ERASE_LIMIT_DEFAULT = 100_000
+
+# Microseconds charged per operation, and the erase cycles a subsector endures.
+READ_US = 50
+PROGRAM_US = 1_000
+ERASE_US = 500_000
+ERASE_LIMIT = 100_000
 
 IMAGE_MAGIC = b"FQFD"
 
 # Page addresses are stored in 22 bits on flash, so a device may not exceed
 # 2**22 pages (= 1 GiB).
 MAX_PAGES = 1 << 22
-
-_SCOPES = ("page", "subsector", "sector")
 
 
 @dataclass(frozen=True)
@@ -56,28 +61,6 @@ class FlashGeometry:
         return self.sector_count * SUBSECTORS_PER_SECTOR
 
 
-@dataclass(frozen=True)
-class FlashTimings:
-    """Microseconds charged per operation, independent of scope."""
-
-    read_us: int = 50
-    program_us: int = 1_000
-    erase_us: int = 500_000
-
-    def __post_init__(self) -> None:
-        if min(self.read_us, self.program_us, self.erase_us) < 0:
-            raise ValueError("timings must be non-negative")
-
-
-@dataclass
-class DeviceStats:
-    reads: int
-    programs: int
-    erases: int
-    sim_clock_us: int
-    erase_counts: list[int] = field(default_factory=list)
-
-
 class FlashDevice:
     """In-memory NOR flash with honest cost accounting and failure injection.
 
@@ -85,15 +68,8 @@ class FlashDevice:
     callables that tests use to watch device traffic.
     """
 
-    def __init__(
-        self,
-        geometry: FlashGeometry | None = None,
-        timings: FlashTimings | None = None,
-        erase_limit: int = ERASE_LIMIT_DEFAULT,
-    ) -> None:
+    def __init__(self, geometry: FlashGeometry | None = None) -> None:
         self.geometry = geometry or FlashGeometry()
-        self.timings = timings or FlashTimings()
-        self.erase_limit = erase_limit
         self._mem = bytearray(b"\xff" * self.geometry.total_bytes)
         self._erase_counts = [0] * self.geometry.subsector_count
         self.reads = 0
@@ -115,10 +91,6 @@ class FlashDevice:
             raise RangeError(f"page address {addr} out of range (device has {self.geometry.total_pages} pages)")
         return addr * PAGE_SIZE
 
-    @staticmethod
-    def subsector_of(addr: int) -> int:
-        return addr // PAGES_PER_SUBSECTOR
-
     # -- failure injection -------------------------------------------
 
     def arm_power_loss(self, after_ops: int, prefix: int) -> None:
@@ -126,7 +98,7 @@ class FlashDevice:
 
         ``after_ops`` counts programs and erases (1 = the very next one).
         For a program, ``prefix`` is how many leading data bytes reach the
-        array; for an erase, how many leading pages of the scope are blanked.
+        array; for an erase, how many leading pages of the subsector are blanked.
         """
         if after_ops < 1 or prefix < 0:
             raise ValueError("after_ops must be >= 1 and prefix >= 0")
@@ -151,7 +123,7 @@ class FlashDevice:
     def read_page(self, addr: int) -> bytes:
         off = self._check_page(addr)
         self.reads += 1
-        self.sim_clock_us += self.timings.read_us
+        self.sim_clock_us += READ_US
         if self.on_read is not None:
             self.on_read(addr)
         return bytes(self._mem[off : off + PAGE_SIZE])
@@ -174,7 +146,7 @@ class FlashDevice:
                     raise BitViolationError(addr, i)
         prefix = self._consume_power_loss()
         self.programs += 1
-        self.sim_clock_us += self.timings.program_us
+        self.sim_clock_us += PROGRAM_US
         if prefix is not None:
             n = min(prefix, PAGE_SIZE)
             for i in range(n):
@@ -187,51 +159,27 @@ class FlashDevice:
         if self.on_program is not None:
             self.on_program(addr, data)
 
-    def erase(self, scope: str, addr: int) -> None:
-        """Erase the page/subsector/sector containing page ``addr`` to 0xFF."""
-        if scope not in _SCOPES:
-            raise ValueError(f"unknown erase scope {scope!r}")
+    def erase(self, addr: int) -> None:
+        """Erase the subsector holding page ``addr`` to 0xFF.
+
+        A worn-out subsector is refused before a power loss can fire.  A
+        power loss blanks whole leading pages and charges the erase, but the
+        cycle is not completed, so it adds no wear.
+        """
         self._check_page(addr)
-        if scope == "page":
-            first, count = addr, 1
-        elif scope == "subsector":
-            first, count = addr - addr % PAGES_PER_SUBSECTOR, PAGES_PER_SUBSECTOR
-        else:
-            first, count = addr - addr % PAGES_PER_SECTOR, PAGES_PER_SECTOR
-        touched = range(self.subsector_of(first), self.subsector_of(first + count - 1) + 1)
-        for ss in touched:
-            if self._erase_counts[ss] >= self.erase_limit:
-                raise WearOutError(ss, self.erase_limit)
+        ss = addr // PAGES_PER_SUBSECTOR
+        if self._erase_counts[ss] >= ERASE_LIMIT:
+            raise WearOutError(ss, ERASE_LIMIT)
         prefix = self._consume_power_loss()
         self.erases += 1
-        self.sim_clock_us += self.timings.erase_us
+        self.sim_clock_us += ERASE_US
+        n = PAGES_PER_SUBSECTOR if prefix is None else min(prefix, PAGES_PER_SUBSECTOR)
+        self._mem[ss * SUBSECTOR_BYTES : ss * SUBSECTOR_BYTES + n * PAGE_SIZE] = ERASED_PAGE * n
         if prefix is not None:
-            n = min(prefix, count)
-            self._mem[first * PAGE_SIZE : (first + n) * PAGE_SIZE] = b"\xff" * (n * PAGE_SIZE)
-            raise PowerLossError(f"power lost {n} pages into erase at page {first}")
-        self._mem[first * PAGE_SIZE : (first + count) * PAGE_SIZE] = b"\xff" * (count * PAGE_SIZE)
-        for ss in touched:
-            self._erase_counts[ss] += 1
-
-    def erase_page(self, addr: int) -> None:
-        self.erase("page", addr)
-
-    def erase_subsector(self, addr: int) -> None:
-        self.erase("subsector", addr)
-
-    def erase_sector(self, addr: int) -> None:
-        self.erase("sector", addr)
+            raise PowerLossError(f"power lost {n} pages into erase at page {ss * PAGES_PER_SUBSECTOR}")
+        self._erase_counts[ss] += 1
 
     # -- introspection -------------------------------------------------
-
-    def stats(self) -> DeviceStats:
-        return DeviceStats(
-            reads=self.reads,
-            programs=self.programs,
-            erases=self.erases,
-            sim_clock_us=self.sim_clock_us,
-            erase_counts=list(self._erase_counts),
-        )
 
     def erase_count(self, subsector: int) -> int:
         return self._erase_counts[subsector]
@@ -249,12 +197,7 @@ class FlashDevice:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(
-        cls,
-        blob: bytes,
-        timings: FlashTimings | None = None,
-        erase_limit: int = ERASE_LIMIT_DEFAULT,
-    ) -> "FlashDevice":
+    def from_bytes(cls, blob: bytes) -> "FlashDevice":
         if blob[:4] != IMAGE_MAGIC:
             raise FormatError("not a flash device image (bad magic)")
         if len(blob) < 8:
@@ -267,7 +210,7 @@ class FlashDevice:
         expect = 8 + geometry.total_bytes + 4 * geometry.subsector_count
         if len(blob) != expect:
             raise FormatError(f"device image is {len(blob)} bytes, expected {expect}")
-        dev = cls(geometry=geometry, timings=timings, erase_limit=erase_limit)
+        dev = cls(geometry=geometry)
         dev._mem[:] = blob[8 : 8 + geometry.total_bytes]
         counts = struct.unpack_from(f"<{geometry.subsector_count}I", blob, 8 + geometry.total_bytes)
         dev._erase_counts = list(counts)
@@ -278,11 +221,6 @@ class FlashDevice:
             fh.write(self.to_bytes())
 
     @classmethod
-    def load(
-        cls,
-        path,
-        timings: FlashTimings | None = None,
-        erase_limit: int = ERASE_LIMIT_DEFAULT,
-    ) -> "FlashDevice":
+    def load(cls, path) -> "FlashDevice":
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read(), timings=timings, erase_limit=erase_limit)
+            return cls.from_bytes(fh.read())

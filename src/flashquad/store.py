@@ -101,7 +101,7 @@ def _check_settings(cache_pages: int, max_versions: int) -> None:
 
 def _erase_if_dirty(device: FlashDevice, first: int) -> None:
     if any(device.read_page(p) != ERASED_PAGE for p in range(first, first + PAGES_PER_SUBSECTOR)):
-        device.erase_subsector(first)
+        device.erase(first)
 
 
 class Session:
@@ -500,11 +500,11 @@ class Store:
         for p in range(first, first + PAGES_PER_SUBSECTOR):
             if p in pending or self._is_live(p):
                 return False
-        self._erase_subsector(first)
+        self._erase(first)
         return True
 
-    def _erase_subsector(self, first: int) -> None:
-        self.device.erase_subsector(first)
+    def _erase(self, first: int) -> None:
+        self.device.erase(first)
         for p in range(first, first + PAGES_PER_SUBSECTOR):
             self.cache.invalidate(p)
 
@@ -524,7 +524,7 @@ class Store:
             dirty = sum(1 for p in pages if self.device.read_page(p) != ERASED_PAGE)
             if not dirty:
                 continue
-            self._erase_subsector(first)
+            self._erase(first)
             reclaimed += dirty
             erased += 1
         return {"pages_reclaimed": reclaimed, "subsectors_erased": erased}
@@ -540,15 +540,19 @@ class Store:
         """Program ``rec`` into the active subsector's first slot after its log.
 
         A full side is compacted first.  So is a side where that slot, or a
-        later one on its page, is not blank: damage past the end of the log,
-        which mount did not read, and which the append would overwrite or,
-        once the log reached it, read as a record.
+        later one on its page, or the next page's first slot when the append
+        fills its page, is not blank: damage past the end of the log, which
+        mount did not read, and which the append would overwrite or, once the
+        log reached it, read as a record.
         """
         page = None
         if self._dir_tail < DIR_SLOTS:
             addr, s = self._dir_page(self._dir_tail)
             page = self.device.read_page(addr)
-        if page is None or any(state != "blank" for state, _ in directory_slots(page, s)):
+            ahead = directory_slots(page, s)
+            if s == SLOTS_PER_PAGE - 1 and self._dir_tail + 1 < DIR_SLOTS:
+                ahead += directory_slots(self.device.read_page(addr + 1))[:1]
+        if page is None or any(state != "blank" for state, _ in ahead):
             self._compact_directory()
             addr, s = self._dir_page(self._dir_tail)
             page = self.device.read_page(addr)
@@ -560,7 +564,7 @@ class Store:
         if self._other_side_used:
             # the other side's live set is a subset of this one's; a revoke here would end that,
             # and mount could no longer tell the sides apart, so finish the interrupted compaction
-            self.device.erase_subsector((1 - self._active_sub) * PAGES_PER_SUBSECTOR)
+            self.device.erase((1 - self._active_sub) * PAGES_PER_SUBSECTOR)
             self._other_side_used = False
         addr, s = self._dir_page(self._slot_of.pop(vno))
         self.device.program_page(addr, revoke_directory_slot(self.device.read_page(addr), s))
@@ -574,7 +578,7 @@ class Store:
         for n in range(0, len(recs), SLOTS_PER_PAGE):
             page = directory_page_with(ERASED_PAGE, 0, recs[n : n + SLOTS_PER_PAGE])
             self.device.program_page(t_base + n // SLOTS_PER_PAGE, page)
-        self.device.erase_subsector(self._active_sub * PAGES_PER_SUBSECTOR)
+        self.device.erase(self._active_sub * PAGES_PER_SUBSECTOR)
         self._active_sub = target
         self._other_side_used = False
         self._slot_of = {rec.version_no: n for n, rec in enumerate(recs)}
@@ -812,7 +816,7 @@ class Store:
                             f"page {p} is live or named by the package's tree, "
                             "and shares a subsector with package pages"
                         )
-                self._erase_subsector(first)
+                self._erase(first)
         # a target found equal is programmed again only when its subsector has just been erased
         for addr, data in pages:
             if found[addr] != data or addr - addr % PAGES_PER_SUBSECTOR in need_erase:

@@ -144,14 +144,13 @@ def test_ac03_flash_semantics():
             reads += 1
         else:  # erase a random subsector
             sub = rng.randrange(n_pages // 16)
-            dev.erase_subsector(sub * 16)
+            dev.erase(sub * 16)
             erases += 1
             for p in range(sub * 16, sub * 16 + 16):
                 mirror[p] = b"\xff" * PAGE_SIZE
-    st = dev.stats()
-    assert (st.reads, st.programs, st.erases) == (reads, programs, erases)
-    assert st.sim_clock_us == reads * 50 + programs * 1000 + erases * 500_000
-    return f"{programs} programs, {erases} erases, clock {st.sim_clock_us} us"
+    assert (dev.reads, dev.programs, dev.erases) == (reads, programs, erases)
+    assert dev.sim_clock_us == reads * 50 + programs * 1000 + erases * 500_000
+    return f"{programs} programs, {erases} erases, clock {dev.sim_clock_us} us"
 
 
 # -- 4: oracle equivalence -----------------------------------------------------
@@ -336,7 +335,8 @@ def test_ac08_wear_leveling():
             s.insert_gantry(gid, (gid * 211) % WORLD_SIZE, (gid * 389) % WORLD_SIZE)
         s.commit()
         store.gc()
-    counts = store.device.stats().erase_counts[2:]  # the data region
+    dev = store.device
+    counts = [dev.erase_count(s) for s in range(2, dev.geometry.subsector_count)]  # the data region
     spread = max(counts) - min(counts)
     assert spread <= 2, f"erase counts range over {spread} (min {min(counts)}, max {max(counts)})"
     return f"erase counts {min(counts)}..{max(counts)} across {len(counts)} subsectors"
@@ -348,15 +348,15 @@ def test_ac08_wear_leveling():
 def _measure_ops(blob, op):
     """Program+erase count of ``op`` run to completion on a scratch copy."""
     store = Store(FlashDevice.from_bytes(blob))
-    before = store.device.stats()
+    dev = store.device
+    before = dev.programs + dev.erases
     op(store)
-    after = store.device.stats()
     outcome = {
         r["version"]: version_digest(store, r["version"])
         for r in store.versions()
         if r["state"] == "live"
     }
-    return (after.programs - before.programs) + (after.erases - before.erases), outcome
+    return dev.programs + dev.erases - before, outcome
 
 
 @criterion(9, 120.0, "100 single power-loss injections across every operation type recover cleanly")

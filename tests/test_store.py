@@ -203,18 +203,18 @@ def test_mount_reads_the_tree_once_plus_what_each_older_version_changed():
         back._ensure_counted()
         older = len(back.versions()) - 1
         assert older == k + 1  # the empty version 1, the seeded version 2 and the edits before this one
-        assert dev.stats().reads <= DATA_START + len(back.handle().reachable_pages()) + 20 * older
+        assert dev.reads <= DATA_START + len(back.handle().reachable_pages()) + 20 * older
 
 
 def test_format_reads_only_what_it_writes_and_the_allocator_probes_the_rest():
     """On a blank part, format reads at most its three subsectors and each allocation probes one page."""
     dev = FlashDevice(FlashGeometry(sector_count=256))
     store = Store.format(dev)
-    assert dev.stats().reads <= 3 * SUB  # the mount reads nothing: format holds the directory and the root
-    before = dev.stats().reads
+    assert dev.reads <= 3 * SUB  # the mount reads nothing: format holds the directory and the root
+    before = dev.reads
     s = store.begin()
     got = [s.alloc_page() for _ in range(40)]
-    assert dev.stats().reads - before == 40
+    assert dev.reads - before == 40
     assert got == list(range(DATA_START + 1, DATA_START + 41))
 
 
@@ -259,19 +259,19 @@ def test_a_cache_of_no_pages_is_refused_before_any_device_access():
     for kw in ({"cache_pages": 0}, {"cache_pages": -3}, {"max_versions": 0}, {"max_versions": 256}):
         with pytest.raises(DomainError):
             Store.format(dev, **kw)
-        assert (dev.stats().reads, dev.stats().programs, dev.stats().erases) == (0, 0, 0)
+        assert (dev.reads, dev.programs, dev.erases) == (0, 0, 0)
     Store.format(dev)
     image = dev.to_bytes()
     for kw in ({"cache_pages": 0}, {"max_versions": 0}, {"max_versions": 256}):
         again = FlashDevice.from_bytes(image)
         with pytest.raises(DomainError):
             Store(again, **kw)
-        assert again.stats().reads == 0
+        assert again.reads == 0
     store = Store(dev)
-    before = dev.stats().reads
+    before = dev.reads
     with pytest.raises(DomainError, match="cache_pages"):
         replay(store, generate_trace(seed=1, steps=5), radius=60_000, cache_pages=0)
-    assert dev.stats().reads == before
+    assert dev.reads == before
 
 
 def test_mount_rejects_unformatted_device():
@@ -396,9 +396,9 @@ def test_resume_reads_only_the_staged_pages():
 
     back = Store(FlashDevice.from_bytes(image))
     back._ensure_counted()
-    before = back.device.stats().reads
+    before = back.device.reads
     s2 = back.resume_session(*staged)
-    assert back.device.stats().reads - before <= 30
+    assert back.device.reads - before <= 30
     s2.delete(1000, "gantry")  # the staged gantry and a base one
     s2.delete(7, "gantry")
     s2.commit()
@@ -496,9 +496,9 @@ def test_staging_prune_reads_what_the_session_changed_not_the_tree():
     reach = walk_version(store.device.read_page, s.root, store.total_pages).reachable
     replaced = base_reach - reach
     store.swap_cache(PageCache(15))
-    before = store.device.stats().reads
+    before = store.device.reads
     store._prune_staging()
-    reads = store.device.stats().reads - before
+    reads = store.device.reads - before
     assert s.pending == staged & (reach | s.edit_pages) and s.pending < staged
     assert reads <= len(staged) + len(replaced)
     assert 10 * reads < len(base_reach)
@@ -545,7 +545,7 @@ def test_wear_spreads_over_generations():
         for gid in range(gen * 50, gen * 50 + 50):
             s.insert_gantry(gid, (gid * 211) % 2_000_000, (gid * 389) % 2_000_000)
         s.commit()
-    counts = store.device.stats().erase_counts[2:]  # data region only
+    counts = [store.device.erase_count(s) for s in range(2, store.device.geometry.subsector_count)]  # data region only
     assert max(counts) - min(counts) <= 2
 
 
@@ -572,7 +572,7 @@ def test_dedup_off_writes_every_page():
         s = store.begin()
         s.insert_zone(1, sq)
         s.commit()
-    assert on.device.stats().programs < off.device.stats().programs
+    assert on.device.programs < off.device.programs
     # logically identical regardless
     assert on.handle().stats().objects == off.handle().stats().objects
     assert on.handle().query_zones_at(5, 5).ids == off.handle().query_zones_at(5, 5).ids
@@ -611,12 +611,12 @@ def test_dedup_map_holds_exactly_the_leaf_pages_of_live_versions():
     # what the map holds changes no device cost: the same edit programs alike
     programs = []
     for store in (source, replica, remount):
-        before = store.device.stats().programs
+        before = store.device.programs
         s = store.begin()
         for z in zones[16:]:
             s.insert_zone(z.zone_id, z.vertices)
         s.commit()
-        programs.append(store.device.stats().programs - before)
+        programs.append(store.device.programs - before)
     assert programs[0] == programs[1] == programs[2]
 
 
@@ -777,7 +777,7 @@ def test_apply_refuses_page_addresses_that_do_not_ascend_before_programming():
     backwards = resealed(pkg, pages[1::-1] + pages[2:], root)
     with pytest.raises(FormatError, match=r"record 1 .*ascending"):
         clone.apply_update(backwards)
-    assert clone.device.stats().programs == 0 and clone.current_version == 2
+    assert clone.device.programs == 0 and clone.current_version == 2
 
 
 def test_apply_refuses_a_new_root_outside_the_data_area_before_programming():
@@ -788,7 +788,7 @@ def test_apply_refuses_a_new_root_outside_the_data_area_before_programming():
     for root in (DATA_START - 1, clone.total_pages):
         with pytest.raises(FormatError, match=rf"new root {root} is outside the data area"):
             clone.apply_update(resealed(pkg, pages, root))
-    assert clone.device.stats().programs == 0 and clone.current_version == 2
+    assert clone.device.programs == 0 and clone.current_version == 2
 
 
 def test_input_refused_on_sight_is_refused_before_the_count():
@@ -810,10 +810,10 @@ def test_input_refused_on_sight_is_refused_before_the_count():
     for k, (refused, error) in enumerate(refusals):
         dev = FlashDevice.from_bytes(blob)
         mounted = Store(dev)
-        reads = dev.stats().reads
+        reads = dev.reads
         with pytest.raises(error):
             refused(mounted)
-        assert dev.stats().reads == reads, k
+        assert dev.reads == reads, k
         assert mounted._refs is None, k
     assert Store(FlashDevice.from_bytes(blob)).make_update(2, 3)  # a good request still counts and packages
 
@@ -830,9 +830,9 @@ def test_apply_is_idempotent_after_interrupt():
     _, _, pages, _ = parse_update(pkg)
     torn = [addr for addr, data in pages if back.device.read_page(addr) not in (data, bytes([0xFF]) * PAGE_SIZE)]
     assert len(torn) == 1 and back.device.read_page(torn[0])[:17] == dict(pages)[torn[0]][:17]
-    erases = back.device.stats().erases
+    erases = back.device.erases
     assert back.apply_update(pkg) == 3
-    assert back.device.stats().erases == erases  # a torn prefix of the same data is reprogrammed, not erased
+    assert back.device.erases == erases  # a torn prefix of the same data is reprogrammed, not erased
     assert version_digest(back, 3) == version_digest(store, 3)
 
 
@@ -844,7 +844,7 @@ def test_apply_erases_a_target_missing_one_bit_of_its_package_page(at):
     _, _, pages, _ = parse_update(pkg)
     data = dict(pages)
     clean = Store(FlashDevice.from_bytes(base_blob))
-    assert clean.apply_update(pkg) == 3 and clean.device.stats().erases == 0  # every target is blank
+    assert clean.apply_update(pkg) == 3 and clean.device.erases == 0  # every target is blank
     replica = Store(FlashDevice.from_bytes(base_blob))
     live = replica.handle(1).reachable_pages() | replica.handle(2).reachable_pages()
     addr = next(
@@ -855,7 +855,7 @@ def test_apply_erases_a_target_missing_one_bit_of_its_package_page(at):
     raw[at] &= raw[at] - 1  # clear the lowest set bit: the only 0 -> 1 the package page needs
     replica.device.program_page(addr, bytes(raw))
     assert replica.apply_update(pkg) == 3
-    assert replica.device.stats().erases == 1
+    assert replica.device.erases == 1
     assert replica.device.read_page(addr) == data[addr]
     assert version_digest(replica, 3) == version_digest(store, 3)
 
@@ -879,11 +879,11 @@ def test_apply_reads_each_target_once_and_programs_only_what_it_must():
     reads, programs = [], []
     replica.device.on_read = reads.append
     replica.device.on_program = lambda addr, _: programs.append(addr)
-    erases = replica.device.stats().erases
+    erases = replica.device.erases
     assert replica.apply_update(store.make_update(2, 3)) == 3
     assert sorted(a for a in reads if a in data) == sorted(data)
     assert sorted(a for a in programs if a in data) == sorted(set(data) - {64})
-    assert replica.device.stats().erases == erases + 1
+    assert replica.device.erases == erases + 1
     assert replica.verify()["ok"]
     assert version_digest(replica, 3) == version_digest(store, 3)
 
@@ -921,7 +921,7 @@ def test_damaged_version_mounts_read_only_until_rolled_away():
         damaged = Store(dev)
         with pytest.raises(IntegrityError, match=rf"\b{victim}\b"):
             write(damaged)
-        assert (dev.stats().programs, dev.stats().erases) == (0, 0), name
+        assert (dev.programs, dev.erases) == (0, 0), name
     back = Store(FlashDevice.from_bytes(bytes(blob)))
     assert back.verify()["problems"]  # damage is visible, mount survived
     assert back.handle(2).stats().objects == 1  # healthy version still answers
@@ -1077,6 +1077,38 @@ def test_an_apply_onto_a_record_past_the_end_of_the_log_compacts_the_directory_f
         assert version_digest(replica, vno) == version_digest(source, vno)
 
 
+def image_with_a_record_at_the_next_page():
+    """A fresh store, and a mount of its image with a valid record for version 99 at page 1, slot 0.
+
+    Version 1 holds slot 0, so the fifteenth append fills page 0, and the log
+    would then run on into the stray record.  Its root is the format's empty root.
+    """
+    store = fresh()
+    dev = FlashDevice.from_bytes(store.device.to_bytes())
+    first = store.versions()[0]
+    stray = VersionRecord(99, first["root_page"], first["alloc_cursor"])
+    dev.program_page(1, directory_page_with(dev.read_page(1), 0, [stray]))
+    return store, Store(dev)
+
+
+def test_a_commit_that_fills_a_page_before_a_record_compacts_the_directory_first():
+    _, store = image_with_a_record_at_the_next_page()
+    for v in range(2, 17):
+        assert store.begin().commit() == v
+    assert_remounts_as(store, [13, 14, 15, 16])
+    assert store.begin().commit() == 17  # and the store writes on
+
+
+def test_an_apply_that_fills_a_page_before_a_record_compacts_the_directory_first():
+    source, replica = image_with_a_record_at_the_next_page()
+    for v in range(1, 16):
+        add_gantries(source, [v])
+        assert replica.apply_update(source.make_update(v, v + 1)) == v + 1
+    assert_remounts_as(replica, [13, 14, 15, 16])
+    for vno in range(13, 17):
+        assert version_digest(replica, vno) == version_digest(source, vno)
+
+
 WINDOW = 4
 
 
@@ -1097,9 +1129,9 @@ def erase_ops(store, op):
     dev = copy.device
     start, erases, erase = dev.programs + dev.erases, [], dev.erase
 
-    def noted(scope, addr):
+    def noted(addr):
         erases.append((dev.programs + dev.erases - start + 1, addr))
-        erase(scope, addr)
+        erase(addr)
 
     dev.erase = noted
     op(copy)
@@ -1277,9 +1309,9 @@ def test_edits_commits_and_applies_read_what_changed():
     blob = store.device.to_bytes()
 
     def reads(st, op):
-        before = st.device.stats().reads
+        before = st.device.reads
         op()
-        return st.device.stats().reads - before
+        return st.device.reads - before
 
     def edit(fn):
         def op():
@@ -1343,9 +1375,9 @@ def test_a_fresh_mount_applies_a_small_package_reading_only_what_it_changes():
     for image, pkg, digest in small_packages():
         dev = FlashDevice.from_bytes(image)
         replica = Store(dev)
-        reads = dev.stats().reads
+        reads = dev.reads
         lean = traced_peak(lambda: replica.apply_update(pkg))
-        assert dev.stats().reads - reads <= 40
+        assert dev.reads - reads <= 40
         assert replica._refs is None
         assert version_digest(replica, replica.current_version) == digest
         counted = Store(FlashDevice.from_bytes(image))
@@ -1408,10 +1440,10 @@ def test_apply_refuses_a_package_tree_that_does_not_check_before_programming(kin
         words = list(node.entries)
         words[words.index(ENTRY_EMPTY)] = word
         pages[root] = encode_node(node.level, words, node.self_list, node.params)
-    programs = replica.device.stats().programs
+    programs = replica.device.programs
     with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
         replica.apply_update(resealed(pkg, sorted(pages.items()), root))
-    assert replica.device.stats().programs == programs and replica.current_version == 2
+    assert replica.device.programs == programs and replica.current_version == 2
 
 
 def base_leaf(store, ids):
@@ -1428,10 +1460,10 @@ def test_damage_on_the_package_path_is_refused_by_the_apply():
     for victim in (store.handle(2).root_page, base_leaf(store, {1, 2})):
         replica = Store(FlashDevice.from_bytes(image))
         damage(replica, victim)
-        programs = replica.device.stats().programs
+        programs = replica.device.programs
         with pytest.raises((FormatError, IntegrityError), match=rf"\b{victim}\b"):
             replica.apply_update(pkg)
-        assert replica.device.stats().programs == programs and replica.current_version == 2
+        assert replica.device.programs == programs and replica.current_version == 2
 
 
 @pytest.mark.parametrize("where", ["older-version", "shared-leaf"])
@@ -1445,10 +1477,10 @@ def test_damage_off_the_package_path_is_refused_at_the_next_write_that_counts(wh
     replica = Store(FlashDevice.from_bytes(image))
     damage(replica, victim)
     assert replica.apply_update(pkg) == 3
-    programs = replica.device.stats().programs
+    programs = replica.device.programs
     with pytest.raises(IntegrityError, match=rf"\b{victim}\b"):
         replica.begin()
-    assert replica.device.stats().programs == programs
+    assert replica.device.programs == programs
 
 
 def test_a_power_loss_at_every_mutation_of_a_fresh_mount_apply_recovers_by_applying_again():

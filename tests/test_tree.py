@@ -51,7 +51,7 @@ from flashquad.codec import (
 )
 from flashquad.dataset import build_database, generate_dataset
 from flashquad.errors import ConflictError, DomainError, FlashQuadError, FormatError, IntegrityError, NotFoundError
-from flashquad.flashsim import FlashDevice, FlashGeometry
+from flashquad.flashsim import ERASED_PAGE, FlashDevice, FlashGeometry
 from flashquad.geometry import TOP_CELL, CellClass, classify_cell
 from flashquad.geometry import WORLD_SIZE as W
 from flashquad.store import Store
@@ -130,10 +130,10 @@ def test_duplicate_gantry_id_rejected():
     store = fresh()
     committed(store, lambda s: s.insert_gantry(1, 5, 5))
     s = store.begin()
-    before = store.device.stats().programs
+    before = store.device.programs
     with pytest.raises(ConflictError):
         s.insert_gantry(1, 100, 100)
-    assert store.device.stats().programs == before and not s.pending
+    assert store.device.programs == before and not s.pending
     s.rollback()
 
 
@@ -456,14 +456,11 @@ def test_walk_flags_damage():
     committed(store, lambda s: [s.insert_gantry(k, 40_000 * k + 3, 70_000 * k + 9) for k in range(1, 25)])
     h = store.handle()
     victim = sorted(a for a in h.reachable_pages() if a != h.root_page)[3]
-    store.device.erase_page(victim)  # silently lose one page
-    from flashquad.cache import PageCache
-
-    store.swap_cache(PageCache(4))  # drop cached copies
-    rep = store.handle().walk()
+    damaged = remount_with_page(store, victim, ERASED_PAGE)  # silently lose one page
+    rep = damaged.handle().walk()
     assert rep.problems
     with pytest.raises(IntegrityError):
-        store.handle().reachable_pages()
+        damaged.handle().reachable_pages()
 
 
 def remount_with_page(store, addr, page):
@@ -833,10 +830,10 @@ def test_load_onto_an_empty_base_programs_each_page_of_the_tree_once():
     gantries, zones = random_objects(random.Random(5), 60, 6)
     zones.append((99, WORLD_COVER))
     store = fresh(BuildParams(leaf_split_threshold=2), sectors=16)
-    before = store.device.stats().programs
+    before = store.device.programs
     committed(store, lambda s: s.load(gantries, zones))
     # the pages of the new version, plus its version record
-    assert store.device.stats().programs - before == len(store.handle().reachable_pages()) + 1
+    assert store.device.programs - before == len(store.handle().reachable_pages()) + 1
     assert store.handle().stats().objects == len(gantries) + len(zones)
 
 
@@ -863,10 +860,10 @@ def test_bad_load_input_raises_before_any_program(gantries, zones, error):
     store = fresh()
     committed(store, lambda s: s.insert_gantry(7, 100_000, 100_000))
     s = store.begin()
-    before = store.device.stats().programs
+    before = store.device.programs
     with pytest.raises(error):
         s.load(gantries, zones)
-    assert store.device.stats().programs == before
+    assert store.device.programs == before
     s.rollback()
     assert store.current_version == 2
     committed(store, lambda s: s.load([(8, 5, 5)], [(8, SQUARE)]))  # a gantry and a zone may share an id
@@ -887,10 +884,10 @@ def test_load_refuses_an_id_already_present(gantries, zones, message):
     store = fresh()
     committed(store, lambda s: s.load([(7, 5, 5)], [(50, SQUARE)]))
     s = store.begin()
-    before = store.device.stats().programs
+    before = store.device.programs
     with pytest.raises(ConflictError, match=message):
         s.load(gantries, zones)
-    assert store.device.stats().programs == before and not s.pending
+    assert store.device.programs == before and not s.pending
     s.rollback()
     assert store.current_version == 2 and store.handle().stats().objects == 2
 
@@ -977,7 +974,7 @@ def test_a_session_reloads_a_zone_onto_pruned_and_reused_pages():
         s.delete(1)
         s.load([], [(1, RING)])
     s.commit()
-    assert store.device.stats().erases > 0  # staged pages were pruned, erased and programmed again
+    assert store.device.erases > 0  # staged pages were pruned, erased and programmed again
     assert store.verify()["ok"]
     h = store.handle()
     rng = random.Random(3)
