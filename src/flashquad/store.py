@@ -4,15 +4,17 @@ Layout on the device:
 
 * subsectors 0 and 1 (pages 0..31) hold the version directory — fixed
   16-byte version records appended slot by slot.  Only one of the two
-  subsectors is active; when it fills up, the live records are copied to
-  the other and the old one is erased.  Because records are only ever
+  subsectors is active; when it fills up, the retained records are copied
+  to the other and the old one is erased.  Because records are only ever
   appended (program), revoked in place (one bit cleared) or copied before
   the source is erased, one subsector's live-record set is always a
   superset of the other's, and mount picks the superset side.  A power
   cut can lose at most the record being written, never a committed one.
   A side's first blank slot ends its log, and mount reads no further.
-  When mount finds records on the inactive side too (a compaction cut
-  before its last erase), the first revoke erases that side first.
+  Mount retains the newest ``max_versions`` live records; older live
+  records are expired.  When mount finds records on the inactive side too
+  (a compaction cut before its last erase), the first revoke erases that
+  side first.
 * pages 32.. hold tree and object pages, allocated by a cyclic cursor so
   erase load spreads over the whole device instead of hammering the
   lowest free subsector.  A dirty subsector that holds nothing live is
@@ -20,9 +22,18 @@ Layout on the device:
   an earlier image's pages are reclaimed (``gc`` erases them at once).
 
 A session is the single writer: it allocates fresh pages, programs them,
-and ends in ``commit`` (append a version record, revoke beyond the
-retention window) or ``rollback`` (drop the root; the programmed pages
-are simply dead and get reclaimed by the allocator or ``gc``).
+and ends in ``commit`` (append a version record; the oldest version
+leaves the retention window) or ``rollback`` (drop the root; the
+programmed pages are simply dead and get reclaimed by the allocator or
+``gc``).
+
+A version that leaves the window expires: its record stays live on flash
+and only its slot is kept (``_expired``).  Every record live on flash
+names a version whose pages are all intact, so the expired records are
+revoked in one batch, one program per directory page, before anything
+could destroy one of their pages: a data erase, an apply's program of a
+target that is not blank, and ``rollback_to`` (``_flush_expired``).  A
+compaction copies only the retained records and so drops them.
 
 Identical leaf pages are shared: the store keeps a content -> address map
 for leaf-list pages and returns the existing address when a session
@@ -328,15 +339,19 @@ class Store:
         self._other_side_used = bool(scans[1 - active])
 
         self._versions: dict[int, VersionRecord] = {}
-        self._slot_of: dict[int, int] = {}  # live version -> its slot number in the active subsector
+        self._slot_of: dict[int, int] = {}  # retained version -> its slot number in the active subsector
+        self._expired: set[int] = set()  # slots of live records no retained version owns: see ``_flush_expired``
         self._dir_tail = 0  # the first slot after the last one written
         for n, state, rec in scans[active]:
             self._dir_tail = n + 1
             if state == "live":
-                self._versions[rec.version_no] = rec  # duplicate numbers: last wins
+                if rec.version_no in self._slot_of:  # duplicate numbers: last wins
+                    self._expired.add(self._slot_of[rec.version_no])
+                self._versions[rec.version_no] = rec
                 self._slot_of[rec.version_no] = n
         if not self._versions:
             raise IntegrityError("all version records are revoked or damaged")
+        self._retain()
         self.current_version = max(self._versions)
         cursor = self._versions[self.current_version].alloc_cursor
         if not DATA_START <= cursor < self.total_pages:
@@ -504,6 +519,7 @@ class Store:
         return True
 
     def _erase(self, first: int) -> None:
+        self._flush_expired()  # an expired version's page may lie in this subsector
         self.device.erase(first)
         for p in range(first, first + PAGES_PER_SUBSECTOR):
             self.cache.invalidate(p)
@@ -560,15 +576,42 @@ class Store:
         self._slot_of[rec.version_no] = self._dir_tail
         self._dir_tail += 1
 
-    def _revoke(self, vno: int) -> None:
+    def _retain(self) -> None:
+        """Expire every version beyond the retention window, oldest first."""
+        while len(self._versions) > self.max_versions:
+            self._expire(min(self._versions))
+
+    def _expire(self, vno: int) -> None:
+        """Stop retaining ``vno``; its record stays live on flash until ``_flush_expired``."""
+        self._expired.add(self._slot_of.pop(vno))
+        del self._versions[vno]
+
+    def _flush_expired(self) -> None:
+        """Revoke every expired record: one read and one program per directory page, oldest page first.
+
+        An expired version's pages are not counted, so this runs before any
+        of them can be destroyed: in ``_erase``, and in ``apply_update``
+        before it programs a target that is not blank.  ``rollback_to`` runs
+        it too.  A power cut part way leaves records live whose versions are
+        intact.
+        """
+        if not self._expired:
+            return
         if self._other_side_used:
             # the other side's live set is a subset of this one's; a revoke here would end that,
             # and mount could no longer tell the sides apart, so finish the interrupted compaction
             self.device.erase((1 - self._active_sub) * PAGES_PER_SUBSECTOR)
             self._other_side_used = False
-        addr, s = self._dir_page(self._slot_of.pop(vno))
-        self.device.program_page(addr, revoke_directory_slot(self.device.read_page(addr), s))
-        del self._versions[vno]
+        by_page: dict[int, list[int]] = {}
+        for n in sorted(self._expired):
+            addr, s = self._dir_page(n)
+            by_page.setdefault(addr, []).append(s)
+        for addr, slots in by_page.items():
+            page = self.device.read_page(addr)
+            for s in slots:
+                page = revoke_directory_slot(page, s)
+            self.device.program_page(addr, page)
+        self._expired.clear()
 
     def _compact_directory(self) -> None:
         target = 1 - self._active_sub
@@ -581,6 +624,7 @@ class Store:
         self.device.erase(self._active_sub * PAGES_PER_SUBSECTOR)
         self._active_sub = target
         self._other_side_used = False
+        self._expired.clear()  # their records were not copied
         self._slot_of = {rec.version_no: n for n, rec in enumerate(recs)}
         self._dir_tail = len(recs)
 
@@ -634,12 +678,15 @@ class Store:
             raise IntegrityError(f"{refusal}: {e}") from e
 
     def _make_current(self, rec: VersionRecord) -> None:
-        """Append ``rec`` to the directory, make it current and revoke the versions beyond the retention window."""
+        """Append ``rec`` to the directory and make it current: one directory program, unless the side compacts.
+
+        The version that leaves the retention window expires; its record is
+        revoked by the next ``_flush_expired``, not here.
+        """
         self._append_record(rec)
         self._versions[rec.version_no] = rec
         self.current_version = rec.version_no
-        while len(self._versions) > self.max_versions:
-            self._revoke(min(self._versions))
+        self._retain()
 
     def _commit(self, session: Session) -> int:
         """Append the session's version, then bring the counts, held pages and dedup map to it."""
@@ -661,13 +708,18 @@ class Store:
         return base + 1
 
     def rollback_to(self, vno: int) -> None:
-        """Make ``vno`` current again by revoking every newer version."""
+        """Make ``vno`` current again: every newer version expires, and every expired record is revoked.
+
+        A mount retains the newest live records, so the newer versions'
+        records are revoked here, or a remount would undo the rollback.
+        """
         if self._session is not None:
             raise SessionError("close the open session before rolling back")
         if vno not in self._versions:
             raise NotFoundError(f"version {vno} is not live")
-        for v in sorted(v for v in self._versions if v > vno):
-            self._revoke(v)
+        for v in [v for v in self._versions if v > vno]:
+            self._expire(v)
+        self._flush_expired()
         self.current_version = vno
         self._cursor = self._versions[vno].alloc_cursor
         self._refs = None  # the next write counts the versions left
@@ -682,12 +734,12 @@ class Store:
         return Handle(self, rec.root_page, vno)
 
     def versions(self) -> list[dict]:
-        """Directory contents of the active subsector, revoked entries included."""
+        """Directory contents of the active subsector, revoked entries included; an expired record reads revoked."""
         seen: dict[int, str] = {}
         roots: dict[int, VersionRecord] = {}
-        for _, state, rec in self._scan_dir(self._active_sub):
+        for n, state, rec in self._scan_dir(self._active_sub):
             if state in ("live", "revoked"):
-                seen[rec.version_no] = state
+                seen[rec.version_no] = "revoked" if n in self._expired else state
                 roots[rec.version_no] = rec
         out = []
         for vno in sorted(seen):
@@ -817,6 +869,7 @@ class Store:
                             "and shares a subsector with package pages"
                         )
                 self._erase(first)
+            self._flush_expired()  # an expired version may hold a torn target about to be reprogrammed
         # a target found equal is programmed again only when its subsector has just been erased
         for addr, data in pages:
             if found[addr] != data or addr - addr % PAGES_PER_SUBSECTOR in need_erase:

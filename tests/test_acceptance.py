@@ -44,7 +44,7 @@ from flashquad.errors import DomainError, PowerLossError
 from flashquad.flashsim import FlashDevice, FlashGeometry
 from flashquad.geometry import WORLD_SIZE
 from flashquad.replay import replay
-from flashquad.store import Store
+from flashquad.store import MAX_VERSIONS_DEFAULT, Store
 from flashquad.tree import BuildParams
 
 from helpers import (
@@ -345,9 +345,9 @@ def test_ac08_wear_leveling():
 # -- 9: crash consistency -------------------------------------------------------
 
 
-def _measure_ops(blob, op):
-    """Program+erase count of ``op`` run to completion on a scratch copy."""
-    store = Store(FlashDevice.from_bytes(blob))
+def _measure_ops(blob, op, window):
+    """Program+erase count of ``op`` run to completion on a scratch copy mounted with ``window`` versions."""
+    store = Store(FlashDevice.from_bytes(blob), max_versions=window)
     dev = store.device
     before = dev.programs + dev.erases
     op(store)
@@ -418,20 +418,21 @@ def test_ac09_crash_consistency():
         store.begin().commit()
         store.begin().commit()  # the second append lands in a compacted directory
 
+    # each blob is mounted with the window that wrote it: a wider one would retain the versions it expired
     cases = [
-        ("insert", base_blob, op_insert),
-        ("delete", base_blob, op_delete),
-        ("rollback", multi_blob, op_rollback),
-        ("gc", churn_blob, op_gc),
-        ("apply", base_blob, op_apply),
-        ("compact", compact_blob, op_compact),
+        ("insert", base_blob, op_insert, MAX_VERSIONS_DEFAULT),
+        ("delete", base_blob, op_delete, MAX_VERSIONS_DEFAULT),
+        ("rollback", multi_blob, op_rollback, MAX_VERSIONS_DEFAULT),
+        ("gc", churn_blob, op_gc, 1),
+        ("apply", base_blob, op_apply, MAX_VERSIONS_DEFAULT),
+        ("compact", compact_blob, op_compact, 2),
     ]
 
     fired = 0
-    for name, blob, op in cases:
-        cost, outcome_digests = _measure_ops(blob, op)
+    for name, blob, op, window in cases:
+        cost, outcome_digests = _measure_ops(blob, op, window)
         assert cost >= 1, f"{name} performs no device mutations"
-        pristine = Store(FlashDevice.from_bytes(blob))
+        pristine = Store(FlashDevice.from_bytes(blob), max_versions=window)
         before_digests = {
             r["version"]: version_digest(pristine, r["version"])
             for r in pristine.versions()
@@ -439,14 +440,14 @@ def test_ac09_crash_consistency():
         }
         known = {**before_digests, **outcome_digests}
         for _ in range(17 if name != "compact" else 15):
-            store = Store(FlashDevice.from_bytes(blob))
+            store = Store(FlashDevice.from_bytes(blob), max_versions=window)
             store.device.arm_power_loss(
                 after_ops=rng.randint(1, cost), prefix=rng.randint(0, PAGE_SIZE)
             )
             with pytest.raises(PowerLossError):
                 op(store)
             fired += 1
-            back = Store(FlashDevice.from_bytes(store.device.to_bytes()))
+            back = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=window)
             report = back.verify()
             assert report["ok"], f"{name}: verify after crash: {report['problems']}"
             cur = back.current_version

@@ -19,6 +19,7 @@ from flashquad.codec import (
     NODE_MAGIC,
     OBJ_MAGIC,
     PAGE_SIZE,
+    SLOTS_PER_PAGE,
     GantryObject,
     LeafRecord,
     VersionRecord,
@@ -433,7 +434,8 @@ def test_directory_compacts_after_256_appends():
     assert store.current_version == 257
     back = Store(FlashDevice.from_bytes(store.device.to_bytes()))
     assert back.current_version == 257
-    assert len([r for r in back.versions() if r["state"] == "live"]) == 2
+    # the compaction copied the window, 255 and 256; 255 expired after it, with no program
+    assert [r["version"] for r in back.versions() if r["state"] == "live"] == [255, 256, 257]
 
 
 # -- allocation, gc, space accounting ----------------------------------------------
@@ -1488,7 +1490,8 @@ def test_a_power_loss_at_every_mutation_of_a_fresh_mount_apply_recovers_by_apply
 
     A target torn by the loss is neither blank nor the package's page, so
     the second apply counts the versions first.  The replica keeps two
-    versions, so the apply's last mutation revokes version 1.
+    versions, so the apply expires version 1 with no program: its last
+    mutation is the record's append.
     """
     image, store, pkg = lockstep_case()
     want = version_digest(store, 3)
@@ -1533,6 +1536,7 @@ def assert_counts_match_mount(store):
     """
     again = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=store.max_versions)
     assert again.current_version == store.current_version
+    assert again._versions == store._versions
     for st in (store, again):
         st._ensure_counted()
     reach = live_reach(store)
@@ -1649,3 +1653,315 @@ def test_counts_and_maps_follow_every_commit_and_apply(edits, window):
             source.gc()
             replica.gc()
             check()
+
+
+# -- expired records: revoked in one flush, before their pages can be destroyed ----------------
+
+
+def device_ops(device):
+    """A list the device appends to: ("read", page) of each directory read, ("program" | "erase", page) of each mutation."""
+    ops = []
+    device.on_read = lambda addr: ops.append(("read", addr)) if addr < DATA_START else None
+    device.on_program = lambda addr, _: ops.append(("program", addr))
+    erase = device.erase
+
+    def noted(addr):
+        ops.append(("erase", addr))
+        erase(addr)
+
+    device.erase = noted
+    return ops
+
+
+def test_a_commit_and_an_apply_that_erase_nothing_each_program_one_directory_page():
+    """The version leaving the window expires with no program: its record stays live, and reads revoked."""
+    source = fresh(8, max_versions=2)
+    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
+    ops = [device_ops(source.device), device_ops(replica.device)]
+    for k in range(20):
+        for side in ops:
+            side.clear()
+        vno = add_gantries(source, [k])
+        assert replica.apply_update(source.make_update(vno - 1, vno)) == vno
+        for side in ops:
+            assert [op for op in side if op[0] != "read" and op[1] < DATA_START] == [
+                ("program", (vno - 1) // SLOTS_PER_PAGE)
+            ]
+            assert not [op for op in side if op[0] == "erase"]
+    for store in (source, replica):
+        assert sorted(store._versions) == [20, 21] and len(store._expired) == 19
+        assert [r["version"] for r in store.versions() if r["state"] == "live"] == [20, 21]
+        wide = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=DIR_SLOTS - 1)
+        assert sorted(wide._versions) == list(range(1, 22)) and wide.verify()["ok"]  # every expired version is intact
+
+
+def expired_over_two_pages():
+    """A window-2 store at version 20: versions 1..18 expired in slots 0..17, on directory pages 0 and 1.
+
+    Version 3 deletes all of version 2's gantries, so ``gc`` has subsectors to erase.
+    """
+    store = fresh(8, max_versions=2)
+    s = store.begin()
+    s.load([(gid, 20_000 * gid, 15_000 * gid) for gid in range(100)], [])
+    s.commit()
+    s = store.begin()
+    for gid in range(100):
+        s.delete(gid)
+    s.commit()
+    while store.current_version < 20:
+        empty_commit(store)
+    assert store.device.erases == 0 and sorted(store._expired) == list(range(18))
+    return store
+
+
+def test_a_flush_reads_and_programs_each_directory_page_once_before_the_first_erase():
+    store = expired_over_two_pages()
+    ops = device_ops(store.device)
+    assert store.gc()["subsectors_erased"] >= 1
+    first = next(k for k, (kind, _) in enumerate(ops) if kind == "erase")
+    assert ops[:first] == [("read", 0), ("program", 0), ("read", 1), ("program", 1)]
+    assert all(kind == "erase" for kind, _ in ops[first:])
+    assert not store._expired
+    wide = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=DIR_SLOTS - 1)
+    assert sorted(wide._versions) == [19, 20] and wide.verify()["ok"]
+    ops.clear()
+    store.gc()
+    assert not [op for op in ops if op[0] == "program"]  # nothing is left to revoke
+
+
+def test_a_power_loss_at_every_mutation_of_a_flush_and_its_erase_leaves_every_live_version_intact():
+    """Remounted with the window that wrote it, or with the widest, every retained version verifies unchanged."""
+    image = expired_over_two_pages().device.to_bytes()
+    wide = Store(FlashDevice.from_bytes(image), max_versions=DIR_SLOTS - 1)
+    digests = {vno: version_digest(wide, vno) for vno in wide._versions}
+    rng = random.Random(26)
+    for k in range(1, 40):
+        store = Store(FlashDevice.from_bytes(image), max_versions=2)
+        store.device.arm_power_loss(after_ops=k, prefix=rng.randrange(PAGE_SIZE + 1))
+        try:
+            store.gc()
+        except PowerLossError:
+            for window in (2, DIR_SLOTS - 1):
+                back = Store(FlashDevice.from_bytes(store.device.to_bytes()), max_versions=window)
+                assert back.current_version == 20 and back.verify()["ok"], (k, window)
+                assert {vno: version_digest(back, vno) for vno in back._versions} == {
+                    vno: digests[vno] for vno in back._versions
+                }, (k, window)
+            continue
+        store.device.disarm_power_loss()
+        break
+    else:
+        raise AssertionError("gc never completed")
+    assert k > 3  # both directory programs and at least one erase were cut
+
+
+def test_an_apply_onto_a_torn_target_revokes_the_expired_records_before_programming_it():
+    source = fresh(8, max_versions=2)
+    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
+    for k in range(5):
+        vno = add_gantries(source, [k])
+        replica.apply_update(source.make_update(vno - 1, vno))
+    assert sorted(replica._expired) == [0, 1, 2, 3]
+    vno = add_gantries(source, [9])
+    pkg = source.make_update(vno - 1, vno)
+    addr, data = parse_update(pkg)[2][0]
+    replica.device.program_page(addr, data[:40] + b"\xff" * (PAGE_SIZE - 40))  # an earlier apply, cut
+    ops = device_ops(replica.device)
+    assert replica.apply_update(pkg) == vno
+    programs = [op for op in ops if op[0] != "read"]
+    assert programs[:2] == [("program", 0), ("program", addr)] and programs[-1] == ("program", 0)
+    assert ops.index(("read", 0)) < ops.index(("program", 0)) and replica._expired == {4}  # the apply expired version 5
+    assert version_digest(replica, vno) == version_digest(source, vno)
+
+
+def test_a_flush_after_a_compaction_cut_before_its_last_erase_erases_the_old_side_first():
+    """With the expired records revoked, a compaction copies the old side's whole live set; cut before the old
+    side's erase, the mount picks the new side.  Its first revoke must erase the old side first, or the two
+    sides' live sets would no longer nest."""
+    store = fresh(max_versions=WINDOW)
+    while store._dir_tail < DIR_SLOTS:
+        empty_commit(store)
+    store.rollback_to(store.current_version)  # revokes the expired records
+    [(op, first)] = erase_ops(store, empty_commit)  # side 1 is blank: only the old side is erased
+    assert first == 0
+    store.device.arm_power_loss(op, 0)
+    with pytest.raises(PowerLossError):
+        empty_commit(store)
+    store = remount(store)
+    assert (store._active_sub, store._dir_tail, store._other_side_used) == (1, WINDOW, True)
+    for _ in range(3):
+        empty_commit(store)
+    ops = device_ops(store.device)
+    store.rollback_to(store.current_version)
+    assert [op for op in ops if op[0] != "read"] == [("erase", 0), ("program", SUB)]
+    back = remount(store)
+    assert back._versions == store._versions and back.verify()["ok"]
+
+
+def test_a_power_loss_at_every_mutation_of_a_rollback_recovers_to_a_window_of_intact_versions():
+    """Versions 1..14 expired on directory page 0; the window 15..18 spans pages 0 and 1.  ``rollback_to(15)``
+    revokes page 0 (the expired records and 16), then page 1 (17 and 18): a cut leaves 18 or 15 current."""
+    store = fresh(8, max_versions=WINDOW)
+    for k in range(17):
+        add_gantries(store, [k])
+    assert sorted(store._versions) == [15, 16, 17, 18] and sorted(store._expired) == list(range(14))
+    image, seen = store.device.to_bytes(), set()
+    for k, prefix in [(k, prefix) for k in range(1, 4) for prefix in (0, 9, PAGE_SIZE)]:
+        store = Store(FlashDevice.from_bytes(image), max_versions=WINDOW)
+        store.device.arm_power_loss(after_ops=k, prefix=prefix)
+        try:
+            store.rollback_to(15)
+        except PowerLossError:
+            back = remount(store)
+            assert back.current_version in (15, 18) and back.verify()["ok"], (k, prefix)
+            assert 15 in back._versions and set(back._versions) <= {15, 16, 17, 18}, (k, prefix)
+            assert_live_records_walk_clean(back)
+            seen.add(back.current_version)
+            continue
+        store.device.disarm_power_loss()
+        assert k == 3 and sorted(remount(store)._versions) == [15], prefix
+    assert seen == {15, 18}
+
+
+def test_a_compaction_cut_before_its_last_erase_with_expired_records_recovers_to_the_old_side():
+    """The compaction copies only the window, so the old side, its expired records still live, holds a strict
+    superset: the mount picks it.  The next commit compacts again, at one more erase of each side."""
+    store = fresh(max_versions=WINDOW)
+    while store._dir_tail < DIR_SLOTS:
+        empty_commit(store)
+    before, window = store.current_version, sorted(store._versions)
+    assert len(store._expired) == DIR_SLOTS - WINDOW
+    [(op, first)] = erase_ops(store, empty_commit)  # side 1 is blank: only the old side is erased
+    assert first == 0
+    store.device.arm_power_loss(op, 0)
+    with pytest.raises(PowerLossError):
+        empty_commit(store)
+    store = remount(store)
+    assert (store._active_sub, store._dir_tail, store._other_side_used) == (0, DIR_SLOTS, True)
+    assert sorted(store._versions) == window and len(store._expired) == DIR_SLOTS - WINDOW
+    assert store.verify()["ok"]
+    ops = device_ops(store.device)
+    empty_commit(store)
+    assert [op for op in ops if op[0] != "read"] == [("erase", SUB), ("program", SUB), ("erase", 0), ("program", SUB)]
+    back = remount(store)
+    assert (back._active_sub, back._dir_tail, back._other_side_used) == (1, WINDOW + 1, False)
+    assert sorted(back._versions) == list(range(before - WINDOW + 2, before + 2)) and back.verify()["ok"]
+
+
+def test_an_apply_refused_before_its_first_erase_leaves_the_device_and_the_expired_records_as_they_were():
+    source = fresh(8, max_versions=2)
+    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=2)
+    for k in range(4):
+        vno = add_gantries(source, [k])
+        replica.apply_update(source.make_update(vno - 1, vno))
+    vno = add_gantries(source, [9])
+    pkg = source.make_update(vno - 1, vno)
+    addr = parse_update(pkg)[2][0][0]
+    replica.device.program_page(addr, bytes(PAGE_SIZE))  # must be erased, and shares a subsector with live pages
+    image, expired = replica.device.to_bytes(), set(replica._expired)
+    assert expired
+    with pytest.raises(RelocationError):
+        replica.apply_update(pkg)
+    assert replica.device.to_bytes() == image and replica._expired == expired
+
+
+def test_a_record_shadowed_by_a_later_one_of_the_same_number_is_revoked_by_the_next_flush():
+    """Mount takes the last of two live records for one version; the first expires, as its pages are not counted."""
+    store = fresh()
+    add_gantries(store, [1])  # version 2 in slot 1
+    first = store.versions()[0]
+    dev = FlashDevice.from_bytes(store.device.to_bytes())
+    twin = VersionRecord(2, first["root_page"], first["alloc_cursor"])
+    dev.program_page(0, directory_page_with(dev.read_page(0), 2, [twin]))
+    back = Store(dev)
+    assert back._versions[2] == twin and back._expired == {1}
+    back.rollback_to(2)
+    assert [state for state, _ in codec.directory_slots(dev.read_page(0))[:3]] == ["live", "revoked", "live"]
+    assert Store(FlashDevice.from_bytes(dev.to_bytes())).versions() == back.versions()
+
+
+def assert_live_records_walk_clean(store):
+    """Every record a mount reads as live, on either directory side, names a version whose pages walk clean."""
+    for sub in range(2):
+        for _, state, rec in store._scan_dir(sub):
+            if state == "live":
+                problems = walk_version(store.device.read_page, rec.root_page, store.total_pages).problems
+                assert not problems, (sub, rec.version_no, problems[:2])
+
+
+@pytest.mark.parametrize("seed, window", [(1, 2), (2, 2), (3, 4)])
+def test_every_live_record_stays_intact_through_wraps_gc_rollbacks_applies_compactions_and_cuts(seed, window):
+    """A seeded mix of commits on a part the allocator wraps around, gc, rollbacks, packages applied to a
+    replica (some onto a torn target), a directory compaction and power cuts at random mutations.
+
+    After each step, every record either store's directory holds live names
+    an intact version, and a remount with the same window keeps exactly
+    the versions the store keeps.
+    """
+    rng = random.Random(seed)
+    source = fresh(1, max_versions=window)  # 224 data pages
+    while source._dir_tail < DIR_SLOTS - 24:  # the directory compacts within the steps
+        empty_commit(source)
+    replica = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=window)
+    committed = {source.current_version: frozenset()}  # version -> its gantry ids
+    torn = 0
+
+    def commit(store):
+        ids = set(committed[store.current_version])
+        s = store.begin()
+        for _ in range(rng.randint(1, 4)):
+            gid = rng.randrange(30)
+            if gid in ids:
+                s.delete(gid, "gantry")
+                ids.discard(gid)
+            else:
+                s.insert_gantry(gid, gid * 61_357 % 2_000_000, gid * 77_711 % 2_000_000)
+                ids.add(gid)
+        vno = s.commit()
+        committed[vno] = frozenset(ids)
+
+    def rollback(store):
+        store.rollback_to(rng.choice(sorted(store._versions)))
+
+    def sync():
+        """Bring the replica to the source's version: a package, torn at one blank target now and then."""
+        nonlocal torn
+        if replica.current_version > source.current_version:
+            replica.rollback_to(source.current_version)
+        elif replica.current_version < source.current_version:
+            pkg = source.make_update(replica.current_version, source.current_version)
+            blank = [(a, d) for a, d in parse_update(pkg)[2] if replica.device.read_page(a) == b"\xff" * PAGE_SIZE]
+            if blank and rng.random() < 0.3:
+                addr, data = rng.choice(blank)
+                n = rng.randrange(1, PAGE_SIZE)
+                replica.device.program_page(addr, data[:n] + b"\xff" * (PAGE_SIZE - n))
+                torn += 1
+            replica.apply_update(pkg)
+
+    for _ in range(80):
+        op = rng.choices(["commit", "gc", "rollback", "cut"], weights=[6, 1, 1, 2])[0]
+        if op == "gc":
+            source.gc()
+            replica.gc()
+        elif op == "rollback":
+            rollback(source)
+            sync()
+        elif op == "commit":
+            commit(source)
+            sync()
+        else:  # the same on the source with a power cut armed; the replica follows what survives
+            source.device.arm_power_loss(after_ops=rng.randint(1, 6), prefix=rng.randrange(PAGE_SIZE + 1))
+            try:
+                rng.choice([commit, Store.gc, rollback])(source)
+            except PowerLossError:
+                source = Store(FlashDevice.from_bytes(source.device.to_bytes()), max_versions=window)
+            else:
+                source.device.disarm_power_loss()
+            sync()
+        for store in (source, replica):
+            assert_live_records_walk_clean(store)
+            assert_counts_match_mount(store)
+    assert torn
+    for store in (source, replica):
+        assert store._active_sub == 1  # the directory compacted
+        assert any(store.device.erase_count(s) for s in range(2, store.device.geometry.subsector_count))
